@@ -125,10 +125,6 @@ class LaurentQPoly:
 
     def scale(self, c):
         """Multiply every coefficient by c (int, QPolynomial, or series)."""
-        if isinstance(c, int):
-            if c == 0:
-                return LaurentQPoly.zero()
-            return LaurentQPoly({u: coeff * c for u, coeff in self.terms.items()})
         return LaurentQPoly({u: coeff * c for u, coeff in self.terms.items()})
 
     def __mul__(self, other):

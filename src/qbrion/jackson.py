@@ -209,11 +209,6 @@ def raising_operator(f, axis, n, convention="vars_with_one"):
     return out
 
 
-def lowering_operator(f, axis):
-    """Ladder lowering operator: the Jackson derivative itself."""
-    return jackson_derivative(f, axis)
-
-
 def discriminate_convention():
     """Pick the elementary-symmetric variable family from the n=1 ladder data.
 
@@ -233,10 +228,11 @@ def discriminate_convention():
 def verify_ladder(n, max_degree, convention=None):
     """Exact ladder check for the degree family RS_0 .. RS_max_degree.
 
-    Verifies, for every axis: raising R_i(RS_{k-1}) = RS_k, lowering
-    L_i(RS_k) = [k]_q RS_{k-1}, and the commutator (L_i R_i - R_i L_i)(RS_k)
-    = q^k RS_k.  Returns a report dict with per-identity booleans and a list
-    of any failing (identity, axis, degree) triples.
+    Verifies, for every axis: raising R_i(RS_{k-1}) = RS_k, lowering by the
+    Jackson derivative L_i(RS_k) = [k]_q RS_{k-1}, and the commutator
+    (L_i R_i - R_i L_i)(RS_k) = q^k RS_k.  Returns a report dict with
+    per-identity booleans and a list of any failing (identity, axis, degree)
+    triples.
     """
     if convention is None:
         convention = discriminate_convention()

@@ -25,6 +25,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     EmptyPolytopeError,
@@ -34,87 +35,62 @@ from .errors import (
 )
 
 
-def _solve_square(rows, rhs):
-    """Solve an n x n integer system exactly.  Returns (point, det).
+def row_reduce(rows, width):
+    """Exact Gauss-Jordan elimination over the rationals, one row at a time.
 
-    point is a tuple of Fractions (or None when the matrix is singular) and
-    det the exact integer determinant.
+    Each row is reduced against the independent rows taken before it; if any
+    of its first `width` entries is left nonzero, the first such column
+    becomes a pivot.  Columns from `width` on are carried along, so reducing
+    [A | B] solves A X = B.  Returns (reduced, pivots, leads, det):
+
+    - reduced[k] has 1 at column pivots[k] and 0 at every other pivot column;
+    - leads[k] is the k-th independent row reduced against the earlier ones
+      only: the input row minus a combination of earlier rows, zero at the
+      earlier pivots, with its first nonzero entry at pivots[k];
+    - det is the product of the leads' pivot entries, signed by the order in
+      which the pivots were found; for a square matrix of full rank it is
+      the determinant.
     """
-    n = len(rows)
-    m = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    reduced, pivots, leads = [], [], []
     det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return None, 0
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    det_int = int(det)
-    assert det == det_int
-    return tuple(m[r][n] for r in range(n)), det_int
+    for row in rows:
+        lead = [Fraction(x) for x in row]
+        for e, p in zip(reduced, pivots):
+            c = lead[p]
+            if c:
+                lead = [x - c * y for x, y in zip(lead, e)]
+        p = next((j for j in range(width) if lead[j]), None)
+        if p is None:
+            continue
+        flips = sum(1 for q in pivots if q > p)
+        det *= -lead[p] if flips % 2 else lead[p]
+        unit = [x / lead[p] for x in lead]
+        for k, e in enumerate(reduced):
+            c = e[p]
+            if c:
+                reduced[k] = [x - c * y for x, y in zip(e, unit)]
+        reduced.append(unit)
+        pivots.append(p)
+        leads.append(lead)
+    return reduced, pivots, leads, det
+
+
+def _primitive_vector(vec):
+    """The primitive integer vector with the direction of a nonzero rational one."""
+    scale = math.lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
 
 
 def _inverse_unimodular(rows):
     """Inverse of an integer matrix with determinant +-1, as integer columns."""
     n = len(rows)
-    cols = []
-    for j in range(n):
-        rhs = [1 if i == j else 0 for i in range(n)]
-        col, det = _solve_square(rows, rhs)
-        assert col is not None and det in (-1, 1)
-        cols.append(tuple(int(x) for x in col))
-    return cols
-
-
-def _kernel_vector(rows, n):
-    """Integer spanning vector of ker(rows) when the rank is exactly n-1."""
-    m = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    rank = 0
-    for col in range(n):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col] != 0:
-                f = m[r][col]
-                m[r] = [x - f * y for x, y in zip(m[r], m[rank])]
-        pivots.append(col)
-        rank += 1
-    if rank != n - 1:
-        return None
-    free = next(c for c in range(n) if c not in pivots)
-    vec = [Fraction(0)] * n
-    vec[free] = Fraction(1)
-    for r, col in enumerate(pivots):
-        vec[col] = -m[r][free]
-    lcm = 1
-    for x in vec:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in vec]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    augmented = [tuple(v) + tuple(int(i == j) for j in range(n)) for i, v in enumerate(rows)]
+    reduced, pivots, _, det = row_reduce(augmented, n)
+    assert len(pivots) == n and det in (-1, 1)
+    inverse = [e[n:] for _, e in sorted(zip(pivots, reduced), key=lambda pe: pe[0])]
+    return [tuple(int(x) for x in column) for column in zip(*inverse)]
 
 
 @dataclass(frozen=True)
@@ -127,29 +103,25 @@ class Polytope:
 
     def __post_init__(self):
         n, r = self.dim, len(self.normals)
-        if n < 1:
-            raise InvalidInputError("dimension must be at least 1")
+        if not _is_integer(n) or n < 1:
+            raise InvalidInputError("dimension must be an integer of at least 1")
         if r != len(self.offsets):
             raise InvalidInputError("need one offset per facet normal")
         if r == 0:
             raise InvalidInputError("a bounded polytope needs at least one facet")
         seen = set()
         for v in self.normals:
-            if len(v) != n or any(not isinstance(x, int) for x in v):
+            if len(v) != n or not all(_is_integer(x) for x in v):
                 raise InvalidInputError("normals must be integer vectors of length %d" % n)
             if all(x == 0 for x in v):
                 raise InvalidInputError("facet normals must be nonzero")
-            g = 0
-            for x in v:
-                g = math.gcd(g, abs(x))
-            if g != 1:
+            if math.gcd(*v) != 1:
                 raise InvalidInputError("facet normal %r is not primitive" % (list(v),))
             if v in seen:
                 raise InvalidInputError("duplicate facet normal %r" % (list(v),))
             seen.add(v)
-        for a in self.offsets:
-            if not isinstance(a, int):
-                raise InvalidInputError("facet offsets must be integers")
+        if not all(_is_integer(a) for a in self.offsets):
+            raise InvalidInputError("facet offsets must be integers")
         if not self._is_bounded():
             raise InvalidInputError("the half-space intersection is unbounded")
 
@@ -157,8 +129,12 @@ class Polytope:
 
     @classmethod
     def from_facets(cls, dim, facets):
-        normals = tuple(tuple(int(x) for x in normal) for normal, _ in facets)
-        offsets = tuple(int(a) for _, a in facets)
+        """Build from (normal, offset) pairs; entries must already be integers."""
+        try:
+            normals = tuple(tuple(normal) for normal, _ in facets)
+            offsets = tuple(a for _, a in facets)
+        except (TypeError, ValueError) as exc:
+            raise InvalidInputError("facets must be (normal vector, offset) pairs") from exc
         return cls(dim, normals, offsets)
 
     @classmethod
@@ -232,37 +208,31 @@ class Polytope:
         candidate extreme-ray direction (kernel of n-1 independent normals) may
         satisfy all inequalities.
         """
-        n = len(self.normals[0])
-        probe = [[Fraction(x) for x in v] for v in self.normals]
-        rank = 0
-        for col in range(n):
-            pivot = None
-            for r in range(rank, len(probe)):
-                if probe[r][col] != 0:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            probe[rank], probe[pivot] = probe[pivot], probe[rank]
-            inv = 1 / probe[rank][col]
-            probe[rank] = [x * inv for x in probe[rank]]
-            for r in range(len(probe)):
-                if r != rank and probe[r][col] != 0:
-                    f = probe[r][col]
-                    probe[r] = [x - f * y for x, y in zip(probe[r], probe[rank])]
-            rank += 1
-        if rank < n:
+        n = self.dim
+        if len(row_reduce(self.normals, n)[1]) < n:
             return False
-        for subset in itertools.combinations(range(len(self.normals)), n - 1):
-            w = _kernel_vector([self.normals[i] for i in subset], n)
-            if w is None:
+        for rows in itertools.combinations(self.normals, n - 1):
+            reduced, pivots, _, _ = row_reduce(rows, n)
+            if len(pivots) < n - 1:
                 continue
-            if all(sum(x * y for x, y in zip(w, v)) >= 0 for v in self.normals):
-                return False
-            wneg = tuple(-x for x in w)
-            if all(sum(x * y for x, y in zip(wneg, v)) >= 0 for v in self.normals):
-                return False
+            free = next(c for c in range(n) if c not in pivots)
+            ray = [Fraction(0)] * n
+            ray[free] = Fraction(1)
+            for e, p in zip(reduced, pivots):
+                ray[p] = -e[free]
+            for sign in (1, -1):
+                if all(sign * sum(x * y for x, y in zip(ray, v)) >= 0 for v in self.normals):
+                    return False
         return True
+
+    @cached_property
+    def geometry(self):
+        """The vertex scan, computed on first use and kept: the polytope is immutable."""
+        return Geometry(self)
+
+
+def _is_integer(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -305,77 +275,87 @@ class ValidationReport:
         }
 
 
+class Geometry:
+    """Everything one vertex scan of a polytope yields.
+
+    The scan solves the facet system of every n-element facet subset once.
+    solutions holds (point, facet subset, determinant) for each subset with
+    independent normals and a feasible point; points are the distinct vertex
+    points in sorted order, as exact rationals.  The rest is read off those
+    points: the integer coordinate box (None when empty), the smoothness
+    verdict with its problems, full dimensionality, whether every facet
+    touches, the active facets (whose slack is not identically zero) and a
+    primitive integer basis of the vertex differences.  The vertex cones with
+    their edge directions are computed on first use only.
+    """
+
+    def __init__(self, P):
+        n = P.dim
+        self._normals = P.normals
+        self.solutions = []
+        for subset in itertools.combinations(range(P.facet_count), n):
+            rows = [P.normals[i] + (-P.offsets[i],) for i in subset]
+            reduced, pivots, _, det = row_reduce(rows, n)
+            if len(pivots) < n:
+                continue
+            point = [None] * n
+            for e, p in zip(reduced, pivots):
+                point[p] = e[n]
+            point = tuple(point)
+            if all(s >= 0 for s in P.slacks(point)):
+                self.solutions.append((point, subset, int(det)))
+        problems = []
+        for point, subset, det in self.solutions:
+            if det not in (-1, 1):
+                problems.append(
+                    "facets %r meet at a feasible point with determinant %d" % (list(subset), det)
+                )
+            if any(x.denominator != 1 for x in point):
+                problems.append(
+                    "facets %r meet at the non-integral point %r"
+                    % (list(subset), [str(x) for x in point])
+                )
+        self.points = sorted({p for p, _, _ in self.solutions})
+        self.box = None
+        if self.points:
+            coords = list(zip(*self.points))
+            self.box = ([math.ceil(min(c)) for c in coords], [math.floor(max(c)) for c in coords])
+        diffs = [[x - y for x, y in zip(p, self.points[0])] for p in self.points[1:]]
+        _, pivots, leads, _ = row_reduce(diffs, n)
+        self.full_dimensional = len(pivots) == n
+        self.support_basis = tuple(_primitive_vector(lead) for lead in leads)
+        slack_rows = [P.slacks(p) for p in self.points]
+        if not problems and self.full_dimensional:
+            # Simplicity: a vertex of a smooth full-dimensional polytope lies
+            # on exactly n facets.
+            for p, slacks in zip(self.points, slack_rows):
+                tight = sum(1 for s in slacks if s == 0)
+                if tight != n:
+                    problems.append(
+                        "vertex %r lies on %d facets, expected %d" % (list(p), tight, n)
+                    )
+        self.smooth = not problems
+        self.problems = tuple(problems)
+        facet_slacks = list(zip(*slack_rows))
+        self.all_facets_touch = all(min(col) == 0 for col in facet_slacks)
+        self.active_facets = tuple(i for i, col in enumerate(facet_slacks) if any(col))
+
+    @cached_property
+    def vertices(self):
+        """VertexData for every solution, sorted; needs a smooth polytope."""
+        return [
+            VertexData(
+                point=tuple(int(x) for x in point),
+                facet_set=subset,
+                edge_dirs=tuple(_inverse_unimodular([self._normals[i] for i in subset])),
+            )
+            for point, subset, _ in sorted(self.solutions, key=lambda s: (s[0], s[1]))
+        ]
+
+
 def basic_solutions(P):
     """All (point, facet_subset, det) with invertible subset and feasible point."""
-    out = []
-    for subset in itertools.combinations(range(P.facet_count), P.dim):
-        rows = [P.normals[i] for i in subset]
-        rhs = [-P.offsets[i] for i in subset]
-        point, det = _solve_square(rows, rhs)
-        if point is None:
-            continue
-        slacks = [
-            sum(x * y for x, y in zip(point, v)) + a
-            for v, a in zip(P.normals, P.offsets)
-        ]
-        if all(s >= 0 for s in slacks):
-            out.append((point, subset, det))
-    return out
-
-
-def _scan(P):
-    """Shared vertex scan: (solutions, smooth, full_dimensional, problems)."""
-    sols = basic_solutions(P)
-    problems = []
-    smooth = True
-    for point, subset, det in sols:
-        if det not in (-1, 1):
-            smooth = False
-            problems.append(
-                "facets %r meet at a feasible point with determinant %d" % (list(subset), det)
-            )
-        if any(x.denominator != 1 for x in point):
-            smooth = False
-            problems.append(
-                "facets %r meet at the non-integral point %r"
-                % (list(subset), [str(x) for x in point])
-            )
-    points = sorted({tuple(p) for p, _, _ in sols})
-    full_dimensional = False
-    if points:
-        base = points[0]
-        diffs = [[x - y for x, y in zip(p, base)] for p in points[1:]]
-        rank = 0
-        cols = list(range(P.dim))
-        mat = [list(map(Fraction, d)) for d in diffs]
-        for col in cols:
-            pivot = None
-            for r in range(rank, len(mat)):
-                if mat[r][col] != 0:
-                    pivot = r
-                    break
-            if pivot is None:
-                continue
-            mat[rank], mat[pivot] = mat[pivot], mat[rank]
-            inv = 1 / mat[rank][col]
-            mat[rank] = [x * inv for x in mat[rank]]
-            for r in range(len(mat)):
-                if r != rank and mat[r][col] != 0:
-                    f = mat[r][col]
-                    mat[r] = [x - f * y for x, y in zip(mat[r], mat[rank])]
-            rank += 1
-        full_dimensional = rank == P.dim
-    if smooth and full_dimensional:
-        # Simplicity: a vertex of a smooth full-dimensional polytope lies on
-        # exactly n facets.
-        for p in points:
-            tight = sum(1 for s in P.slacks(p) if s == 0)
-            if tight != P.dim:
-                smooth = False
-                problems.append(
-                    "vertex %r lies on %d facets, expected %d" % (list(p), tight, P.dim)
-                )
-    return sols, smooth, full_dimensional, tuple(problems)
+    return list(P.geometry.solutions)
 
 
 def validate(P):
@@ -385,24 +365,17 @@ def validate(P):
     everything else is reported as flags, not errors, so callers can decide
     which properties their operation actually needs.
     """
-    sols, smooth, full_dimensional, problems = _scan(P)
-    if not sols:
+    geo = P.geometry
+    if not geo.solutions:
         raise EmptyPolytopeError("the half-space intersection is empty")
-    touch = []
-    for i in range(P.facet_count):
-        v, a = P.normals[i], P.offsets[i]
-        slack_min = min(
-            sum(x * y for x, y in zip(p, v)) + a for p, _, _ in sols
-        )
-        touch.append(slack_min == 0)
     return ValidationReport(
-        smooth=smooth,
+        smooth=geo.smooth,
         radially_symmetric=P.is_radially_symmetric(),
-        all_facets_touch=all(touch),
-        full_dimensional=full_dimensional,
-        vertex_count=len({tuple(p) for p, _, _ in sols}),
+        all_facets_touch=geo.all_facets_touch,
+        full_dimensional=geo.full_dimensional,
+        vertex_count=len(geo.points),
         lattice_point_count=len(lattice_points(P)),
-        problems=problems,
+        problems=geo.problems,
     )
 
 
@@ -415,41 +388,17 @@ def enumerate_vertices(P):
     several vertex data at one geometric point; each carries its own facet
     subset and edge directions.
     """
-    sols, smooth, full_dimensional, problems = _scan(P)
-    if not sols:
+    geo = P.geometry
+    if not geo.solutions:
         raise EmptyPolytopeError("the half-space intersection is empty")
-    if not smooth:
-        raise SmoothnessError("; ".join(problems))
-    out = []
-    for point, subset, det in sorted(sols, key=lambda s: (s[0], s[1])):
-        rows = [P.normals[i] for i in subset]
-        cols = _inverse_unimodular(rows)
-        out.append(
-            VertexData(
-                point=tuple(int(x) for x in point),
-                facet_set=tuple(subset),
-                edge_dirs=tuple(cols),
-            )
-        )
-    return out
+    if not geo.smooth:
+        raise SmoothnessError("; ".join(geo.problems))
+    return list(geo.vertices)
 
 
 def vertex_points(P):
     """Sorted distinct vertex points (exact rationals cast to int when integral)."""
-    pts = sorted({tuple(p) for p, _, _ in basic_solutions(P)})
-    return [tuple(int(x) if x.denominator == 1 else x for x in p) for p in pts]
-
-
-def _coordinate_box(P):
-    sols = basic_solutions(P)
-    if not sols:
-        return None
-    lo, hi = [], []
-    for j in range(P.dim):
-        vals = [p[j] for p, _, _ in sols]
-        lo.append(math.ceil(min(vals)))
-        hi.append(math.floor(max(vals)))
-    return lo, hi
+    return [tuple(int(x) if x.denominator == 1 else x for x in p) for p in P.geometry.points]
 
 
 def lattice_points(P):
@@ -464,7 +413,7 @@ def points_with_slacks(P):
     facet inequalities, and slack vectors are updated incrementally along each
     row, so the cost is proportional to the number of points plus rows.
     """
-    box = _coordinate_box(P)
+    box = P.geometry.box
     if box is None:
         return
     lo, hi = box
@@ -500,12 +449,6 @@ def dilate(P, k):
     if not isinstance(k, int) or k < 1:
         raise InvalidInputError("dilation factor must be a positive integer")
     return Polytope(P.dim, P.normals, tuple(k * a for a in P.offsets))
-
-
-def degree_valuation(P, b):
-    """f(b) = sum_i [ b_i (b_i + 1)/2 + a_i b_i ], the q-power a degree vector
-    contributes to its corner term."""
-    return sum(bi * (bi + 1) // 2 + a * bi for bi, a in zip(b, P.offsets))
 
 
 def _per_coordinate_minimum(a):
@@ -561,7 +504,7 @@ def enumerate_corner_degrees(P, vd, order):
     in_facet = set(facet_set)
     free = [j for j in range(r) if j not in in_facet]
     if not free:
-        return [tuple([0] * r)] if 0 <= order else []
+        return [tuple([0] * r)]
     # expansion of each free normal in the facet-normal basis, via duality
     expand = {}
     for j in free:
@@ -617,57 +560,6 @@ def enumerate_corner_degrees(P, vd, order):
             k[j] = t
             walk(pos + 1, val + g)
         k.pop(j, None)
-
-    walk(0, 0)
-    return sorted(out)
-
-
-def enumerate_degrees(P, order):
-    """All nonnegative integer vectors b with sum_i b_i v_i = 0 and f(b) <= order.
-
-    Depth-first scan with per-coordinate pruning: coordinate i is capped where
-    g_i(b_i) = b_i(b_i+1)/2 + a_i b_i already exceeds what the remaining
-    coordinates could still compensate (their exact integer minima, which can
-    be negative when offsets are negative).
-    """
-    if order < 0:
-        raise InvalidInputError("series order must be nonnegative")
-    r, n = P.facet_count, P.dim
-    mins = [_per_coordinate_minimum(a) for a in P.offsets]
-    total_min = sum(mins)
-    bounds = []
-    for i, a in enumerate(P.offsets):
-        budget = order - (total_min - mins[i])
-        t = 0
-        while t * (t + 1) // 2 + a * t <= budget:
-            t += 1
-        bounds.append(t - 1)
-    out = []
-    suffix_min = [0] * (r + 1)
-    for i in range(r - 1, -1, -1):
-        suffix_min[i] = suffix_min[i + 1] + mins[i]
-    b = [0] * r
-    vec = [0] * n
-
-    def walk(i, val):
-        if i == r:
-            if all(x == 0 for x in vec) and val <= order:
-                out.append(tuple(b))
-            return
-        v = P.normals[i]
-        for t in range(bounds[i] + 1):
-            g = t * (t + 1) // 2 + P.offsets[i] * t
-            if val + g + suffix_min[i + 1] > order:
-                if t >= max(0, -P.offsets[i]):
-                    break  # g only grows from here on
-                continue
-            b[i] = t
-            for j in range(n):
-                vec[j] += t * v[j]
-            walk(i + 1, val + g)
-            for j in range(n):
-                vec[j] -= t * v[j]
-        b[i] = 0
 
     walk(0, 0)
     return sorted(out)

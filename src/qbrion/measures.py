@@ -21,7 +21,12 @@ import numpy as np
 
 from . import lattice
 from .brion import parallel_map
-from .errors import ConvergenceError, InvalidInputError, PreconditionError
+from .errors import (
+    ConvergenceError,
+    EmptyPolytopeError,
+    InvalidInputError,
+    PreconditionError,
+)
 
 
 def _as_point(u):
@@ -123,13 +128,11 @@ def _multinomial(total, parts):
 
 def max_face_value(P):
     """Largest slack sum over the polytope; attained on a face."""
+    points = lattice.vertex_points(P)
+    if not points:
+        raise EmptyPolytopeError("the half-space intersection is empty")
     v_delta = P.normal_sum()
-    best = None
-    for p in lattice.vertex_points(P):
-        val = sum(a * b for a, b in zip(p, v_delta))
-        if best is None or val > best:
-            best = val
-    return best + P.offset_sum()
+    return max(sum(a * b for a, b in zip(p, v_delta)) for p in points) + P.offset_sum()
 
 
 def max_face_points(P):
@@ -292,16 +295,9 @@ def active_facets(P):
     A slack vanishes identically iff it vanishes at every basic feasible
     point, by convexity.
     """
-    points = sorted({p for p, _, _ in lattice.basic_solutions(P)})
-    if not points:
+    if not P.geometry.points:
         raise PreconditionError("empty polytope has no active facets")
-    out = []
-    for i, v in enumerate(P.normals):
-        for p in points:
-            if sum(a * b for a, b in zip(p, v)) + P.offsets[i] != 0:
-                out.append(i)
-                break
-    return tuple(out)
+    return P.geometry.active_facets
 
 
 def potential(P, m):
@@ -367,33 +363,6 @@ def minimize_potential(P, tol=1e-10, max_iter=200):
     raise ConvergenceError("Newton iteration did not reach tolerance %g" % tol)
 
 
-def _support_basis(P):
-    verts = lattice.vertex_points(P)
-    base = verts[0]
-    rows = [[Fraction(x - y) for x, y in zip(p, base)] for p in verts[1:]]
-    basis = []
-    for row in rows:
-        row = list(row)
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x != 0)
-            if row[lead] != 0:
-                factor = row[lead] / b[lead]
-                row = [x - factor * y for x, y in zip(row, b)]
-        if any(x != 0 for x in row):
-            basis.append(row)
-    out = []
-    for b in basis:
-        denom = 1
-        for x in b:
-            denom = denom * x.denominator // math.gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in b]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, abs(x))
-        out.append(tuple(x // g for x in ints))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class GaussianModel:
     """Limit Gaussian of the rescaled dilation measures.
@@ -432,22 +401,9 @@ def gaussian_model(P, tol=1e-10):
         minimizer=tuple(float(x) for x in u),
         precision=tuple(tuple(float(x) for x in row) for row in precision),
         covariance=tuple(tuple(float(x) for x in row) for row in covariance),
-        support_basis=_support_basis(P),
+        support_basis=P.geometry.support_basis,
         active_set=active,
     )
-
-
-def measure_moments(measure):
-    """Exact (mean, covariance) of a discrete measure."""
-    return measure.mean(), measure.covariance()
-
-
-def convolve(mu, nu):
-    return mu.convolve(nu)
-
-
-def characteristic_function(measure, x):
-    return measure.characteristic_function(x)
 
 
 def convergence_report(P, k_values, tol=1e-10):

@@ -1,8 +1,16 @@
 """Shared fixtures: bundled polytopes, loaded once per session."""
 
+import os
+
 import pytest
 
+import qbrion
 from qbrion import fixtures
+
+# The CLI tests start ``python -m qbrion`` in a subprocess; let it import the
+# same package as this process, also when only pytest's pythonpath finds it.
+_SRC = os.path.dirname(os.path.dirname(qbrion.__file__))
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +42,21 @@ def segment(m):
     from qbrion.lattice import Polytope
 
     return Polytope.from_facets(1, [((1,), 0), ((-1,), m)])
+
+
+@pytest.fixture(scope="session")
+def solids(hexagon):
+    """Smooth 3-D polytopes: the unit cube, the twice-dilated 3-simplex and
+    the hexagon times the unit segment."""
+    from qbrion.lattice import Polytope
+
+    unit = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    return {
+        "cube": Polytope(3, unit + tuple(tuple(-x for x in v) for v in unit), (0, 0, 0, 1, 1, 1)),
+        "simplex3": Polytope(3, unit + ((-1, -1, -1),), (0, 0, 0, 2)),
+        "hexagon_prism": Polytope(
+            3,
+            tuple(v + (0,) for v in hexagon.normals) + ((0, 0, 1), (0, 0, -1)),
+            hexagon.offsets + (0, 1),
+        ),
+    }

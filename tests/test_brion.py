@@ -101,6 +101,12 @@ def test_verify_identity_2d(polytopes, name):
     assert report.equal, report.first_mismatch
 
 
+@pytest.mark.parametrize("name", ["cube", "simplex3", "hexagon_prism"])
+def test_verify_identity_3d(solids, name):
+    report = brion.verify_identity(solids[name], order=6)
+    assert report.equal, report.first_mismatch
+
+
 def test_verify_identity_trapezoid(trapezoid):
     report = brion.verify_identity(trapezoid, order=10, trials=2, seed=0)
     assert report.equal

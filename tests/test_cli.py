@@ -56,6 +56,24 @@ def test_validate_malformed_json_exit_2(tmp_path):
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "facets, dim",
+    [
+        ([{"normal": [1], "offset": 0}, {"normal": [-1], "offset": 2.7}], 1),
+        ([{"normal": [1, 0], "offset": 0}], "2"),
+        ([{"normal": ["x"], "offset": 0}, {"normal": [-1], "offset": 2}], 1),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "rs"])
+def test_non_integer_entries_exit_2(tmp_path, command, facets, dim):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"dim": dim, "facets": facets}))
+    r = run_cli(command, str(path))
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.startswith("error:") and "Traceback" not in r.stderr
+
+
 # -------------------------------------------------------------------- verify
 
 

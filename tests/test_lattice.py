@@ -2,11 +2,12 @@
 
 import itertools
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from qbrion import fixtures, lattice
+from qbrion import fixtures, lattice, measures
 from qbrion.errors import EmptyPolytopeError, InvalidInputError, SmoothnessError
 from qbrion.lattice import Polytope
 
@@ -81,6 +82,85 @@ def test_slack_facet_does_not_touch():
     assert not report.all_facets_touch
 
 
+@pytest.mark.parametrize(
+    "name, vertices, points", [("cube", 8, 8), ("simplex3", 4, 10), ("hexagon_prism", 12, 14)]
+)
+def test_validate_3d(solids, name, vertices, points):
+    report = lattice.validate(solids[name])
+    assert report.smooth and report.full_dimensional and report.all_facets_touch
+    assert report.radially_symmetric
+    assert (report.vertex_count, report.lattice_point_count) == (vertices, points)
+    assert not report.problems
+
+
+def test_unbounded_3d_input_rejected():
+    # the normals span R^3, but the prism over a triangle is open along z
+    with pytest.raises(InvalidInputError, match="unbounded"):
+        Polytope.from_facets(
+            3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, 0), 2)]
+        )
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"dim": 1, "facets": [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": 2.7}]},
+        {"dim": 1, "facets": [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": "2"}]},
+        {"dim": 1, "facets": [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": True}]},
+        {"dim": "2", "facets": [{"normal": [1, 0], "offset": 0}]},
+        {"dim": 1.0, "facets": [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": 2}]},
+        {"dim": 1, "facets": [{"normal": ["x"], "offset": 0}, {"normal": [-1], "offset": 2}]},
+        {"dim": 1, "facets": [{"normal": [1.0], "offset": 0}, {"normal": [-1], "offset": 2}]},
+        {"dim": 1, "facets": [{"normal": [True], "offset": 0}, {"normal": [-1], "offset": 2}]},
+        {"dim": 1, "facets": [{"normal": 1, "offset": 0}, {"normal": [-1], "offset": 2}]},
+    ],
+)
+def test_from_dict_rejects_non_integer_entries(data):
+    # nothing is coerced: 2.7 must not be read as the offset 2
+    with pytest.raises(InvalidInputError):
+        Polytope.from_dict(data)
+
+
+def leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[0, 1], [1, 0]],
+        [[2, 1], [1, 3]],
+        [[0, 0, 1], [1, 0, 0], [0, 1, 0]],
+        [[0, 2, 1], [3, 0, -1], [1, 1, 1]],
+        [[1, 2, 3], [2, 4, 6], [0, 1, 1]],
+    ],
+)
+def test_row_reduce_solves_square_systems(m):
+    n = len(m)
+    rhs = [1, -2, 5][:n]
+    reduced, pivots, leads, det = lattice.row_reduce([row + [b] for row, b in zip(m, rhs)], n)
+    want = leibniz_det(m)
+    if want == 0:
+        assert len(pivots) < n
+        return
+    assert det == want
+    x = {p: e[n] for e, p in zip(reduced, pivots)}
+    for row, b in zip(m, rhs):
+        assert sum(row[j] * x[j] for j in range(n)) == b
+    # each lead starts at its pivot and vanishes at the earlier pivots
+    for k, (lead, p) in enumerate(zip(leads, pivots)):
+        assert lead[p] != 0 and not any(lead[:p])
+        assert all(lead[q] == 0 for q in pivots[:k])
+
+
 # ------------------------------------------------------------------ vertices
 
 
@@ -121,10 +201,12 @@ def brute_force_vertices(P):
 
 
 @pytest.mark.parametrize(
-    "name", ["segment_2", "hexagon", "simplex_p2", "square_p1xp1", "trapezoid_f1"]
+    "name",
+    ["segment_2", "hexagon", "simplex_p2", "square_p1xp1", "trapezoid_f1",
+     "cube", "simplex3", "hexagon_prism"],
 )
-def test_vertex_enumeration_matches_brute_force(polytopes, name):
-    P = polytopes[name]
+def test_vertex_enumeration_matches_brute_force(polytopes, solids, name):
+    P = {**polytopes, **solids}[name]
     vs = lattice.enumerate_vertices(P)
     assert {v.point for v in vs} == {
         tuple(int(c) for c in p) for p in brute_force_vertices(P)
@@ -148,6 +230,30 @@ def test_degenerate_segment_has_one_cone_per_facet():
     vs = lattice.enumerate_vertices(P)
     assert [v.point for v in vs] == [(0,), (0,)]
     assert {v.facet_set for v in vs} == {(0,), (1,)}
+
+
+def test_vertex_scan_runs_once_per_polytope(monkeypatch, hexagon):
+    P = lattice.dilate(hexagon, 2)  # a fresh object, not scanned yet
+    solves = []
+    row_reduce = lattice.row_reduce
+
+    def counting(rows, width):
+        rows = list(rows)
+        if len(rows) == width and all(len(row) == width + 1 for row in rows):
+            solves.append(rows)  # one facet system [A | -a]
+        return row_reduce(rows, width)
+
+    monkeypatch.setattr(lattice, "row_reduce", counting)
+    lattice.validate(P)
+    assert "vertices" not in vars(P.geometry)  # validate leaves the cones lazy
+    lattice.enumerate_vertices(P)
+    lattice.vertex_points(P)
+    lattice.basic_solutions(P)
+    measures.active_facets(P)
+    measures.max_face_value(P)
+    for _ in range(100):
+        measures.potential(P, (2.0, 2.0))
+    assert len(solves) == math.comb(P.facet_count, P.dim)
 
 
 # ------------------------------------------------------------- lattice points
@@ -241,40 +347,57 @@ def kernel_vectors_in_box(P, bound):
     return out
 
 
+def nonnegative_valuation(P, b):
+    """sum_i b_i (b_i + 1)/2 + a_i b_i: the q-power of a nonnegative degree vector."""
+    return sum(x * (x + 1) // 2 + a * x for x, a in zip(b, P.offsets))
+
+
+def nonnegative_corner_degrees(P, vd, order):
+    """The entrywise nonnegative vectors among one vertex's corner degrees."""
+    return [
+        b for b in lattice.enumerate_corner_degrees(P, vd, order) if min(b) >= 0
+    ]
+
+
 @pytest.mark.parametrize("name", ["segment_2", "simplex_p2", "square_p1xp1", "trapezoid_f1"])
 def test_enumerate_degrees_brute_force(polytopes, name):
+    # every vertex sees all nonnegative kernel vectors of valuation <= K
     P = polytopes[name]
     K = 6
-    got = lattice.enumerate_degrees(P, K)
     want = sorted(
         b
         for b in kernel_vectors_in_box(P, 2 * K + 2)
-        if sum(b) <= 2 * K + 2 and lattice.degree_valuation(P, b) <= K
+        if sum(b) <= 2 * K + 2 and nonnegative_valuation(P, b) <= K
     )
-    assert got == want
+    for vd in lattice.enumerate_vertices(P):
+        assert nonnegative_corner_degrees(P, vd, K) == want, vd.point
 
 
 def test_enumerate_degrees_hexagon_brute_force(hexagon):
     K = 4
-    got = lattice.enumerate_degrees(hexagon, K)
     want = sorted(
         b
         for b in kernel_vectors_in_box(hexagon, K + 1)
-        if lattice.degree_valuation(hexagon, b) <= K
+        if nonnegative_valuation(hexagon, b) <= K
     )
-    assert got == want
+    for vd in lattice.enumerate_vertices(hexagon):
+        assert nonnegative_corner_degrees(hexagon, vd, K) == want, vd.point
 
 
 def test_enumerate_degrees_monotone_in_order(hexagon):
-    small = set(lattice.enumerate_degrees(hexagon, 3))
-    large = set(lattice.enumerate_degrees(hexagon, 7))
-    assert small <= large
+    # the nonnegative part is the same at every vertex and grows with the order
+    vertices = lattice.enumerate_vertices(hexagon)
+    small = {tuple(nonnegative_corner_degrees(hexagon, vd, 3)) for vd in vertices}
+    large = {tuple(nonnegative_corner_degrees(hexagon, vd, 7)) for vd in vertices}
+    assert len(small) == len(large) == 1
+    assert set(small.pop()) <= set(large.pop())
 
 
 def test_degree_valuation_values(hexagon):
-    # all-ones vector: sum of d(d+1)/2 plus the offset pairing
+    # all-ones vector: sum of d(d+1)/2 plus the offset pairing, at every vertex
     b = (1, 1, 1, 1, 1, 1)
-    assert lattice.degree_valuation(hexagon, b) == 6 * 1 + sum(hexagon.offsets)
+    for vd in lattice.enumerate_vertices(hexagon):
+        assert lattice.corner_degree_valuation(hexagon, vd, b) == 6 * 1 + sum(hexagon.offsets)
 
 
 # ------------------------------------------------------ corner degree vectors
@@ -323,7 +446,9 @@ def test_corner_degrees_on_product_fan_match_global_set(square):
     # product-of-segments fan: the relation lattice splits, so every corner
     # sees exactly the globally nonnegative kernel vectors
     K = 7
-    global_set = set(lattice.enumerate_degrees(square, K))
+    global_set = {
+        b for b in kernel_vectors_in_box(square, K + 1) if nonnegative_valuation(square, b) <= K
+    }
     for vd in lattice.enumerate_vertices(square):
         assert set(lattice.enumerate_corner_degrees(square, vd, K)) == global_set
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qbrion import lattice, measures
-from qbrion.errors import InvalidInputError, PreconditionError
+from qbrion.errors import EmptyPolytopeError, InvalidInputError, PreconditionError
 from qbrion.lattice import Polytope
 from qbrion.measures import (
     DiscreteMeasure,
@@ -17,7 +17,6 @@ from qbrion.measures import (
     log_weight_table,
     max_face_points,
     max_face_value,
-    measure_moments,
     minimize_potential,
     mu_limit_estimate,
     mu_measure,
@@ -44,7 +43,7 @@ def test_measure_rejects_bad_mass():
 
 def test_measure_moments_exact():
     mu = DiscreteMeasure({(0,): 1, (2,): 1})
-    mean, cov = measure_moments(mu)
+    mean, cov = mu.mean(), mu.covariance()
     assert mean == (Fraction(1),)
     assert cov == ((Fraction(1),),)
 
@@ -217,6 +216,15 @@ def test_potential_outside_point_rejected(hexagon):
         potential(hexagon, (-1.0, 0.0))
 
 
+def test_empty_polytope_raises_empty_error():
+    P = Polytope(1, ((1,), (-1,)), (-3, 1))  # 3 <= u <= 1
+    for fn in (max_face_value, max_face_points, mu_measure):
+        with pytest.raises(EmptyPolytopeError):
+            fn(P)
+    with pytest.raises(EmptyPolytopeError):
+        dilation_moments(P, 2)
+
+
 # ------------------------------------------------------------ Gaussian model
 
 
@@ -229,6 +237,26 @@ def test_gaussian_model_hexagon(hexagon):
     assert np.allclose(
         model.covariance_array(), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-10
     )
+    assert model.support_basis == ((0, 1), (1, 0))
+    assert model.active_set == tuple(range(6))
+
+
+@pytest.mark.parametrize(
+    "dim, facets, basis",
+    [
+        (2, [((0, 1), 0), ((1, -1), 0), ((-1, -1), 2)], ((1, 1), (0, -1))),
+        (2, [((1, -1), 0), ((-1, 1), 0), ((1, 0), 0), ((-1, 0), 3)], ((1, 1),)),
+        (
+            3,
+            [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+             ((-1, 0, 0), 1), ((0, -1, 0), 1), ((0, 0, -1), 1)],
+            ((0, 0, 1), (0, 1, 0), (1, 0, 0)),
+        ),
+    ],
+)
+def test_support_basis_literals(dim, facets, basis):
+    # primitive vertex differences, each reduced against the earlier ones only
+    assert Polytope.from_facets(dim, facets).geometry.support_basis == basis
 
 
 def test_gaussian_precision_symmetric_psd(polytopes):
@@ -261,7 +289,7 @@ FROZEN_COV = {
 def test_covariance_linear_in_k(polytopes, name, k):
     P = polytopes[name]
     mu = mu_measure(lattice.dilate(P, k))
-    _, cov = measure_moments(mu)
+    cov = mu.covariance()
     want = tuple(tuple(k * x for x in row) for row in FROZEN_COV[name])
     assert cov == want
 
@@ -279,7 +307,7 @@ def test_dilation_moments_match_direct_measure(hexagon):
     for k in (1, 2, 4):
         data = dilation_moments(hexagon, k)
         mu = mu_measure(lattice.dilate(hexagon, k))
-        mean, cov = measure_moments(mu)
+        mean, cov = mu.mean(), mu.covariance()
         assert data.mean == mean
         assert data.covariance == cov
         assert data.point_count == len(mu.atoms)
