@@ -23,10 +23,8 @@ Everything here is exact; no floating point.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,32 +33,16 @@ from .errors import InvalidInputError, PoleError, PreconditionError
 from .qalg import (
     QPolynomial,
     TruncatedQSeries,
-    euler_inverse,
-    inverse_reversed_pochhammer,
-    pochhammer_finite,
-    pochhammer_infinite_inverse,
+    pochhammer_div_inplace,
+    pochhammer_mul_inplace,
     q_multinomial,
     q_pochhammer,
 )
 
 
 def thread_count():
-    """Worker cap from the QBRION_THREADS environment variable (default 1)."""
-    raw = os.environ.get("QBRION_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded when QBRION_THREADS > 1."""
-    workers = thread_count()
-    items = list(items)
-    if workers == 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Worker threads the computations use: always 1."""
+    return 1
 
 
 def monomial_value(x0, u):
@@ -172,32 +154,14 @@ class LaurentQPoly:
         return "LaurentQPoly(%d terms on %s)" % (len(self.terms), self.support())
 
 
-_INV_QQ_CACHE = {}
-
-
-def _inverse_qq_series(s, order):
-    """1/(q;q)_s modulo q^(order+1); factors beyond the order are 1."""
-    key = (min(s, order), order)
-    hit = _INV_QQ_CACHE.get(key)
-    if hit is None:
-        prod = TruncatedQSeries.one(order)
-        for k in range(1, min(s, order) + 1):
-            factor = [Fraction(1)] + [Fraction(0)] * order
-            factor[k] = Fraction(-1)
-            prod = prod * TruncatedQSeries(order, factor)
-        hit = prod.inverse()
-        _INV_QQ_CACHE[key] = hit
-    return hit
-
-
 def g_weight(slacks, order):
     """prod_i 1/(q;q)_{slack_i} as a truncated series (the lattice-point weight)."""
-    out = TruncatedQSeries.one(order)
+    out = [1] + [0] * order
     for s in slacks:
         if s < 0:
             raise InvalidInputError("slacks must be nonnegative")
-        out = out * _inverse_qq_series(s, order)
-    return out
+        pochhammer_div_inplace(out, 1, s)
+    return TruncatedQSeries(order, out)
 
 
 def lhs_series(P, order):
@@ -262,42 +226,49 @@ def sample_generic_point(P, seed=0, bound=9):
     return _sample_from_rng(P, random.Random(seed), bound, vertices)
 
 
-def _term_parts(P, vd, b, x0, order, edge_vals, inf_prod):
-    """One corner/degree summand as (qshift, scalar, series at the order
-    needed so that qshift + trusted range reaches the requested order).
+def _edge_inverse_product(edge_vals, order):
+    """prod over the edge values c of 1/(c;q)_infinity, as the coefficients of
+    q^0 .. q^order."""
+    head = Fraction(1)
+    for c in edge_vals:
+        if c == 1:
+            raise PoleError("evaluation point sits on a pole of a corner term")
+        head /= 1 - c
+    out = [head] + [Fraction(0)] * order
+    for c in edge_vals:
+        pochhammer_div_inplace(out, c, order)
+    return out
 
-    Degree entries on the vertex's facet coordinates may be negative; such an
-    entry contributes a finite product factor (no q-shift, no pole) instead of
-    a reversed-Pochhammer reciprocal."""
+
+def _term_parts(P, vd, b, x0, order, edge_vals, inf_prod):
+    """One corner/degree summand as (qshift, scalar, coefficients of q^0 ..
+    q^(order - qshift)), so that qshift plus the coefficient range reaches
+    the requested order.
+
+    The coefficients are a copy of the vertex's edge product inf_prod (see
+    _edge_inverse_product) with every degree entry's factors applied in
+    place.  Degree entries on the vertex's facet coordinates may be negative;
+    such an entry contributes a finite product (c;q)_{-d} (no q-shift, no
+    pole) instead of a reversed-Pochhammer reciprocal."""
     shift = lattice.corner_degree_valuation(P, vd, b)
     unit_order = order - shift
     if unit_order < 0:
-        return shift, Fraction(0), TruncatedQSeries(0)
-    sign = 1
-    cpow = Fraction(1)
-    series = inf_prod.truncate(unit_order) if inf_prod.order > unit_order else inf_prod
+        return shift, Fraction(0), []
+    series = inf_prod[: unit_order + 1]
+    scalar = monomial_value(x0, vd.point)
     facet_set = set(vd.facet_set)
-    for pos, i in enumerate(vd.facet_set):
-        d = b[i]
-        if d == 0:
-            continue
+    factors = [(edge_vals[pos], b[i]) for pos, i in enumerate(vd.facet_set)]
+    factors += [(Fraction(1), b[j]) for j in range(P.facet_count) if j not in facet_set]
+    for c, d in factors:
         if d < 0:
-            series = series * pochhammer_finite(edge_vals[pos], -d, unit_order)
-            continue
-        s, p, _, ser = inverse_reversed_pochhammer(edge_vals[pos], d, unit_order)
-        sign *= s
-        cpow *= edge_vals[pos] ** p
-        series = series * ser
-    for j in range(P.facet_count):
-        if j in facet_set:
-            continue
-        d = b[j]
-        if d == 0:
-            continue
-        s, _, _, ser = inverse_reversed_pochhammer(Fraction(1), d, unit_order)
-        sign *= s
-        series = series * ser
-    scalar = monomial_value(x0, vd.point) * cpow * sign
+            # (c;q)_{-d} = (1 - c) (cq;q)_{-d-1}
+            scalar *= 1 - c
+            pochhammer_mul_inplace(series, c, -d - 1)
+        elif d > 0:
+            # 1/(c q^-1;q^-1)_d = (-c)^-d q^(d(d+1)/2) / (c^-1 q;q)_d, whose
+            # q-power is part of the corner valuation
+            scalar *= (-c) ** -d
+            pochhammer_div_inplace(series, 1 / c, d)
     return shift, scalar, series
 
 
@@ -311,21 +282,11 @@ def vertex_term(P, vd, b, x0, order):
     negative powers cancel across vertices).
     """
     edge_vals = _edge_values(x0, vd)
-    for val in edge_vals:
-        if val == 1:
-            raise PoleError("evaluation point sits on a pole of a corner term")
-    inf_prod = TruncatedQSeries.one(order)
-    for val in edge_vals:
-        inf_prod = inf_prod * pochhammer_infinite_inverse(val, order)
+    inf_prod = _edge_inverse_product(edge_vals, order)
     shift, scalar, series = _term_parts(P, vd, b, x0, order, edge_vals, inf_prod)
     if shift < 0:
         raise PreconditionError("corner term has negative q-valuation %d" % shift)
-    scaled = series.scale(scalar)
-    coeffs = [Fraction(0)] * (order + 1)
-    for j, c in enumerate(scaled.coeffs):
-        if shift + j <= order:
-            coeffs[shift + j] = c
-    return TruncatedQSeries(order, coeffs)
+    return TruncatedQSeries(order, [Fraction(0)] * shift + [scalar * c for c in series])
 
 
 def rhs_series_at(P, x0, order):
@@ -335,7 +296,7 @@ def rhs_series_at(P, x0, order):
     valuation <= order, accumulating in a window of q-powers
     [min(0, min valuation), order]; any negative powers (possible with
     negative offsets or deep signed entries) must cancel in the total, which
-    is asserted.  The result is multiplied by 1/(q;q)_infinity^(facets - dim).
+    is asserted.  The result is divided by (q;q)_infinity^(facets - dim).
     """
     vertices = lattice.enumerate_vertices(P)
     per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
@@ -344,40 +305,24 @@ def rhs_series_at(P, x0, order):
         for b in degs:
             min_f = min(min_f, lattice.corner_degree_valuation(P, vd, b))
     window = order - min_f
-    for val in (monomial_value(x0, e) for vd in vertices for e in vd.edge_dirs):
-        if val == 1:
-            raise PoleError("evaluation point sits on a pole of a corner term")
-
-    def corner_sum(args):
-        vd, degs = args
+    acc = [Fraction(0)] * (window + 1)
+    for vd, degs in zip(vertices, per_vertex):
         edge_vals = _edge_values(x0, vd)
-        inf_prod = TruncatedQSeries.one(window)
-        for val in edge_vals:
-            inf_prod = inf_prod * pochhammer_infinite_inverse(val, window)
-        acc = [Fraction(0)] * (window + 1)
+        inf_prod = _edge_inverse_product(edge_vals, window)
         for b in degs:
             shift, scalar, series = _term_parts(P, vd, b, x0, order, edge_vals, inf_prod)
-            if scalar == 0:
-                continue
             base = shift - min_f
-            for j, c in enumerate(series.coeffs):
-                if c != 0 and base + j <= window:
+            for j, c in enumerate(series):
+                if c != 0:
                     acc[base + j] += scalar * c
-        return acc
-
-    partials = parallel_map(corner_sum, list(zip(vertices, per_vertex)))
-    acc = [Fraction(0)] * (window + 1)
-    for part in partials:
-        for j, c in enumerate(part):
-            acc[j] += c
-    prefactor = euler_inverse(window) ** (P.facet_count - P.dim)
-    total = TruncatedQSeries(window, acc) * prefactor
+    for _ in range(P.facet_count - P.dim):
+        pochhammer_div_inplace(acc, 1, window)
     for j in range(-min_f):
-        if total.coeffs[j] != 0:
+        if acc[j] != 0:
             raise PreconditionError(
                 "negative q-power q^%d survived the corner sum" % (j + min_f)
             )
-    return TruncatedQSeries(order, total.coeffs[-min_f:])
+    return TruncatedQSeries(order, acc[-min_f:])
 
 
 def lhs_value_at(P, x0, order):

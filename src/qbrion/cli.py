@@ -175,12 +175,17 @@ def cmd_heatmap(args):
     q_tokens = [tok for tok in args.q.split(",") if tok]
     if not q_tokens:
         raise InvalidInputError("--q needs at least one value")
-    written = []
-    for tok in q_tokens:
+    qs = []
+    for tok in q_tokens:  # all of them before any table is written
         try:
             q = float(tok)
         except ValueError:
             raise InvalidInputError("bad q value %r" % tok) from None
+        if not 0.0 < q < 1.0:
+            raise InvalidInputError("q must lie strictly between 0 and 1, got %r" % tok)
+        qs.append(q)
+    written = []
+    for tok, q in zip(q_tokens, qs):
         table = measures.log_weight_table(Q, q)
         path = "%s_q%s.tsv" % (args.output, tok)
         lines = ["\t".join(["u_%d" % (j + 1) for j in range(Q.dim)] + ["weight"])]

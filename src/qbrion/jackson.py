@@ -90,11 +90,14 @@ class FirstOrthantDivisor:
             basis_pos.append(pos)
         rest = [j for j in range(P.facet_count) if j not in basis_pos]
         perm = basis_pos + rest
-        reordered = lattice.Polytope(
-            n,
-            tuple(P.normals[j] for j in perm),
-            tuple(P.offsets[j] for j in perm),
-        )
+        if perm == list(range(P.facet_count)):
+            reordered = P  # keeps P's cached facet scan
+        else:
+            reordered = lattice.Polytope(
+                n,
+                tuple(P.normals[j] for j in perm),
+                tuple(P.offsets[j] for j in perm),
+            )
         for p, _, _ in lattice.basic_solutions(reordered):
             if any(x < 0 for x in p):
                 raise PreconditionError("polytope leaves the first orthant at %r" % (list(p),))

@@ -20,7 +20,6 @@ from fractions import Fraction
 import numpy as np
 
 from . import lattice
-from .brion import parallel_map
 from .errors import (
     ConvergenceError,
     EmptyPolytopeError,
@@ -155,8 +154,7 @@ def mu_measure(P):
     rows = max_face_points(P)
     if not rows:
         raise PreconditionError("no lattice points on the maximal face")
-    values = parallel_map(lambda row: _multinomial(sum(row[1]), row[1]), rows)
-    weights = {row[0]: Fraction(w) for row, w in zip(rows, values)}
+    weights = {point: Fraction(_multinomial(sum(slacks), slacks)) for point, slacks in rows}
     return DiscreteMeasure(weights)
 
 

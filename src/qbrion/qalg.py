@@ -244,18 +244,6 @@ class TruncatedQSeries:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent):
-        if exponent < 0:
-            raise InvalidInputError("use inverse() before raising to a negative power")
-        result = TruncatedQSeries.one(self.order)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
-        return result
-
     def scale(self, value):
         value = _as_fraction(value)
         return TruncatedQSeries(self.order, [value * c for c in self.coeffs])
@@ -368,14 +356,36 @@ def q_multinomial(m, parts):
     return out
 
 
+def pochhammer_mul_inplace(out, c, m):
+    """out *= (c q; q)_m = prod_{i=1..m} (1 - c q^i), in place, modulo q^len(out).
+
+    Each factor is one pass out[j] -= c out[j-i] from the top down, O(len(out));
+    factors with i >= len(out) are 1 modulo the truncation.  out may hold ints
+    or Fractions.
+    """
+    n = len(out)
+    for i in range(1, min(m, n - 1) + 1):
+        for j in range(n - 1, i - 1, -1):
+            out[j] -= c * out[j - i]
+
+
+def pochhammer_div_inplace(out, c, m):
+    """out /= (c q; q)_m, in place, modulo q^len(out): the inverse of
+    pochhammer_mul_inplace, one pass out[j] += c out[j-i] from the bottom up
+    per factor."""
+    n = len(out)
+    for i in range(1, min(m, n - 1) + 1):
+        for j in range(i, n):
+            out[j] += c * out[j - i]
+
+
 def q_pochhammer(m):
     """(q; q)_m = (1 - q)(1 - q^2)...(1 - q^m) as an exact integer polynomial."""
     if m < 0:
         raise InvalidInputError("(q;q)_m needs m >= 0")
-    out = QPolynomial.one()
-    for k in range(1, m + 1):
-        out = out * QPolynomial((1,) + (0,) * (k - 1) + (-1,))
-    return out
+    out = [1] + [0] * (m * (m + 1) // 2)
+    pochhammer_mul_inplace(out, 1, m)
+    return QPolynomial(out)
 
 
 def pochhammer_finite(c, d, order):
@@ -383,15 +393,11 @@ def pochhammer_finite(c, d, order):
     if d < 0:
         raise InvalidInputError("finite Pochhammer length must be nonnegative")
     c = _as_fraction(c)
-    out = TruncatedQSeries.one(order)
-    for i in range(d):
-        if i > order and c != 0:
-            break  # remaining factors are 1 modulo q^(order+1)
-        factor = [_ONE] + [_ZERO] * order
-        if i <= order:
-            factor[i] = factor[i] - c
-        out = out * TruncatedQSeries(order, factor)
-    return out
+    if d == 0:
+        return TruncatedQSeries.one(order)
+    out = [1 - c] + [_ZERO] * order
+    pochhammer_mul_inplace(out, c, d - 1)
+    return TruncatedQSeries(order, out)
 
 
 def pochhammer_infinite_inverse(c, order):
@@ -404,22 +410,21 @@ def pochhammer_infinite_inverse(c, order):
     c = _as_fraction(c)
     if c == 1:
         raise PoleError("1/(c;q)_infinity has a pole at c = 1")
-    return pochhammer_finite(c, order + 1, order).inverse()
+    out = [1 / (1 - c)] + [_ZERO] * order
+    pochhammer_div_inplace(out, c, order)
+    return TruncatedQSeries(order, out)
 
 
 def euler_inverse(order):
     """1 / (q; q)_infinity modulo q^(order+1).
 
-    Coefficient of q^j is the number of integer partitions of j, so this is
-    computed with the classic partition-counting recurrence over part sizes;
-    the result is integral.
+    Coefficient of q^j is the number of integer partitions of j: dividing by
+    each (1 - q^part) in turn is the classic partition-counting recurrence
+    over part sizes, so the work stays in integers.
     """
-    counts = [0] * (order + 1)
-    counts[0] = 1
-    for part in range(1, order + 1):
-        for j in range(part, order + 1):
-            counts[j] += counts[j - part]
-    return TruncatedQSeries(order, [Fraction(c) for c in counts])
+    counts = [1] + [0] * order
+    pochhammer_div_inplace(counts, 1, order)
+    return TruncatedQSeries(order, counts)
 
 
 def inverse_reversed_pochhammer(c, d, order):
@@ -441,12 +446,6 @@ def inverse_reversed_pochhammer(c, d, order):
         raise InvalidInputError("reversed Pochhammer factorization needs c != 0")
     sign = -1 if d % 2 else 1
     qshift = d * (d + 1) // 2
-    cinv = 1 / c
-    prod = TruncatedQSeries.one(order)
-    for i in range(1, d + 1):
-        if i > order:
-            break
-        factor = [_ONE] + [_ZERO] * order
-        factor[i] = -cinv
-        prod = prod * TruncatedQSeries(order, factor)
-    return sign, -d, qshift, prod.inverse()
+    out = [_ONE] + [_ZERO] * order
+    pochhammer_div_inplace(out, 1 / c, d)
+    return sign, -d, qshift, TruncatedQSeries(order, out)

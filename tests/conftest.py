@@ -44,6 +44,18 @@ def segment(m):
     return Polytope.from_facets(1, [((1,), 0), ((-1,), m)])
 
 
+def dense_factors(c, powers, order):
+    """prod over i in powers of (1 - c q^i), as dense products of factor
+    series: the reference the in-place Pochhammer kernels are checked against."""
+    from qbrion.qalg import TruncatedQSeries
+
+    one = TruncatedQSeries.one(order)
+    prod = one
+    for i in powers:
+        prod = prod * (one - TruncatedQSeries.constant(c, order).shift_pow_q(i))
+    return prod
+
+
 @pytest.fixture(scope="session")
 def solids(hexagon):
     """Smooth 3-D polytopes: the unit cube, the twice-dilated 3-simplex and

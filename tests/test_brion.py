@@ -6,9 +6,9 @@ import pytest
 
 from qbrion import brion, fixtures, lattice
 from qbrion.errors import PreconditionError
-from qbrion.qalg import QPolynomial, q_pochhammer
+from qbrion.qalg import QPolynomial, TruncatedQSeries, q_pochhammer
 
-from conftest import segment
+from conftest import dense_factors, segment
 
 
 # ----------------------------------------------------------- weight polynomial
@@ -42,6 +42,12 @@ def test_g_weight_is_inverse_pochhammer_product():
     got = brion.g_weight((0, 2), order)
     want = q_pochhammer(2).to_series(order).inverse()
     assert got == want
+    # slacks above the order: their factors past q^order are 1
+    slacks = (3, 11, 0, 9, 1)
+    want = TruncatedQSeries.one(order)
+    for s in slacks:
+        want = want * q_pochhammer(s).to_series(order).inverse()
+    assert brion.g_weight(slacks, order) == want
 
 
 # --------------------------------------------------------- series evaluation
@@ -154,6 +160,30 @@ def test_degree_sum_sufficiency(hexagon):
             if K < val:
                 term = brion.vertex_term(hexagon, vd, b, x0, order=K)
                 assert term.is_zero
+
+
+def test_vertex_term_negative_facet_entry_matches_dense_formula(hexagon):
+    # x^p (c_0;q)_{-b_0} (-c_1)^{-b_1} / (c_1^-1 q;q)_{b_1} (-1)^{b_5} /
+    # (q;q)_{b_5} / prod_edges (c;q)_inf times q^valuation, each Pochhammer
+    # factor a dense product of series
+    order = 12
+    x0 = brion.sample_generic_point(hexagon, seed=3)
+    vd = next(v for v in lattice.enumerate_vertices(hexagon) if v.point == (0, 0))
+    assert vd.facet_set == (0, 1)
+    edge_vals = [brion.monomial_value(x0, e) for e in vd.edge_dirs]
+    for b in ((-2, 2, 0, 0, 0, 2), (-1, 1, 0, 0, 0, 1)):
+        assert b in lattice.enumerate_corner_degrees(hexagon, vd, order)
+        want = TruncatedQSeries.constant(brion.monomial_value(x0, vd.point), order)
+        for c in edge_vals:
+            want = want * dense_factors(c, range(order + 1), order).inverse()
+        c0, c1 = edge_vals
+        want = want * dense_factors(c0, range(-b[0]), order)
+        want = want.scale((-c1) ** -b[1]) * dense_factors(1 / c1, range(1, b[1] + 1), order).inverse()
+        want = want.scale((-1) ** b[5]) * dense_factors(1, range(1, b[5] + 1), order).inverse()
+        want = want.shift_pow_q(lattice.corner_degree_valuation(hexagon, vd, b))
+        got = brion.vertex_term(hexagon, vd, b, x0, order)
+        assert not got.is_zero
+        assert got == want
 
 
 def test_report_is_json_serializable(square):

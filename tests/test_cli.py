@@ -258,15 +258,18 @@ def test_heatmap_rejects_asymmetric_exit_3(fixture_files, tmp_path):
 
 
 def test_heatmap_rejects_bad_q(fixture_files, tmp_path):
-    r = run_cli(
-        "heatmap",
-        fixture_files["hexagon"],
-        "--q",
-        "1.5",
-        "--output",
-        str(tmp_path / "x"),
-    )
-    assert r.returncode == 2
+    # a bad token after a good one must not leave the good one's table behind
+    for qs in ("1.5", "0.5,abc", "0.3,1.5"):
+        r = run_cli(
+            "heatmap",
+            fixture_files["hexagon"],
+            "--q",
+            qs,
+            "--output",
+            str(tmp_path / "x"),
+        )
+        assert r.returncode == 2, qs
+        assert list(tmp_path.glob("x_q*.tsv")) == [], qs
 
 
 # -------------------------------------------------------------------- jackson

@@ -158,6 +158,22 @@ def test_first_orthant_reorders_facets(square):
     assert P.offsets[0] == 0 and P.offsets[1] == 0
 
 
+def test_first_orthant_reuses_an_ordered_polytope(monkeypatch, simplex_p2):
+    P = lattice.dilate(simplex_p2, 6)
+    lattice.validate(P)
+    solves = []
+    row_reduce = lattice.row_reduce
+
+    def counting(rows, width):
+        solves.append(width)
+        return row_reduce(rows, width)
+
+    monkeypatch.setattr(lattice, "row_reduce", counting)
+    D = FirstOrthantDivisor.from_polytope(P)
+    assert D.polytope is P
+    assert solves == []
+
+
 def test_first_orthant_rejects_shifted_polytope():
     P = Polytope.from_facets(1, [((1,), -1), ((-1,), 3)])
     with pytest.raises(PreconditionError):

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbrion.errors import InvalidInputError
@@ -22,6 +22,8 @@ from qbrion.qalg import (
     q_multinomial,
     q_pochhammer,
 )
+
+from conftest import dense_factors
 
 
 def poly(*coeffs):
@@ -82,6 +84,10 @@ def test_q_pochhammer_frozen():
     assert q_pochhammer(0) == poly(1)
     assert q_pochhammer(1) == poly(1, -1)
     assert q_pochhammer(2) == poly(1, -1, -1, 1)
+    want = poly(1)
+    for m in range(1, 13):
+        want = want * QPolynomial((1,) + (0,) * (m - 1) + (-1,))
+        assert q_pochhammer(m) == want
 
 
 # ---------------------------------------------------------------- Pochhammer
@@ -113,6 +119,27 @@ def test_pochhammer_product_identity(c, d, e):
         ).shift_pow_q(d + i)
         prod = prod * factor
     assert head * prod == pochhammer_finite(c, d + e, order)
+
+
+@given(
+    st.fractions(min_value=-3, max_value=3, max_denominator=7),
+    st.integers(0, 14),
+    st.integers(0, 10),
+)
+@example(Fraction(0), 3, 4)
+@example(Fraction(1), 4, 6)
+@example(Fraction(2, 3), 13, 5)
+@example(Fraction(-5, 2), 6, 0)
+@settings(max_examples=60)
+def test_pochhammer_kernels_match_dense_products(c, d, order):
+    assert pochhammer_finite(c, d, order) == dense_factors(c, range(d), order)
+    if c != 1:
+        want = dense_factors(c, range(order + 1), order).inverse()
+        assert pochhammer_infinite_inverse(c, order) == want
+    if c != 0:
+        sign, cpow, shift, series = inverse_reversed_pochhammer(c, d, order)
+        assert (sign, cpow, shift) == ((-1) ** d, -d, d * (d + 1) // 2)
+        assert series == dense_factors(1 / c, range(1, d + 1), order).inverse()
 
 
 def test_pochhammer_infinite_inverse_frozen():
