@@ -35,7 +35,7 @@ from .qalg import (
     TruncatedQSeries,
     pochhammer_div_inplace,
     pochhammer_mul_inplace,
-    q_multinomial,
+    multinomial_coeffs,
     q_pochhammer,
 )
 
@@ -125,10 +125,6 @@ class LaurentQPoly:
                     out[key] = prod
         return LaurentQPoly(out)
 
-    def shift_x(self, e):
-        """Multiply by the monomial x^e."""
-        return LaurentQPoly({tuple(a + b for a, b in zip(u, e)): c for u, c in self.terms.items()})
-
     def evaluate_series(self, x0, order):
         """Substitute the rational point x0; result is a truncated q-series."""
         acc = TruncatedQSeries(order)
@@ -176,13 +172,29 @@ def rs_polynomial(P):
     """Symmetric-weight polynomial: sum_u [slack-sum; slacks(u)]_q x^u.
 
     Needs radially symmetric normals, which make the slack sum the same
-    constant (the offset sum) at every lattice point, so each coefficient is
+    constant m (the offset sum) at every lattice point, so each coefficient is
     an exact q-multinomial.  An empty polytope gives the zero polynomial.
+    Each row of points_with_slacks starts from multinomial_coeffs; a unit step
+    multiplies by (q;q)_a / (q;q)_b per slack a -> b, padded to the larger degree.
     """
     lattice.require_radially_symmetric(P)
+    m = P.offset_sum()
     terms = {}
+    row = prev = None
     for u, slacks in lattice.points_with_slacks(P):
-        terms[u] = q_multinomial(sum(slacks), slacks)
+        if u[:-1] != row:
+            row, coeffs = u[:-1], multinomial_coeffs(m, slacks)
+        else:
+            size = (m * m - sum(s * s for s in slacks)) // 2 + 1
+            coeffs += [0] * (size - len(coeffs))
+            for a, b in zip(prev, slacks):
+                if b < a:
+                    pochhammer_mul_inplace(coeffs, 1, a, b + 1)
+                elif b > a:
+                    pochhammer_div_inplace(coeffs, 1, b, a + 1)
+            del coeffs[size:]
+        terms[u] = QPolynomial(coeffs)
+        prev = slacks
     return LaurentQPoly(terms)
 
 

@@ -18,11 +18,20 @@ from dataclasses import dataclass
 from . import lattice
 from .brion import LaurentQPoly, rs_polynomial
 from .errors import InvalidInputError, PreconditionError
-from .qalg import QPolynomial, q_factorial, q_integer, q_multinomial
+from .qalg import QPolynomial, q_factorial, q_integer, q_multinomial, require_count
+
+
+def _check_axis(f, axis):
+    """InvalidInputError unless axis is an int in 0..dim-1; the zero
+    polynomial, which has no dimension, takes any axis >= 0."""
+    u = next(iter(f.terms), ())
+    if require_count(axis, 0, "axis") >= len(u) > 0:
+        raise InvalidInputError("axis %d outside 0..%d" % (axis, len(u) - 1))
 
 
 def q_shift(f, axis):
     """Substitute x_axis -> q x_axis: c(q) x^u becomes q^(u_axis) c(q) x^u."""
+    _check_axis(f, axis)
     terms = {}
     for u, c in f.terms.items():
         if u[axis] < 0:
@@ -38,6 +47,7 @@ def jackson_derivative(f, axis):
     terms vanish.  Equivalent to (f - q_shift(f, axis)) / ((1-q) x_axis),
     but computed without division.
     """
+    _check_axis(f, axis)
     terms = {}
     for u, c in f.terms.items():
         e = u[axis]
@@ -45,16 +55,14 @@ def jackson_derivative(f, axis):
             raise PreconditionError("Jackson derivative needs nonnegative exponents")
         if e == 0:
             continue
-        key = u[:axis] + (e - 1,) + u[axis + 1 :]
-        val = c * q_integer(e)
-        if key in terms:
-            val = terms[key] + val
-        terms[key] = val
+        # u -> u - e_axis is injective, so no two terms share a key
+        terms[u[:axis] + (e - 1,) + u[axis + 1 :]] = c * q_integer(e)
     return LaurentQPoly(terms)
 
 
 def iterated_jackson(f, axis, times):
-    for _ in range(times):
+    _check_axis(f, axis)
+    for _ in range(require_count(times, 0, "derivative count")):
         f = jackson_derivative(f, axis)
     return f
 

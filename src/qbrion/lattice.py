@@ -249,9 +249,6 @@ class VertexData:
     facet_set: tuple
     edge_dirs: tuple  # aligned with facet_set
 
-    def edge_dir(self, facet_index):
-        return self.edge_dirs[self.facet_set.index(facet_index)]
-
 
 @dataclass(frozen=True)
 class ValidationReport:

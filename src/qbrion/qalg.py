@@ -213,12 +213,9 @@ class TruncatedQSeries:
         return TruncatedQSeries(k, [self.coeffs[j] + other.coeffs[j] for j in range(k + 1)])
 
     def __sub__(self, other):
-        if isinstance(other, QPolynomial):
-            other = other.to_series(self.order)
-        if not isinstance(other, TruncatedQSeries):
+        if not isinstance(other, (QPolynomial, TruncatedQSeries)):
             return NotImplemented
-        k = self._common_order(other)
-        return TruncatedQSeries(k, [self.coeffs[j] - other.coeffs[j] for j in range(k + 1)])
+        return self + (-other)
 
     def __neg__(self):
         return TruncatedQSeries(self.order, [-c for c in self.coeffs])
@@ -295,95 +292,80 @@ class TruncatedQSeries:
         return "TruncatedQSeries(order=%d, %s)" % (self.order, list(self.coeffs))
 
 
-def q_integer(b):
-    """[b]_q = 1 + q + ... + q^(b-1) for b >= 1."""
-    if b < 1:
-        raise InvalidInputError("q-integers are defined for b >= 1")
-    return QPolynomial((1,) * b)
-
-
-def q_factorial(b):
-    """[b]_q! = [1]_q [2]_q ... [b]_q, with [0]_q! = 1."""
-    if b < 0:
-        raise InvalidInputError("q-factorials are defined for b >= 0")
-    out = QPolynomial.one()
-    for j in range(1, b + 1):
-        out = out * q_integer(j)
-    return out
-
-
-_GAUSS_CACHE = {}
-
-
-def gaussian_binomial(n, k):
-    """Gaussian binomial coefficient [n choose k]_q, computed divisionlessly.
-
-    Pascal-type recurrence [n,k] = [n-1,k-1] + q^k [n-1,k]; all intermediate
-    objects are integer polynomials, no polynomial division ever happens.
-    """
-    if k < 0 or k > n:
-        return QPolynomial.zero()
-    if k == 0 or k == n:
-        return QPolynomial.one()
-    k = min(k, n - k)
-    key = (n, k)
-    hit = _GAUSS_CACHE.get(key)
-    if hit is not None:
-        return hit
-    value = gaussian_binomial(n - 1, k - 1) + gaussian_binomial(n - 1, k).shift(k)
-    _GAUSS_CACHE[key] = value
+def require_count(value, least=None, what="count"):
+    """value, if it is an int (not a bool) >= least; else InvalidInputError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidInputError("%s must be an integer, got %r" % (what, value))
+    if least is not None and value < least:
+        raise InvalidInputError("%s must be >= %d, got %d" % (what, least, value))
     return value
 
 
-def q_multinomial(m, parts):
-    """q-multinomial [m; parts]_q as an exact integer polynomial.
+def q_integer(b):
+    """[b]_q = 1 + q + ... + q^(b-1) for b >= 1."""
+    return QPolynomial((1,) * require_count(b, 1, "q-integer index"))
 
-    parts must be nonnegative integers summing to m.  The value is the product
-    of Gaussian binomials [k_1+...+k_j choose k_j]_q, so the computation stays
-    divisionless.
-    """
-    parts = tuple(parts)
-    if any((not isinstance(p, int)) or p < 0 for p in parts):
-        raise InvalidInputError("multinomial parts must be nonnegative integers")
-    if sum(parts) != m:
-        raise InvalidInputError("multinomial parts %r do not sum to %d" % (list(parts), m))
-    out = QPolynomial.one()
-    partial = 0
-    for p in parts:
-        partial += p
-        if p:
-            out = out * gaussian_binomial(partial, p)
+
+def q_factorial(b):
+    """[b]_q! = [1]_q [2]_q ... [b]_q = [b; 1, .., 1]_q, with [0]_q! = 1."""
+    return q_multinomial(require_count(b, 0, "q-factorial index"), (1,) * b)
+
+
+def gaussian_binomial(n, k):
+    """Gaussian binomial [n choose k]_q = [n; k, n - k]_q, zero for k outside 0..n."""
+    if not 0 <= require_count(k) <= require_count(n):
+        return QPolynomial.zero()
+    return q_multinomial(n, (k, n - k))
+
+
+def multinomial_coeffs(m, parts):
+    """[m; parts]_q = (q;q)_m / prod_i (q;q)_(parts_i) as its D + 1 integer
+    coefficients, D = (m^2 - sum parts_i^2) / 2: one largest part t cancels into
+    (q^(t+1);q)_(m-t), the others divide out, exactly modulo q^(D+1)."""
+    *rest, top = sorted(parts) or [0]
+    out = [1] + [0] * ((m * m - sum(p * p for p in parts)) // 2)
+    pochhammer_mul_inplace(out, 1, m, top + 1)
+    for p in rest:
+        pochhammer_div_inplace(out, 1, p)
     return out
 
 
-def pochhammer_mul_inplace(out, c, m):
-    """out *= (c q; q)_m = prod_{i=1..m} (1 - c q^i), in place, modulo q^len(out).
+def q_multinomial(m, parts):
+    """q-multinomial [m; parts]_q as an exact integer polynomial; parts must
+    be nonnegative integers summing to m."""
+    parts = [require_count(p, 0, "multinomial part") for p in parts]
+    if sum(parts) != require_count(m, 0, "multinomial total"):
+        raise InvalidInputError("multinomial parts %r do not sum to %d" % (parts, m))
+    return QPolynomial(multinomial_coeffs(m, parts))
+
+
+def pochhammer_mul_inplace(out, c, m, first=1):
+    """out *= prod_{i=first..m} (1 - c q^i), which is (c q; q)_m for first = 1,
+    in place, modulo q^len(out).
 
     Each factor is one pass out[j] -= c out[j-i] from the top down, O(len(out));
     factors with i >= len(out) are 1 modulo the truncation.  out may hold ints
     or Fractions.
     """
     n = len(out)
-    for i in range(1, min(m, n - 1) + 1):
+    for i in range(first, min(m, n - 1) + 1):
         for j in range(n - 1, i - 1, -1):
             out[j] -= c * out[j - i]
 
 
-def pochhammer_div_inplace(out, c, m):
-    """out /= (c q; q)_m, in place, modulo q^len(out): the inverse of
-    pochhammer_mul_inplace, one pass out[j] += c out[j-i] from the bottom up
-    per factor."""
+def pochhammer_div_inplace(out, c, m, first=1):
+    """out /= prod_{i=first..m} (1 - c q^i), in place, modulo q^len(out): the
+    inverse of pochhammer_mul_inplace, one pass out[j] += c out[j-i] from the
+    bottom up per factor."""
     n = len(out)
-    for i in range(1, min(m, n - 1) + 1):
+    for i in range(first, min(m, n - 1) + 1):
         for j in range(i, n):
             out[j] += c * out[j - i]
 
 
 def q_pochhammer(m):
     """(q; q)_m = (1 - q)(1 - q^2)...(1 - q^m) as an exact integer polynomial."""
-    if m < 0:
-        raise InvalidInputError("(q;q)_m needs m >= 0")
-    out = [1] + [0] * (m * (m + 1) // 2)
+    out = [1] + [0] * (require_count(m, 0, "(q;q)_m length") * (m + 1) // 2)
     pochhammer_mul_inplace(out, 1, m)
     return QPolynomial(out)
 

@@ -1,5 +1,6 @@
 """Shared fixtures: bundled polytopes, loaded once per session."""
 
+import functools
 import os
 
 import pytest
@@ -54,6 +55,33 @@ def dense_factors(c, powers, order):
     for i in powers:
         prod = prod * (one - TruncatedQSeries.constant(c, order).shift_pow_q(i))
     return prod
+
+
+@functools.lru_cache(maxsize=None)
+def _pascal_binomial(n, k):
+    from qbrion.qalg import QPolynomial
+
+    if k < 0 or k > n:
+        return QPolynomial.zero()
+    if k == 0 or k == n:
+        return QPolynomial.one()
+    return _pascal_binomial(n - 1, k - 1) + _pascal_binomial(n - 1, k).shift(k)
+
+
+def dense_multinomial(m, parts):
+    """[m; parts]_q as the product of the Gaussian binomials
+    [k_1 + .. + k_j; k_j]_q, each from the Pascal recursion
+    [n; k] = [n-1; k-1] + q^k [n-1; k], under dense QPolynomial products: the
+    reference the kernel-built q-multinomials are checked against."""
+    from qbrion.qalg import QPolynomial
+
+    assert sum(parts) == m
+    out = QPolynomial.one()
+    partial = 0
+    for p in parts:
+        partial += p
+        out = out * _pascal_binomial(partial, p)
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ from qbrion import brion, fixtures, lattice
 from qbrion.errors import PreconditionError
 from qbrion.qalg import QPolynomial, TruncatedQSeries, q_pochhammer
 
-from conftest import dense_factors, segment
+from conftest import dense_factors, dense_multinomial, segment
 
 
 # ----------------------------------------------------------- weight polynomial
@@ -35,6 +35,48 @@ def test_rs_polynomial_square_symmetry(square):
     corners = [(0, 0), (0, 1), (1, 0), (1, 1)]
     vals = {rs.coefficient(c) for c in corners}
     assert len(vals) == 1
+
+
+def _dense_rs(P):
+    return brion.LaurentQPoly(
+        {u: dense_multinomial(sum(s), s) for u, s in lattice.points_with_slacks(P)}
+    )
+
+
+# Radially symmetric, not smooth: last normal coordinates 0, 2, -1, -1, so a
+# row step moves one slack by two.
+SLOPED = lattice.Polytope.from_facets(
+    2, [((1, 0), 3), ((-1, 2), 4), ((1, -1), 2), ((-1, -1), 7)]
+)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "name", [n for n in fixtures.NAMES if fixtures.load(n).is_radially_symmetric()]
+)
+def test_rs_polynomial_matches_dense_multinomials(polytopes, name, k):
+    P = lattice.dilate(polytopes[name], k)
+    assert brion.rs_polynomial(P) == _dense_rs(P)
+
+
+@pytest.mark.parametrize("name", ["cube", "simplex3", "hexagon_prism"])
+def test_rs_polynomial_matches_dense_multinomials_3d(solids, name):
+    assert brion.rs_polynomial(solids[name]) == _dense_rs(solids[name])
+
+
+@pytest.mark.parametrize(
+    "P",
+    [
+        lattice.Polytope.from_facets(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 0)]),
+        SLOPED,
+        lattice.dilate(SLOPED, 3),
+    ],
+    ids=["point", "sloped", "sloped*3"],
+)
+def test_rs_polynomial_matches_dense_multinomials_edge_cases(P):
+    rs = brion.rs_polynomial(P)
+    assert rs == _dense_rs(P)
+    assert len(rs.terms) == len(lattice.lattice_points(P))
 
 
 def test_g_weight_is_inverse_pochhammer_product():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from qbrion import fixtures, jackson, lattice
 from qbrion.brion import LaurentQPoly, rs_polynomial
-from qbrion.errors import PreconditionError
+from qbrion.errors import InvalidInputError, PreconditionError
 from qbrion.jackson import (
     FirstOrthantDivisor,
     derived_divisor,
@@ -139,6 +139,35 @@ def test_jackson_degenerates_to_classical_derivative(square):
             classical[key] = classical.get(key, 0) + u[0] * c.evaluate(1)
     got = {u: c.evaluate(1) for u, c in deriv.terms.items()}
     assert got == classical
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f: jackson_derivative(f, 2),
+        lambda f: jackson_derivative(f, 5),
+        lambda f: jackson_derivative(f, -1),
+        lambda f: jackson_derivative(f, 1.0),
+        lambda f: jackson_derivative(f, True),
+        lambda f: q_shift(f, 2),
+        lambda f: q_shift(f, -1),
+        lambda f: iterated_jackson(f, 0, -2),
+        lambda f: iterated_jackson(f, 0, 1.0),
+        lambda f: iterated_jackson(f, 2, 0),
+        lambda f: iterated_jackson(f, -1, 0),
+    ],
+    ids=["d2", "d5", "d-1", "d1.0", "dTrue", "shift2", "shift-1",
+         "iter-2", "iter1.0", "iter_axis2", "iter_axis-1"],
+)
+def test_axis_and_count_guards(call):
+    with pytest.raises(InvalidInputError):
+        call(lp({(2, 1): [1], (0, 3): [1, 1]}))
+
+
+def test_zero_polynomial_takes_any_nonnegative_axis():
+    assert jackson_derivative(LaurentQPoly.zero(), 4).is_zero
+    with pytest.raises(InvalidInputError):
+        q_shift(LaurentQPoly.zero(), -1)
 
 
 def test_iterated_jackson_composes():

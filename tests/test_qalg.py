@@ -23,7 +23,7 @@ from qbrion.qalg import (
     q_pochhammer,
 )
 
-from conftest import dense_factors
+from conftest import dense_factors, dense_multinomial
 
 
 def poly(*coeffs):
@@ -78,6 +78,53 @@ def test_q_multinomial_specializations(parts):
         expected //= math.factorial(p)
     assert value.evaluate(1) == expected
     assert value.coefficient(0) == 1
+
+
+@given(st.lists(st.integers(0, 7), min_size=1, max_size=6))
+@example([0])
+@example([6])
+@example([0, 0])
+@example([4, 0, 0, 3])
+@example([1, 1, 1, 1, 1, 1])
+@settings(max_examples=150, deadline=None)
+def test_q_multinomial_matches_pascal_products(parts):
+    m = sum(parts)
+    assert q_multinomial(m, parts) == dense_multinomial(m, parts)
+    assert q_multinomial(m, tuple(reversed(parts))) == dense_multinomial(m, parts)
+
+
+@given(st.integers(-2, 12), st.integers(-3, 14))
+def test_gaussian_binomial_matches_pascal_recursion(n, k):
+    want = dense_multinomial(n, (k, n - k)) if 0 <= k <= n else QPolynomial.zero()
+    assert gaussian_binomial(n, k) == want
+
+
+@pytest.mark.parametrize(
+    "func, args",
+    [
+        (q_integer, (2.0,)),
+        (q_integer, (True,)),
+        (q_integer, (0,)),
+        (q_factorial, (2.5,)),
+        (q_factorial, (False,)),
+        (q_factorial, (-1,)),
+        (q_pochhammer, (3.0,)),
+        (q_pochhammer, (True,)),
+        (q_pochhammer, (-1,)),
+        (gaussian_binomial, (4, 2.0)),
+        (gaussian_binomial, (4.0, 2)),
+        (gaussian_binomial, (True, 1)),
+        (q_multinomial, (2, (True, True))),
+        (q_multinomial, (2, (1.0, 1))),
+        (q_multinomial, (2.0, (1, 1))),
+        (q_multinomial, (True, (1, 0))),
+        (q_multinomial, (3, (-1, 4))),
+        (q_multinomial, (3, (1, 1))),
+    ],
+)
+def test_counts_must_be_integers(func, args):
+    with pytest.raises(InvalidInputError):
+        func(*args)
 
 
 def test_q_pochhammer_frozen():
