@@ -13,10 +13,13 @@ set: integer kernel vectors of the normal map that are nonnegative off the
 vertex's facet coordinates; on those coordinates the unique integral
 completion may be negative, in which case the corner factor degenerates to a
 finite product.  (For products of simplices the completions are always
-nonnegative and every vertex sees the same globally nonnegative set.)  Both sides are compared as truncated
-power series in q with exact rational coefficients after substituting a
-random rational point for x (a polynomial-identity test: agreement at generic
-points pins the identity up to the stated order).
+nonnegative and every vertex sees the same globally nonnegative set.)  No
+corner term has a negative q-power: on the kernel the offsets pair with a
+degree vector as the vertex slacks do, which are nonnegative and vanish on
+the facet set.  Both sides are compared as truncated power series in q
+with exact rational coefficients after substituting a random rational point
+for x (a polynomial-identity test: agreement at generic points pins the
+identity up to the stated order).
 
 Everything here is exact; no floating point.
 """
@@ -288,10 +291,10 @@ def vertex_term(P, vd, b, x0, order):
     """Corner term of one vertex datum and one degree vector, as a series.
 
     The term's minimal q-power is sum_i [b_i(b_i+1)/2 + a_i b_i] over the
-    nonnegative entries plus a_i b_i over negative facet entries; when that
-    valuation is negative the term leaves the power-series ring and this
-    public form refuses (rhs_series_at handles those internally, where the
-    negative powers cancel across vertices).
+    nonnegative entries plus a_i b_i over negative facet entries.  For a
+    kernel vector that is sum_i b_i s_i(p) + sum_{b_i > 0} b_i(b_i+1)/2 >= 0
+    with s_i(p) the vertex slacks; b here need not lie in the kernel, and a
+    negative valuation raises PreconditionError.
     """
     edge_vals = _edge_values(x0, vd)
     inf_prod = _edge_inverse_product(edge_vals, order)
@@ -301,40 +304,34 @@ def vertex_term(P, vd, b, x0, order):
     return TruncatedQSeries(order, [Fraction(0)] * shift + [scalar * c for c in series])
 
 
+def _corner_sum(P, vertices, per_vertex, x0, order):
+    """Sum of every vertex's corner terms over its degree set (per_vertex is
+    aligned with vertices), divided by (q;q)_infinity^(facets - dim)."""
+    acc = [Fraction(0)] * (order + 1)
+    for vd, degs in zip(vertices, per_vertex):
+        edge_vals = _edge_values(x0, vd)
+        inf_prod = _edge_inverse_product(edge_vals, order)
+        for b in degs:
+            shift, scalar, series = _term_parts(P, vd, b, x0, order, edge_vals, inf_prod)
+            for j, c in enumerate(series):
+                if c != 0:
+                    acc[shift + j] += scalar * c
+    for _ in range(P.facet_count - P.dim):
+        pochhammer_div_inplace(acc, 1, order)
+    return TruncatedQSeries(order, acc)
+
+
 def rhs_series_at(P, x0, order):
     """Corner-sum side of the identity, evaluated at the rational point x0.
 
     Each vertex is summed against its own signed degree vectors with
-    valuation <= order, accumulating in a window of q-powers
-    [min(0, min valuation), order]; any negative powers (possible with
-    negative offsets or deep signed entries) must cancel in the total, which
-    is asserted.  The result is divided by (q;q)_infinity^(facets - dim).
+    valuation <= order; every such valuation is nonnegative (see
+    lattice.enumerate_corner_degrees), so the sum stays in the power-series
+    ring.  The result is divided by (q;q)_infinity^(facets - dim).
     """
     vertices = lattice.enumerate_vertices(P)
     per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
-    min_f = 0
-    for vd, degs in zip(vertices, per_vertex):
-        for b in degs:
-            min_f = min(min_f, lattice.corner_degree_valuation(P, vd, b))
-    window = order - min_f
-    acc = [Fraction(0)] * (window + 1)
-    for vd, degs in zip(vertices, per_vertex):
-        edge_vals = _edge_values(x0, vd)
-        inf_prod = _edge_inverse_product(edge_vals, window)
-        for b in degs:
-            shift, scalar, series = _term_parts(P, vd, b, x0, order, edge_vals, inf_prod)
-            base = shift - min_f
-            for j, c in enumerate(series):
-                if c != 0:
-                    acc[base + j] += scalar * c
-    for _ in range(P.facet_count - P.dim):
-        pochhammer_div_inplace(acc, 1, window)
-    for j in range(-min_f):
-        if acc[j] != 0:
-            raise PreconditionError(
-                "negative q-power q^%d survived the corner sum" % (j + min_f)
-            )
-    return TruncatedQSeries(order, acc[-min_f:])
+    return _corner_sum(P, vertices, per_vertex, x0, order)
 
 
 def lhs_value_at(P, x0, order):
@@ -396,11 +393,8 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
     if finite_form:
         lattice.require_radially_symmetric(P)
     vertices = lattice.enumerate_vertices(P)
-    used = {
-        b
-        for vd in vertices
-        for b in lattice.enumerate_corner_degrees(P, vd, order)
-    }
+    per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
+    used = {b for degs in per_vertex for b in degs}
     rng = random.Random(seed)
     points = []
     equal = True
@@ -411,7 +405,7 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
         x0 = _sample_from_rng(P, rng, 9, vertices)
         points.append([str(c) for c in x0])
         lhs = lhs_value_at(P, x0, order)
-        rhs = rhs_series_at(P, x0, order)
+        rhs = _corner_sum(P, vertices, per_vertex, x0, order)
         pairs = [("corner_sum", lhs, rhs)]
         if finite_form:
             lhs_fin = lhs * qq

@@ -443,19 +443,9 @@ def points_with_slacks(P):
 
 def dilate(P, k):
     """k-fold dilation: same normals, offsets scaled by the positive integer k."""
-    if not isinstance(k, int) or k < 1:
+    if not _is_integer(k) or k < 1:
         raise InvalidInputError("dilation factor must be a positive integer")
     return Polytope(P.dim, P.normals, tuple(k * a for a in P.offsets))
-
-
-def _per_coordinate_minimum(a):
-    """min over integers t >= 0 of g(t) = t(t+1)/2 + a t (convex in t)."""
-    best = 0  # t = 0
-    t_star = max(0, -a)  # real minimum is near t = -a - 1/2
-    for t in (t_star - 1, t_star, t_star + 1):
-        if t >= 0:
-            best = min(best, t * (t + 1) // 2 + a * t)
-    return best
 
 
 def corner_degree_valuation(P, vd, b):
@@ -489,76 +479,47 @@ def enumerate_corner_degrees(P, vd, order):
     always present; for product-of-simplex fans the completion is never
     negative and the result matches the globally nonnegative enumeration.
 
-    The walk over free coordinates prunes with a penalized quadratic
-    lower bound: free coordinate j costs at least
-    g_j(t) = t(t+1)/2 + (a_j - pen_j) t, where pen_j bounds how much one unit
-    of t can reduce the facet entries' linear offset contribution.
+    On the kernel, sum_i a_i b_i = sum_i s_i b_i with s_i the slacks of the
+    vertex, which vanish on its facet set, so the corner valuation is
+
+        sum_{free j} [t_j(t_j+1)/2 + s_j t_j] + sum_{facet f, b_f > 0} b_f(b_f+1)/2,
+
+    a sum of nonnegative terms, each free one increasing in t_j.  The walk
+    over the free coordinates stops t_j as soon as the partial sum exceeds
+    the order, carries the facet entries along, and adds their positive parts
+    at the leaf: the prune is exact and tightens under dilation.
     """
     if order < 0:
         raise InvalidInputError("series order must be nonnegative")
-    r, n = P.facet_count, P.dim
-    facet_set = list(vd.facet_set)
-    in_facet = set(facet_set)
-    free = [j for j in range(r) if j not in in_facet]
-    if not free:
-        return [tuple([0] * r)]
-    # expansion of each free normal in the facet-normal basis, via duality
-    expand = {}
-    for j in free:
-        expand[j] = [
-            sum(e * v for e, v in zip(vd.edge_dirs[pos], P.normals[j]))
-            for pos in range(n)
-        ]
-    penalties = {}
-    for j in free:
-        penalties[j] = sum(
-            abs(P.offsets[facet_set[pos]]) * abs(expand[j][pos])
-            for pos in range(n)
-        )
-    eff = {j: P.offsets[j] - penalties[j] for j in free}
-    mins = {j: _per_coordinate_minimum(eff[j]) for j in free}
-    total_min = sum(mins.values())
-    bounds = {}
-    for j in free:
-        budget = order - (total_min - mins[j])
-        t = 0
-        while t * (t + 1) // 2 + eff[j] * t <= budget:
-            t += 1
-        bounds[j] = t - 1
-    suffix_min = [0] * (len(free) + 1)
-    for pos in range(len(free) - 1, -1, -1):
-        suffix_min[pos] = suffix_min[pos + 1] + mins[free[pos]]
+    free = [j for j in range(P.facet_count) if j not in vd.facet_set]
+    slacks = P.slacks(vd.point)
+    # expansion of each free normal in the facet-normal basis, via duality:
+    # one unit of t_j lowers the facet entries by these amounts
+    expand = [
+        [sum(e * v for e, v in zip(u, P.normals[j])) for u in vd.edge_dirs]
+        for j in free
+    ]
+    b = [0] * P.facet_count
     out = []
-    k = {}
 
-    def emit():
-        b = [0] * r
-        derived = [0] * n
-        for j, t in k.items():
-            b[j] = t
-            for pos in range(n):
-                derived[pos] += t * expand[j][pos]
-        for pos in range(n):
-            b[facet_set[pos]] = -derived[pos]
-        if corner_degree_valuation(P, vd, b) <= order:
-            out.append(tuple(b))
-
-    def walk(pos, val):
+    def walk(pos, val, facet):
         if pos == len(free):
-            emit()
+            if val + sum(x * (x + 1) // 2 for x in facet if x > 0) <= order:
+                for f, x in zip(vd.facet_set, facet):
+                    b[f] = x
+                out.append(tuple(b))
             return
-        j = free[pos]
-        for t in range(bounds[j] + 1):
-            g = t * (t + 1) // 2 + eff[j] * t
-            if val + g + suffix_min[pos + 1] > order:
-                if t >= max(0, -eff[j]):
-                    break  # g only grows from here on
-                continue
-            k[j] = t
-            walk(pos + 1, val + g)
-        k.pop(j, None)
+        j, s, step = free[pos], slacks[free[pos]], expand[pos]
+        t = 0
+        while val <= order:
+            b[j] = t
+            walk(pos + 1, val, facet)
+            t += 1
+            val += t + s
+            facet = [x - e for x, e in zip(facet, step)]
+        b[j] = 0
 
-    walk(0, 0)
+    walk(0, 0, [0] * P.dim)
     return sorted(out)
 
 

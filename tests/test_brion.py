@@ -253,6 +253,21 @@ def test_degree_vectors_used_counts_union(hexagon):
     assert report.degree_vectors_used == len(union)
 
 
+def test_verify_identity_enumerates_each_vertex_once(monkeypatch, hexagon):
+    calls = []
+    enumerate_corner_degrees = lattice.enumerate_corner_degrees
+
+    def counting(P, vd, order):
+        calls.append(vd)
+        return enumerate_corner_degrees(P, vd, order)
+
+    monkeypatch.setattr(lattice, "enumerate_corner_degrees", counting)
+    P = lattice.dilate(hexagon, 2)
+    report = brion.verify_identity(P, order=8, trials=3, seed=0)
+    assert report.equal
+    assert calls == lattice.enumerate_vertices(P)
+
+
 # ----------------------------------------------------- finite-form coherence
 
 

@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbrion import fixtures, lattice, measures
 from qbrion.errors import EmptyPolytopeError, InvalidInputError, SmoothnessError
@@ -302,6 +304,12 @@ def test_dilate_ehrhart_counts(hexagon):
         assert len(lattice.lattice_points(Q)) == 3 * k * k + 3 * k + 1
 
 
+@pytest.mark.parametrize("k", [0, -2, True, False, 1.0, 2.0, "2"])
+def test_dilate_rejects_non_positive_or_non_integer_factors(hexagon, k):
+    with pytest.raises(InvalidInputError):
+        lattice.dilate(hexagon, k)
+
+
 def test_segment_point_counts():
     for m in (0, 1, 2, 5, 9):
         assert len(lattice.lattice_points(segment(m))) == m + 1
@@ -475,3 +483,66 @@ def test_point_fan_has_single_empty_degree():
     P = segment(0)
     for vd in lattice.enumerate_vertices(P):
         assert lattice.enumerate_corner_degrees(P, vd, 0) == [(0, 0)]
+
+
+def translate(P, shift):
+    """P + shift: same normals, offsets a_i - <v_i, shift>."""
+    return Polytope(
+        P.dim,
+        P.normals,
+        tuple(a - sum(x * y for x, y in zip(v, shift)) for v, a in zip(P.normals, P.offsets)),
+    )
+
+
+@given(
+    st.sampled_from(fixtures.NAMES),
+    st.integers(1, 4),
+    st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+    st.integers(0, 10),
+)
+@settings(max_examples=60, deadline=None)
+def test_corner_degrees_translation_invariant(name, k, shift, K):
+    # the degree sets depend on the vertex slacks only, which a lattice
+    # translation leaves alone
+    P = lattice.dilate(fixtures.load(name), k)
+    Q = translate(P, shift[: P.dim])
+    for vd, wd in zip(lattice.enumerate_vertices(P), lattice.enumerate_vertices(Q), strict=True):
+        assert wd.point == tuple(x + y for x, y in zip(vd.point, shift))
+        assert lattice.enumerate_corner_degrees(Q, wd, K) == lattice.enumerate_corner_degrees(
+            P, vd, K
+        )
+
+
+def test_corner_valuation_is_slack_form(polytopes, solids):
+    # on the kernel, sum_i a_i b_i = sum_i b_i s_i(p): the valuation is a sum
+    # of nonnegative terms
+    cases = [lattice.dilate(P, k) for P in polytopes.values() for k in (1, 3)]
+    cases += [translate(polytopes["hexagon"], (5, -7)), translate(polytopes["trapezoid_f1"], (-3, 4))]
+    cases += list(solids.values())
+    K = 8
+    for P in cases:
+        for vd in lattice.enumerate_vertices(P):
+            slacks = P.slacks(vd.point)
+            for b in lattice.enumerate_corner_degrees(P, vd, K):
+                assert all(
+                    sum(bi * v[j] for bi, v in zip(b, P.normals)) == 0 for j in range(P.dim)
+                )
+                val = lattice.corner_degree_valuation(P, vd, b)
+                assert val == sum(bi * s for bi, s in zip(b, slacks)) + sum(
+                    bi * (bi + 1) // 2 for bi in b if bi > 0
+                )
+                assert 0 <= val <= K
+
+
+@pytest.mark.parametrize(
+    "name, k, shift, K", [("hexagon", 1, (5, -7), 3), ("trapezoid_f1", 3, (0, 0), 6)]
+)
+def test_corner_degrees_moved_polytopes_brute_force(polytopes, name, k, shift, K):
+    # every order up to K, so that vectors right at the order are checked
+    P = translate(lattice.dilate(polytopes[name], k), shift)
+    for vd in lattice.enumerate_vertices(P):
+        want = corner_vectors_brute_force(P, vd, K, bound=K + 3)
+        for order in range(K + 1):
+            assert lattice.enumerate_corner_degrees(P, vd, order) == [
+                b for b in want if lattice.corner_degree_valuation(P, vd, b) <= order
+            ], (vd.point, order)
