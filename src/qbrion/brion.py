@@ -40,6 +40,7 @@ from .qalg import (
     pochhammer_mul_inplace,
     multinomial_coeffs,
     q_pochhammer,
+    require_count,
 )
 
 
@@ -390,6 +391,8 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
     symmetric-weight polynomial, whose coefficients are q-multinomials.
     """
     start = time.perf_counter()
+    require_count(order, 0, "series order")
+    require_count(trials, 1, "trial count")
     if finite_form:
         lattice.require_radially_symmetric(P)
     vertices = lattice.enumerate_vertices(P)

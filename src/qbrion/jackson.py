@@ -129,8 +129,8 @@ def derived_divisor(D, axis):
     """
     P = D.polytope
     n = P.dim
-    if not 0 <= axis < n:
-        raise InvalidInputError("axis out of range")
+    if require_count(axis, 0, "axis") >= n:
+        raise InvalidInputError("axis %d outside 0..%d" % (axis, n - 1))
     offsets = list(P.offsets)
     for j in range(n, P.facet_count):
         offsets[j] = offsets[j] + P.normals[j][axis]

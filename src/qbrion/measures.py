@@ -65,26 +65,10 @@ class DiscreteMeasure:
         return len(next(iter(self.atoms)))
 
     def mean(self):
-        n = self.dim()
-        out = [Fraction(0)] * n
-        for u, w in self.atoms.items():
-            for j in range(n):
-                out[j] += w * u[j]
-        return tuple(out)
+        return _moments(self.atoms.items(), self.dim()).mean
 
     def covariance(self):
-        n = self.dim()
-        m = self.mean()
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for u, w in self.atoms.items():
-            for j in range(n):
-                for l in range(j, n):
-                    out[j][l] += w * u[j] * u[l]
-        for j in range(n):
-            for l in range(j, n):
-                out[j][l] -= m[j] * m[l]
-                out[l][j] = out[j][l]
-        return tuple(tuple(row) for row in out)
+        return _moments(self.atoms.items(), self.dim()).covariance
 
     def convolve(self, other):
         out = {}
@@ -144,18 +128,47 @@ def max_face_points(P):
     return out
 
 
+def _face_weights(P):
+    """Yield (point, multinomial coefficient of its slacks) on the max face.
+
+    Points come in points_with_slacks order.  Each row starts from one
+    multinomial; a unit step along the last coordinate moves slack i from
+    t_i - d_i to t_i, d_i the last entry of normal i, which multiplies the
+    weight by prod_i (t_i - d_i)! / t_i!.  A break in the row or in the face
+    restarts the walk.  PreconditionError when no lattice point lies on the
+    face.
+    """
+    target = max_face_value(P)
+    deltas = [v[-1] for v in P.normals]
+    prev = w = None
+    for point, slacks in lattice.points_with_slacks(P):
+        if sum(slacks) != target:
+            continue
+        if prev is not None and point[:-1] == prev[:-1] and point[-1] == prev[-1] + 1:
+            num = den = 1
+            for t, d in zip(slacks, deltas):
+                if d > 0:
+                    den *= math.perm(t, d)
+                elif d < 0:
+                    num *= math.perm(t - d, -d)
+            w = w * num // den
+        else:
+            w = _multinomial(target, slacks)
+        yield point, w
+        prev = point
+    if w is None:
+        raise PreconditionError("no lattice points on the maximal face")
+
+
 def mu_measure(P):
     """The multinomial limit measure of the polytope.
 
     Supported on the maximal-slack-sum face; the weight of u is the
-    multinomial coefficient of its slack vector.  When the normals sum to
-    zero the support is every lattice point.
+    multinomial coefficient of its slack vector, walked along each row of
+    the face by _face_weights.  When the normals sum to zero the support is
+    every lattice point.
     """
-    rows = max_face_points(P)
-    if not rows:
-        raise PreconditionError("no lattice points on the maximal face")
-    weights = {point: Fraction(_multinomial(sum(slacks), slacks)) for point, slacks in rows}
-    return DiscreteMeasure(weights)
+    return DiscreteMeasure(dict(_face_weights(P)))
 
 
 def mu_limit_estimate(P, q):
@@ -228,56 +241,23 @@ class MomentData:
         return [[float(x) for x in row] for row in self.covariance]
 
 
-def dilation_moments(P, k):
-    """Exact mean and covariance of mu_measure(dilate(P, k)).
+def _moments(weighted, n):
+    """Exact moments of the (point, weight) pairs, normalized by their total.
 
-    Streams the lattice points in lex order and updates the multinomial
-    weight incrementally along each last-coordinate run, so large dilations
-    stay exact without recomputing factorials per point.
+    One pass sums w, w u and w u u^T; the divisions come once at the end.
     """
-    Q = lattice.dilate(P, k) if k != 1 else P
-    n = Q.dim
-    target = max_face_value(Q)
-    deltas = [v[n - 1] for v in Q.normals]
+    count = 0
     s0 = 0
     s1 = [0] * n
     s2 = [[0] * n for _ in range(n)]
-    count = 0
-    prev_point = None
-    prev_slacks = None
-    prev_w = None
-    for point, slacks in lattice.points_with_slacks(Q):
-        if sum(slacks) != target:
-            prev_point = None
-            continue
-        if (
-            prev_point is not None
-            and point[:-1] == prev_point[:-1]
-            and point[-1] == prev_point[-1] + 1
-        ):
-            num = 1
-            den = 1
-            for i, d in enumerate(deltas):
-                s = prev_slacks[i]
-                if d > 0:
-                    for step in range(1, d + 1):
-                        den *= s + step
-                elif d < 0:
-                    for step in range(-d):
-                        num *= s - step
-            w = prev_w * num // den
-        else:
-            w = _multinomial(target, slacks)
+    for u, w in weighted:
         count += 1
         s0 += w
         for j in range(n):
-            wj = w * point[j]
+            wj = w * u[j]
             s1[j] += wj
             for l in range(j, n):
-                s2[j][l] += wj * point[l]
-        prev_point, prev_slacks, prev_w = point, slacks, w
-    if count == 0:
-        raise PreconditionError("no lattice points on the maximal face")
+                s2[j][l] += wj * u[l]
     mean = tuple(Fraction(s1[j], s0) for j in range(n))
     cov = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
@@ -285,6 +265,16 @@ def dilation_moments(P, k):
             cov[j][l] = Fraction(s2[j][l], s0) - mean[j] * mean[l]
             cov[l][j] = cov[j][l]
     return MomentData(count, mean, tuple(tuple(row) for row in cov))
+
+
+def dilation_moments(P, k):
+    """Exact mean and covariance of mu_measure(dilate(P, k)).
+
+    One pass of _moments over the _face_weights walk of the dilation, so
+    large dilations stay exact without a factorial per point or a stored
+    measure.
+    """
+    return _moments(_face_weights(lattice.dilate(P, k)), P.dim)
 
 
 def active_facets(P):
@@ -301,8 +291,13 @@ def active_facets(P):
 def potential(P, m):
     """prod_i t_i(m)^{t_i(m)} over the active facets, with 0^0 = 1.
 
-    m must lie in the polytope (all slacks nonnegative up to float noise).
+    m must have one coordinate per dimension and lie in the polytope (all
+    slacks nonnegative up to float noise).
     """
+    if len(m) != P.dim:
+        raise InvalidInputError(
+            "point has %d coordinates, polytope has dimension %d" % (len(m), P.dim)
+        )
     active = set(active_facets(P))
     total = 0.0
     for i, v in enumerate(P.normals):

@@ -1,7 +1,9 @@
 """Shared fixtures: bundled polytopes, loaded once per session."""
 
 import functools
+import math
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -43,6 +45,49 @@ def segment(m):
     from qbrion.lattice import Polytope
 
     return Polytope.from_facets(1, [((1,), 0), ((-1,), m)])
+
+
+def translate(P, shift):
+    """P + shift: same normals, offsets a_i - <v_i, shift>."""
+    from qbrion.lattice import Polytope
+
+    return Polytope(
+        P.dim,
+        P.normals,
+        tuple(a - sum(x * y for x, y in zip(v, shift)) for v, a in zip(P.normals, P.offsets)),
+    )
+
+
+def face_measure_reference(P):
+    """(weights, mean, covariance) of the q -> 1 limit measure, computed
+    directly: every lattice point whose slack sum is the largest one takes
+    the multinomial (sum t)! / prod t_i! of its slacks t, by math.factorial,
+    and the moments are plain Fraction sums over the normalized weights. The
+    reference the face-weight walk and the moment accumulator are checked
+    against."""
+    from qbrion.lattice import points_with_slacks
+
+    rows = list(points_with_slacks(P))
+    top = max(sum(t) for _, t in rows)
+    weights = {}
+    for u, t in rows:
+        if sum(t) == top:
+            w = math.factorial(top)
+            for s in t:
+                w //= math.factorial(s)
+            weights[u] = w
+    total = sum(weights.values())
+    n = P.dim
+    mean = [Fraction(0)] * n
+    second = [[Fraction(0)] * n for _ in range(n)]
+    for u, w in weights.items():
+        p = Fraction(w, total)
+        for j in range(n):
+            mean[j] += p * u[j]
+            for l in range(n):
+                second[j][l] += p * u[j] * u[l]
+    cov = tuple(tuple(second[j][l] - mean[j] * mean[l] for l in range(n)) for j in range(n))
+    return weights, tuple(mean), cov
 
 
 def dense_factors(c, powers, order):

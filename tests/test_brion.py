@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qbrion import brion, fixtures, lattice
-from qbrion.errors import PreconditionError
+from qbrion.errors import InvalidInputError, PreconditionError
 from qbrion.qalg import QPolynomial, TruncatedQSeries, q_pochhammer
 
 from conftest import dense_factors, dense_multinomial, segment
@@ -251,6 +251,25 @@ def test_degree_vectors_used_counts_union(hexagon):
     for vd in lattice.enumerate_vertices(hexagon):
         union.update(lattice.enumerate_corner_degrees(hexagon, vd, 6))
     assert report.degree_vectors_used == len(union)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"trials": 0},
+        {"trials": -2},
+        {"trials": True},
+        {"trials": 2.0},
+        {"order": -1},
+        {"order": True},
+        {"order": 2.0},
+    ],
+    ids=["trials0", "trials-2", "trialsTrue", "trials2.0", "order-1", "orderTrue", "order2.0"],
+)
+def test_verify_identity_rejects_bad_counts(hexagon, kwargs):
+    # zero or negative trials would compare nothing and report equal
+    with pytest.raises(InvalidInputError):
+        brion.verify_identity(hexagon, **kwargs)
 
 
 def test_verify_identity_enumerates_each_vertex_once(monkeypatch, hexagon):

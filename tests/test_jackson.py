@@ -155,9 +155,14 @@ def test_jackson_degenerates_to_classical_derivative(square):
         lambda f: iterated_jackson(f, 0, 1.0),
         lambda f: iterated_jackson(f, 2, 0),
         lambda f: iterated_jackson(f, -1, 0),
+        lambda f: derived_divisor(p1xp1_divisor(2, 3), 2),
+        lambda f: derived_divisor(p1xp1_divisor(2, 3), -1),
+        lambda f: derived_divisor(p1xp1_divisor(2, 3), True),
+        lambda f: derived_divisor(p1xp1_divisor(2, 3), 0.5),
     ],
     ids=["d2", "d5", "d-1", "d1.0", "dTrue", "shift2", "shift-1",
-         "iter-2", "iter1.0", "iter_axis2", "iter_axis-1"],
+         "iter-2", "iter1.0", "iter_axis2", "iter_axis-1",
+         "derived2", "derived-1", "derivedTrue", "derived0.5"],
 )
 def test_axis_and_count_guards(call):
     with pytest.raises(InvalidInputError):

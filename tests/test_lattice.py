@@ -13,7 +13,7 @@ from qbrion import fixtures, lattice, measures
 from qbrion.errors import EmptyPolytopeError, InvalidInputError, SmoothnessError
 from qbrion.lattice import Polytope
 
-from conftest import segment
+from conftest import segment, translate
 
 
 # ---------------------------------------------------------------- validation
@@ -483,15 +483,6 @@ def test_point_fan_has_single_empty_degree():
     P = segment(0)
     for vd in lattice.enumerate_vertices(P):
         assert lattice.enumerate_corner_degrees(P, vd, 0) == [(0, 0)]
-
-
-def translate(P, shift):
-    """P + shift: same normals, offsets a_i - <v_i, shift>."""
-    return Polytope(
-        P.dim,
-        P.normals,
-        tuple(a - sum(x * y for x, y in zip(v, shift)) for v, a in zip(P.normals, P.offsets)),
-    )
 
 
 @given(

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbrion import lattice, measures
+from qbrion import fixtures, lattice, measures
 from qbrion.errors import EmptyPolytopeError, InvalidInputError, PreconditionError
 from qbrion.lattice import Polytope
 from qbrion.measures import (
@@ -23,7 +23,7 @@ from qbrion.measures import (
     potential,
 )
 
-from conftest import segment
+from conftest import face_measure_reference, segment, translate
 
 
 # ------------------------------------------------------------ discrete measure
@@ -216,6 +216,12 @@ def test_potential_outside_point_rejected(hexagon):
         potential(hexagon, (-1.0, 0.0))
 
 
+@pytest.mark.parametrize("m", [(1,), (1, 1, 5), ()])
+def test_potential_rejects_point_of_wrong_length(hexagon, m):
+    with pytest.raises(InvalidInputError):
+        potential(hexagon, m)
+
+
 def test_empty_polytope_raises_empty_error():
     P = Polytope(1, ((1,), (-1,)), (-3, 1))  # 3 <= u <= 1
     for fn in (max_face_value, max_face_points, mu_measure):
@@ -311,6 +317,76 @@ def test_dilation_moments_match_direct_measure(hexagon):
         assert data.mean == mean
         assert data.covariance == cov
         assert data.point_count == len(mu.atoms)
+
+
+def transpose(P):
+    """P with its two coordinates swapped."""
+    return Polytope(2, tuple(v[::-1] for v in P.normals), P.offsets)
+
+
+def assert_matches_reference(P, k):
+    """The face-weight walk, mu_measure, its moments and dilation_moments
+    against the direct factorial reference on dilate(P, k)."""
+    Q = lattice.dilate(P, k)
+    weights, mean, cov = face_measure_reference(Q)
+    assert dict(measures._face_weights(Q)) == weights
+    mu = mu_measure(Q)
+    assert mu == DiscreteMeasure(weights)
+    assert mu.mean() == mean
+    assert mu.covariance() == cov
+    data = dilation_moments(P, k)
+    assert data.point_count == len(weights)
+    assert data.mean == mean
+    assert data.covariance == cov
+
+
+@pytest.mark.parametrize("shift", [(0, 0), (3, -2), (-5, 7)])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_q1_layer_matches_reference(polytopes, name, k, shift):
+    P = polytopes[name]
+    assert_matches_reference(translate(P, shift[: P.dim]), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_q1_layer_proper_face_matches_reference(trapezoid, k):
+    # the max face is a proper subset of the points, once across the rows
+    # and once along them, so the walk restarts inside the polytope
+    for P in (trapezoid, transpose(trapezoid)):
+        Q = lattice.dilate(P, k)
+        assert len(face_measure_reference(Q)[0]) < len(lattice.lattice_points(Q))
+        assert_matches_reference(P, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["hexagon", "simplex_p2", "square_p1xp1", "trapezoid_f1"])
+def test_q1_layer_sheared_rows_match_reference(polytopes, name, k):
+    # under (x, y) -> (x, y + 2x) one row of points can end just below where
+    # the next one starts, so only the row prefix tells the two rows apart
+    P = polytopes[name]
+    sheared = Polytope(2, tuple((a - 2 * b, b) for a, b in P.normals), P.offsets)
+    assert_matches_reference(sheared, k)
+
+
+def test_q1_layer_needs_a_lattice_point_on_the_max_face():
+    # the slack sum is largest at a rational vertex; 6 lattice points lie elsewhere
+    P = Polytope(2, ((-2, 1), (1, -2), (1, 2)), (1, 3, 1))
+    assert len(lattice.lattice_points(P)) == 6
+    for fn in (mu_measure, lambda P: dilation_moments(P, 1)):
+        with pytest.raises(PreconditionError):
+            fn(P)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", ["cube", "simplex3", "hexagon_prism"])
+def test_q1_layer_solids_match_reference(solids, name, k):
+    assert_matches_reference(solids[name], k)
+
+
+@pytest.mark.parametrize("k", [True, 1.0, 0, -1])
+def test_dilation_moments_rejects_bad_factor(hexagon, k):
+    with pytest.raises(InvalidInputError):
+        dilation_moments(hexagon, k)
 
 
 def test_dilation_mean_exact_by_symmetry(hexagon):
