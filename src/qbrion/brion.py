@@ -19,13 +19,16 @@ degree vector as the vertex slacks do, which are nonnegative and vanish on
 the facet set.  Both sides are compared as truncated power series in q
 with exact rational coefficients after substituting a random rational point
 for x (a polynomial-identity test: agreement at generic points pins the
-identity up to the stated order).
+identity up to the stated order).  Both are summed on Python ints, the corner
+side after the substitution q -> Bq that makes every Pochhammer pass
+multiplier an integer, and turned into rational coefficients once.
 
 Everything here is exact; no floating point.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -39,14 +42,31 @@ from .qalg import (
     pochhammer_div_inplace,
     pochhammer_mul_inplace,
     multinomial_coeffs,
-    q_pochhammer,
     require_count,
 )
+
+
+_ONE = Fraction(1)
 
 
 def thread_count():
     """Worker threads the computations use: always 1."""
     return 1
+
+
+def _require_point(x0, dim):
+    """x0 as a tuple, if it has dim entries and each is a nonzero int or
+    Fraction (not a bool, not a float); else InvalidInputError."""
+    try:
+        x0 = tuple(x0)
+    except TypeError:
+        raise InvalidInputError("evaluation point must be a sequence, got %r" % (x0,)) from None
+    if len(x0) != dim:
+        raise InvalidInputError("evaluation point needs %d coordinates, got %d" % (dim, len(x0)))
+    for c in x0:
+        if isinstance(c, bool) or not isinstance(c, (int, Fraction)) or c == 0:
+            raise InvalidInputError("evaluation point coordinates must be nonzero int or Fraction, got %r" % (c,))
+    return x0
 
 
 def monomial_value(x0, u):
@@ -131,6 +151,8 @@ class LaurentQPoly:
 
     def evaluate_series(self, x0, order):
         """Substitute the rational point x0; result is a truncated q-series."""
+        if self.terms:
+            x0 = _require_point(x0, len(next(iter(self.terms))))
         acc = TruncatedQSeries(order)
         for u, c in sorted(self.terms.items()):
             if isinstance(c, QPolynomial):
@@ -154,14 +176,19 @@ class LaurentQPoly:
         return "LaurentQPoly(%d terms on %s)" % (len(self.terms), self.support())
 
 
-def g_weight(slacks, order):
-    """prod_i 1/(q;q)_{slack_i} as a truncated series (the lattice-point weight)."""
+def _g_coeffs(slacks, order):
+    """Integer coefficients of q^0 .. q^order of prod_i 1/(q;q)_{slack_i}."""
     out = [1] + [0] * order
     for s in slacks:
         if s < 0:
             raise InvalidInputError("slacks must be nonnegative")
         pochhammer_div_inplace(out, 1, s)
-    return TruncatedQSeries(order, out)
+    return out
+
+
+def g_weight(slacks, order):
+    """prod_i 1/(q;q)_{slack_i} as a truncated series (the lattice-point weight)."""
+    return TruncatedQSeries(order, _g_coeffs(slacks, order))
 
 
 def lhs_series(P, order):
@@ -242,50 +269,97 @@ def sample_generic_point(P, seed=0, bound=9):
     return _sample_from_rng(P, random.Random(seed), bound, vertices)
 
 
-def _edge_inverse_product(edge_vals, order):
-    """prod over the edge values c of 1/(c;q)_infinity, as the coefficients of
-    q^0 .. q^order."""
-    head = Fraction(1)
-    for c in edge_vals:
-        if c == 1:
-            raise PoleError("evaluation point sits on a pole of a corner term")
-        head /= 1 - c
-    out = [head] + [Fraction(0)] * order
-    for c in edge_vals:
-        pochhammer_div_inplace(out, c, order)
-    return out
+def _scaled_sum(order, terms, series):
+    """sum_t (num_t / den_t) q^shift_t series_t over one common denominator
+    D, as (int coefficients of q^0 .. q^order, D).
+
+    terms lists the (shift, num, den) triples of ints, den > 0; series yields
+    each term's int coefficients in the same order, one term at a time, at
+    most order - shift + 1 of them."""
+    den = math.lcm(*(d for _, _, d in terms))
+    acc = [0] * (order + 1)
+    for (shift, num, d), coeffs in zip(terms, series):
+        num *= den // d
+        for j, c in enumerate(coeffs, shift):
+            acc[j] += num * c
+    return acc, den
 
 
-def _term_parts(P, vd, b, x0, order, edge_vals, inf_prod):
-    """One corner/degree summand as (qshift, scalar, coefficients of q^0 ..
-    q^(order - qshift)), so that qshift plus the coefficient range reaches
-    the requested order.
+def _unscaled(acc, den, scale):
+    """The series whose q^j coefficient is acc_j / (den scale^j): back from
+    the common denominator and from the substitution q -> scale q."""
+    out = []
+    for a in acc:
+        out.append(Fraction(a, den))
+        den *= scale
+    return TruncatedQSeries(len(acc) - 1, out)
 
-    The coefficients are a copy of the vertex's edge product inf_prod (see
-    _edge_inverse_product) with every degree entry's factors applied in
-    place.  Degree entries on the vertex's facet coordinates may be negative;
-    such an entry contributes a finite product (c;q)_{-d} (no q-shift, no
-    pole) instead of a reversed-Pochhammer reciprocal."""
-    shift = lattice.corner_degree_valuation(P, vd, b)
-    unit_order = order - shift
-    if unit_order < 0:
-        return shift, Fraction(0), []
-    series = inf_prod[: unit_order + 1]
-    scalar = monomial_value(x0, vd.point)
-    facet_set = set(vd.facet_set)
-    factors = [(edge_vals[pos], b[i]) for pos, i in enumerate(vd.facet_set)]
-    factors += [(Fraction(1), b[j]) for j in range(P.facet_count) if j not in facet_set]
-    for c, d in factors:
-        if d < 0:
-            # (c;q)_{-d} = (1 - c) (cq;q)_{-d-1}
-            scalar *= 1 - c
-            pochhammer_mul_inplace(series, c, -d - 1)
-        elif d > 0:
-            # 1/(c q^-1;q^-1)_d = (-c)^-d q^(d(d+1)/2) / (c^-1 q;q)_d, whose
-            # q-power is part of the corner valuation
-            scalar *= (-c) ** -d
-            pochhammer_div_inplace(series, 1 / c, d)
-    return shift, scalar, series
+
+def _scaled_corners(P, vertices, per_vertex, x0, order, euler):
+    """Every vertex's corner terms over its degree vectors (per_vertex is
+    aligned with vertices), summed and divided by (q;q)_infinity^euler, after
+    the substitution q -> Bq: (int coefficients, common denominator D, B), so
+    that the q^j coefficient of the sum is acc_j / (D B^j).
+
+    B is the lcm of the numerators and denominators of all edge values c, so
+    every pass multiplier c B^i, c^-1 B^i and B^i (i >= 1) is an int.  One
+    corner/degree summand is x0^p q^shift / prod_edges (c;q)_infinity times,
+    per degree entry d with value c, (c;q)_{-d} = (1 - c) (cq;q)_{-d-1} if
+    d < 0, or 1/(c q^-1;q^-1)_d = (-c)^-d q^(d(d+1)/2) / (c^-1 q;q)_d if
+    d > 0 (the q-powers are the corner valuation, shift).  Its rational
+    scalars, x0^p, the heads 1/(1 - c), (1 - c), (-c)^-d and B^shift, are
+    taken first, as one int numerator and denominator per term; the int
+    series are then built one term at a time."""
+    edge_vals = [_edge_values(x0, vd) for vd in vertices]
+    B = math.lcm(*(x for cs in edge_vals for c in cs for x in (c.numerator, c.denominator)))
+    terms, kept = [], []
+    for vd, cs, degs in zip(vertices, edge_vals, per_vertex):
+        head = monomial_value(x0, vd.point)
+        for c in cs:
+            if c == 1:
+                raise PoleError("evaluation point sits on a pole of a corner term")
+            head /= 1 - c
+        # (coordinate, c, 1/c) per degree entry: its edge value on a facet
+        # coordinate, 1 off the facet set
+        cols = [(i, c, 1 / c) for i, c in zip(vd.facet_set, cs)]
+        cols += [(j, _ONE, _ONE) for j in range(P.facet_count) if j not in vd.facet_set]
+        keep = []
+        for b in degs:
+            shift = lattice.corner_degree_valuation(P, vd, b)
+            if shift > order:
+                continue
+            num, den = head.numerator * B**shift, head.denominator
+            for i, c, inv in cols:
+                d = b[i]
+                if d < 0:
+                    num *= c.denominator - c.numerator
+                    den *= c.denominator
+                elif d > 0:
+                    num *= (-inv.numerator) ** d
+                    den *= inv.denominator**d
+            terms.append((shift, num, den))
+            keep.append((b, shift))
+        kept.append((cs, cols, keep))
+
+    def series():
+        for cs, cols, keep in kept:
+            base = [1] + [0] * order
+            for c in cs:
+                pochhammer_div_inplace(base, c, order, scale=B)
+            for b, shift in keep:
+                out = base[: order - shift + 1]
+                for i, c, inv in cols:
+                    d = b[i]
+                    if d < 0:
+                        pochhammer_mul_inplace(out, c, -d - 1, scale=B)
+                    elif d > 0:
+                        pochhammer_div_inplace(out, inv, d, scale=B)
+                yield out
+
+    acc, den = _scaled_sum(order, terms, series())
+    for _ in range(euler):
+        pochhammer_div_inplace(acc, 1, order, scale=B)
+    return acc, den, B
 
 
 def vertex_term(P, vd, b, x0, order):
@@ -297,29 +371,17 @@ def vertex_term(P, vd, b, x0, order):
     with s_i(p) the vertex slacks; b here need not lie in the kernel, and a
     negative valuation raises PreconditionError.
     """
-    edge_vals = _edge_values(x0, vd)
-    inf_prod = _edge_inverse_product(edge_vals, order)
-    shift, scalar, series = _term_parts(P, vd, b, x0, order, edge_vals, inf_prod)
+    x0 = _require_point(x0, P.dim)
+    shift = lattice.corner_degree_valuation(P, vd, b)
     if shift < 0:
         raise PreconditionError("corner term has negative q-valuation %d" % shift)
-    return TruncatedQSeries(order, [Fraction(0)] * shift + [scalar * c for c in series])
+    return _unscaled(*_scaled_corners(P, [vd], [[b]], x0, order, 0))
 
 
 def _corner_sum(P, vertices, per_vertex, x0, order):
     """Sum of every vertex's corner terms over its degree set (per_vertex is
     aligned with vertices), divided by (q;q)_infinity^(facets - dim)."""
-    acc = [Fraction(0)] * (order + 1)
-    for vd, degs in zip(vertices, per_vertex):
-        edge_vals = _edge_values(x0, vd)
-        inf_prod = _edge_inverse_product(edge_vals, order)
-        for b in degs:
-            shift, scalar, series = _term_parts(P, vd, b, x0, order, edge_vals, inf_prod)
-            for j, c in enumerate(series):
-                if c != 0:
-                    acc[shift + j] += scalar * c
-    for _ in range(P.facet_count - P.dim):
-        pochhammer_div_inplace(acc, 1, order)
-    return TruncatedQSeries(order, acc)
+    return _unscaled(*_scaled_corners(P, vertices, per_vertex, x0, order, P.facet_count - P.dim))
 
 
 def rhs_series_at(P, x0, order):
@@ -330,20 +392,30 @@ def rhs_series_at(P, x0, order):
     lattice.enumerate_corner_degrees), so the sum stays in the power-series
     ring.  The result is divided by (q;q)_infinity^(facets - dim).
     """
+    x0 = _require_point(x0, P.dim)
     vertices = lattice.enumerate_vertices(P)
     per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
     return _corner_sum(P, vertices, per_vertex, x0, order)
 
 
+def _g_weights(P, order):
+    """(u, int coefficients of g_weight(slacks(u))) for every lattice point u;
+    they do not depend on the evaluation point."""
+    return [(u, _g_coeffs(slacks, order)) for u, slacks in lattice.points_with_slacks(P)]
+
+
+def _scaled_lhs(weights, x0, order):
+    """sum_u x0^u g(u) over the g-weights of _g_weights, as (int
+    coefficients, common denominator D, 1) in the form _unscaled reads."""
+    terms = [(0, xu.numerator, xu.denominator) for xu in (monomial_value(x0, u) for u, _ in weights)]
+    acc, den = _scaled_sum(order, terms, (g for _, g in weights))
+    return acc, den, 1
+
+
 def lhs_value_at(P, x0, order):
     """Weighted enumerator evaluated at the rational point x0."""
-    acc = [Fraction(0)] * (order + 1)
-    for u, slacks in lattice.points_with_slacks(P):
-        xu = monomial_value(x0, u)
-        for j, c in enumerate(g_weight(slacks, order).coeffs):
-            if c != 0:
-                acc[j] += xu * c
-    return TruncatedQSeries(order, acc)
+    x0 = _require_point(x0, P.dim)
+    return _unscaled(*_scaled_lhs(_g_weights(P, order), x0, order))
 
 
 @dataclass
@@ -403,20 +475,23 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
     equal = True
     first_mismatch = None
     rs = rs_polynomial(P) if finite_form else None
-    qq = q_pochhammer(P.offset_sum()).to_series(order) if finite_form else None
+    m = P.offset_sum()
+    weights = _g_weights(P, order)
     for t in range(trials):
         x0 = _sample_from_rng(P, rng, 9, vertices)
         points.append([str(c) for c in x0])
-        lhs = lhs_value_at(P, x0, order)
-        rhs = _corner_sum(P, vertices, per_vertex, x0, order)
+        lhs = _scaled_lhs(weights, x0, order)
+        rhs = _scaled_corners(P, vertices, per_vertex, x0, order, P.facet_count - P.dim)
+        if finite_form:
+            # both sides times (q;q)_{offset sum}, on the ints
+            for acc, _, scale in (lhs, rhs):
+                pochhammer_mul_inplace(acc, 1, m, scale=scale)
+        lhs, rhs = _unscaled(*lhs), _unscaled(*rhs)
         pairs = [("corner_sum", lhs, rhs)]
         if finite_form:
-            lhs_fin = lhs * qq
-            rhs_fin = rhs * qq
-            rs_val = rs.evaluate_series(x0, order)
             pairs = [
-                ("corner_sum_finite", lhs_fin, rhs_fin),
-                ("symmetric_polynomial", lhs_fin, rs_val),
+                ("corner_sum_finite", lhs, rhs),
+                ("symmetric_polynomial", lhs, rs.evaluate_series(x0, order)),
             ]
         for label, a_side, b_side in pairs:
             j = _first_difference(a_side, b_side)

@@ -245,17 +245,6 @@ class TruncatedQSeries:
         value = _as_fraction(value)
         return TruncatedQSeries(self.order, [value * c for c in self.coeffs])
 
-    def shift_pow_q(self, s):
-        """Multiply by q^s (s >= 0), keeping the same trusted order."""
-        if s < 0:
-            raise InvalidInputError("negative q-shift does not stay inside a power series")
-        if s == 0:
-            return self
-        out = [_ZERO] * (self.order + 1)
-        for j in range(self.order + 1 - s):
-            out[j + s] = self.coeffs[j]
-        return TruncatedQSeries(self.order, out)
-
     def inverse(self):
         """Multiplicative inverse; the constant term must be nonzero."""
         a0 = self.coeffs[0]
@@ -339,28 +328,38 @@ def q_multinomial(m, parts):
     return QPolynomial(multinomial_coeffs(m, parts))
 
 
-def pochhammer_mul_inplace(out, c, m, first=1):
-    """out *= prod_{i=first..m} (1 - c q^i), which is (c q; q)_m for first = 1,
-    in place, modulo q^len(out).
+def _scaled(c, scale, i):
+    """c scale^i, as a Python int when it is whole."""
+    whole, rest = divmod(c.numerator * scale**i, c.denominator)
+    return Fraction(c) * scale**i if rest else whole
 
-    Each factor is one pass out[j] -= c out[j-i] from the top down, O(len(out));
+
+def pochhammer_mul_inplace(out, c, m, first=1, scale=None):
+    """out *= prod_{i=first..m} (1 - c_i q^i), c_i = c, which is (c q; q)_m
+    for first = 1, in place, modulo q^len(out).
+
+    Each factor is one pass out[j] -= c_i out[j-i] from the top down, O(len(out));
     factors with i >= len(out) are 1 modulo the truncation.  out may hold ints
-    or Fractions.
+    or Fractions.  A scale B applies the substitution q -> Bq, under which
+    coefficient j of a series becomes B^j times itself: then c_i = c B^i,
+    made a Python int whenever it is whole, so int data stays int.
     """
     n = len(out)
     for i in range(first, min(m, n - 1) + 1):
+        ci = c if scale is None else _scaled(c, scale, i)
         for j in range(n - 1, i - 1, -1):
-            out[j] -= c * out[j - i]
+            out[j] -= ci * out[j - i]
 
 
-def pochhammer_div_inplace(out, c, m, first=1):
-    """out /= prod_{i=first..m} (1 - c q^i), in place, modulo q^len(out): the
-    inverse of pochhammer_mul_inplace, one pass out[j] += c out[j-i] from the
-    bottom up per factor."""
+def pochhammer_div_inplace(out, c, m, first=1, scale=None):
+    """out /= prod_{i=first..m} (1 - c_i q^i), in place, modulo q^len(out):
+    the inverse of pochhammer_mul_inplace (c_i and scale as there), one pass
+    out[j] += c_i out[j-i] from the bottom up per factor."""
     n = len(out)
     for i in range(first, min(m, n - 1) + 1):
+        ci = c if scale is None else _scaled(c, scale, i)
         for j in range(i, n):
-            out[j] += c * out[j - i]
+            out[j] += ci * out[j - i]
 
 
 def q_pochhammer(m):

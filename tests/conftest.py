@@ -90,6 +90,13 @@ def face_measure_reference(P):
     return weights, tuple(mean), cov
 
 
+def times_q_power(series, s):
+    """series times q^s (s >= 0), at the same trusted order."""
+    from qbrion.qalg import TruncatedQSeries
+
+    return TruncatedQSeries(series.order, (0,) * s + series.coeffs)
+
+
 def dense_factors(c, powers, order):
     """prod over i in powers of (1 - c q^i), as dense products of factor
     series: the reference the in-place Pochhammer kernels are checked against."""
@@ -98,8 +105,107 @@ def dense_factors(c, powers, order):
     one = TruncatedQSeries.one(order)
     prod = one
     for i in powers:
-        prod = prod * (one - TruncatedQSeries.constant(c, order).shift_pow_q(i))
+        prod = prod * (one - times_q_power(TruncatedQSeries.constant(c, order), i))
     return prod
+
+
+# The corner sum on Fraction coefficients, term by term, with no q -> Bq
+# substitution and no common denominator: the reference the integer corner
+# sum and lattice-point side of qbrion.brion are checked against.
+
+
+def _edge_inverse_product(edge_vals, order):
+    """prod over the edge values c of 1/(c;q)_infinity, as the coefficients of
+    q^0 .. q^order."""
+    from qbrion.errors import PoleError
+    from qbrion.qalg import pochhammer_div_inplace
+
+    head = Fraction(1)
+    for c in edge_vals:
+        if c == 1:
+            raise PoleError("evaluation point sits on a pole of a corner term")
+        head /= 1 - c
+    out = [head] + [Fraction(0)] * order
+    for c in edge_vals:
+        pochhammer_div_inplace(out, c, order)
+    return out
+
+
+def _term_parts(P, vd, b, x0, order, edge_vals, inf_prod):
+    """One corner/degree summand as (qshift, scalar, coefficients of q^0 ..
+    q^(order - qshift)): a copy of the vertex's edge product with every degree
+    entry's factors applied in place.  A negative entry on a facet coordinate
+    contributes the finite product (c;q)_{-d} = (1 - c) (cq;q)_{-d-1}; a
+    positive one 1/(c q^-1;q^-1)_d = (-c)^-d q^(d(d+1)/2) / (c^-1 q;q)_d."""
+    from qbrion import lattice
+    from qbrion.brion import monomial_value
+    from qbrion.qalg import pochhammer_div_inplace, pochhammer_mul_inplace
+
+    shift = lattice.corner_degree_valuation(P, vd, b)
+    unit_order = order - shift
+    if unit_order < 0:
+        return shift, Fraction(0), []
+    series = inf_prod[: unit_order + 1]
+    scalar = monomial_value(x0, vd.point)
+    facet_set = set(vd.facet_set)
+    factors = [(edge_vals[pos], b[i]) for pos, i in enumerate(vd.facet_set)]
+    factors += [(Fraction(1), b[j]) for j in range(P.facet_count) if j not in facet_set]
+    for c, d in factors:
+        if d < 0:
+            scalar *= 1 - c
+            pochhammer_mul_inplace(series, c, -d - 1)
+        elif d > 0:
+            scalar *= (-c) ** -d
+            pochhammer_div_inplace(series, 1 / c, d)
+    return shift, scalar, series
+
+
+def reference_vertex_term(P, vd, b, x0, order):
+    """One corner term as a Fraction series, by the reference path."""
+    from qbrion.brion import monomial_value
+    from qbrion.qalg import TruncatedQSeries
+
+    edge_vals = [monomial_value(x0, e) for e in vd.edge_dirs]
+    inf_prod = _edge_inverse_product(edge_vals, order)
+    shift, scalar, series = _term_parts(P, vd, b, x0, order, edge_vals, inf_prod)
+    return TruncatedQSeries(order, [Fraction(0)] * shift + [scalar * c for c in series])
+
+
+def reference_corner_sum(P, x0, order, per_vertex=None):
+    """The corner-sum side at x0 by the reference path; per_vertex (aligned
+    with the vertices) defaults to each vertex's enumerated degree set."""
+    from qbrion import lattice
+    from qbrion.brion import monomial_value
+    from qbrion.qalg import TruncatedQSeries, pochhammer_div_inplace
+
+    vertices = lattice.enumerate_vertices(P)
+    if per_vertex is None:
+        per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
+    acc = [Fraction(0)] * (order + 1)
+    for vd, degs in zip(vertices, per_vertex):
+        edge_vals = [monomial_value(x0, e) for e in vd.edge_dirs]
+        inf_prod = _edge_inverse_product(edge_vals, order)
+        for b in degs:
+            shift, scalar, series = _term_parts(P, vd, b, x0, order, edge_vals, inf_prod)
+            for j, c in enumerate(series):
+                acc[shift + j] += scalar * c
+    for _ in range(P.facet_count - P.dim):
+        pochhammer_div_inplace(acc, 1, order)
+    return TruncatedQSeries(order, acc)
+
+
+def reference_lhs(P, x0, order):
+    """The weighted enumerator at x0 as plain Fraction sums of x0^u g(u)."""
+    from qbrion import lattice
+    from qbrion.brion import g_weight, monomial_value
+    from qbrion.qalg import TruncatedQSeries
+
+    acc = [Fraction(0)] * (order + 1)
+    for u, slacks in lattice.points_with_slacks(P):
+        xu = monomial_value(x0, u)
+        for j, c in enumerate(g_weight(slacks, order).coeffs):
+            acc[j] += xu * c
+    return TruncatedQSeries(order, acc)
 
 
 @functools.lru_cache(maxsize=None)

@@ -5,10 +5,19 @@ from fractions import Fraction
 import pytest
 
 from qbrion import brion, fixtures, lattice
-from qbrion.errors import InvalidInputError, PreconditionError
+from qbrion.errors import InvalidInputError, PoleError, PreconditionError
 from qbrion.qalg import QPolynomial, TruncatedQSeries, q_pochhammer
 
-from conftest import dense_factors, dense_multinomial, segment
+from conftest import (
+    dense_factors,
+    dense_multinomial,
+    reference_corner_sum,
+    reference_lhs,
+    reference_vertex_term,
+    segment,
+    times_q_power,
+    translate,
+)
 
 
 # ----------------------------------------------------------- weight polynomial
@@ -222,7 +231,7 @@ def test_vertex_term_negative_facet_entry_matches_dense_formula(hexagon):
         want = want * dense_factors(c0, range(-b[0]), order)
         want = want.scale((-c1) ** -b[1]) * dense_factors(1 / c1, range(1, b[1] + 1), order).inverse()
         want = want.scale((-1) ** b[5]) * dense_factors(1, range(1, b[5] + 1), order).inverse()
-        want = want.shift_pow_q(lattice.corner_degree_valuation(hexagon, vd, b))
+        want = times_q_power(want, lattice.corner_degree_valuation(hexagon, vd, b))
         got = brion.vertex_term(hexagon, vd, b, x0, order)
         assert not got.is_zero
         assert got == want
@@ -301,3 +310,145 @@ def test_weight_polynomial_coherence(polytopes, name):
     scaled = lhs * q_pochhammer(P.offset_sum()).to_series(order)
     rs = brion.rs_polynomial(P).evaluate_series(x0, order)
     assert scaled == rs
+
+
+# ------------------------------------------- integer corner sum vs reference
+
+
+def _check_against_reference(P, x0, order):
+    """rhs_series_at, lhs_value_at and every vertex_term equal the Fraction
+    reference path exactly, coefficient by coefficient."""
+    assert brion.rhs_series_at(P, x0, order) == reference_corner_sum(P, x0, order)
+    assert brion.lhs_value_at(P, x0, order) == reference_lhs(P, x0, order)
+    for vd in lattice.enumerate_vertices(P):
+        for b in lattice.enumerate_corner_degrees(P, vd, order):
+            want = reference_vertex_term(P, vd, b, x0, order)
+            assert brion.vertex_term(P, vd, b, x0, order) == want, (vd.point, b)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_integer_corner_sum_matches_reference(polytopes, name, k):
+    P = lattice.dilate(polytopes[name], k)
+    _check_against_reference(P, brion.sample_generic_point(P, seed=k), 10)
+
+
+@pytest.mark.parametrize("shift", [(3, -2), (-5, 7)])
+@pytest.mark.parametrize("name", ["hexagon", "simplex_p2", "trapezoid_f1"])
+def test_integer_corner_sum_matches_reference_translated(polytopes, name, shift):
+    P = translate(polytopes[name], shift)
+    _check_against_reference(P, brion.sample_generic_point(P, seed=4), 7)
+
+
+@pytest.mark.parametrize("name", ["cube", "simplex3", "hexagon_prism"])
+def test_integer_corner_sum_matches_reference_3d(solids, name):
+    P = solids[name]
+    _check_against_reference(P, brion.sample_generic_point(P, seed=2), 4)
+
+
+@pytest.mark.parametrize(
+    "x0",
+    [
+        (2, 3),
+        (-2, 5),
+        (-4, -3),
+        (Fraction(-7, 2), Fraction(5, 9)),
+        (-1, 2),
+        (3, -1),
+        (-1, Fraction(2, 3)),
+    ],
+    ids=["int", "negative", "both-negative", "rational", "x=-1", "y=-1", "x=-1-rational"],
+)
+def test_integer_corner_sum_matches_reference_at_special_points(hexagon, x0):
+    # with a coordinate -1 some edge values are -1 or 1/-1; integer
+    # coordinates leave B the lcm of numerators only
+    _check_against_reference(hexagon, x0, 10)
+
+
+def test_integer_corner_sum_raises_on_a_pole(hexagon):
+    # x0 = (2, 1/2) puts the edge value x y at 1
+    x0 = (2, Fraction(1, 2))
+    with pytest.raises(PoleError):
+        brion.rhs_series_at(hexagon, x0, 6)
+    with pytest.raises(PoleError):
+        reference_corner_sum(hexagon, x0, 6)
+
+
+@pytest.mark.parametrize(
+    "P, x0",
+    [(fixtures.load("hexagon"), None), (segment(3), (-1,)), (fixtures.load("square_p1xp1"), (-1, -1))],
+    ids=["hexagon", "segment-B1", "square-B1"],
+)
+def test_scaled_corner_sum_holds_only_ints(P, x0):
+    # also at points whose edge values are all -1, where B = 1
+    order = 12
+    x0 = x0 or brion.sample_generic_point(P, seed=1)
+    vertices = lattice.enumerate_vertices(P)
+    per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
+    acc, den, scale = brion._scaled_corners(P, vertices, per_vertex, x0, order, P.facet_count - P.dim)
+    assert all(type(a) is int for a in acc + [den, scale])
+    acc, den, scale = brion._scaled_lhs(brion._g_weights(P, order), x0, order)
+    assert all(type(a) is int for a in acc + [den, scale])
+    assert brion.rhs_series_at(P, x0, order) == reference_corner_sum(P, x0, order)
+
+
+def test_mismatch_report_matches_reference(monkeypatch, hexagon):
+    # drop one degree vector from one vertex's set: the identity breaks at
+    # that vector's valuation, and the report's first mismatch is the one the
+    # reference path gives at the same point
+    order = 10
+    enumerate_corner_degrees = lattice.enumerate_corner_degrees
+    vertices = lattice.enumerate_vertices(hexagon)
+    target = vertices[2]
+    dropped = enumerate_corner_degrees(hexagon, target, order)[3]
+
+    def dropping(P, vd, k):
+        return [b for b in enumerate_corner_degrees(P, vd, k) if vd != target or b != dropped]
+
+    monkeypatch.setattr(lattice, "enumerate_corner_degrees", dropping)
+    report = brion.verify_identity(hexagon, order=order, trials=2, seed=3)
+    assert not report.equal
+    mismatch = report.first_mismatch
+    x0 = tuple(Fraction(c) for c in report.points[0])
+    per_vertex = [dropping(hexagon, vd, order) for vd in vertices]
+    lhs = reference_lhs(hexagon, x0, order)
+    rhs = reference_corner_sum(hexagon, x0, order, per_vertex)
+    j = next(j for j in range(order + 1) if lhs.coeffs[j] != rhs.coeffs[j])
+    assert j == lattice.corner_degree_valuation(hexagon, target, dropped)
+    assert mismatch == {
+        "trial": 0,
+        "comparison": "corner_sum",
+        "power": j,
+        "lhs": str(lhs.coeffs[j]),
+        "rhs": str(rhs.coeffs[j]),
+        "point": report.points[0],
+    }
+
+
+# ------------------------------------------------------- evaluation points
+
+
+BAD_POINTS = {
+    "short": (2,),
+    "long": (2, 3, 5),
+    "zero": (0, 2),
+    "zero-fraction": (Fraction(3, 2), Fraction(0)),
+    "float": (Fraction(1, 3), 0.5),
+    "bool": (True, 2),
+    "string": ("2", 3),
+    "not-a-sequence": 5,
+}
+
+
+@pytest.mark.parametrize("x0", list(BAD_POINTS.values()), ids=list(BAD_POINTS))
+@pytest.mark.parametrize("side", ["lhs", "rhs", "vertex_term", "evaluate_series"])
+def test_evaluation_point_is_validated(hexagon, side, x0):
+    vd = lattice.enumerate_vertices(hexagon)[0]
+    call = {
+        "lhs": lambda: brion.lhs_value_at(hexagon, x0, 3),
+        "rhs": lambda: brion.rhs_series_at(hexagon, x0, 3),
+        "vertex_term": lambda: brion.vertex_term(hexagon, vd, (0,) * 6, x0, 3),
+        "evaluate_series": lambda: brion.rs_polynomial(hexagon).evaluate_series(x0, 3),
+    }[side]
+    with pytest.raises(InvalidInputError):
+        call()

@@ -16,14 +16,16 @@ from qbrion.qalg import (
     gaussian_binomial,
     inverse_reversed_pochhammer,
     pochhammer_finite,
+    pochhammer_div_inplace,
     pochhammer_infinite_inverse,
+    pochhammer_mul_inplace,
     q_factorial,
     q_integer,
     q_multinomial,
     q_pochhammer,
 )
 
-from conftest import dense_factors, dense_multinomial
+from conftest import dense_factors, dense_multinomial, times_q_power
 
 
 def poly(*coeffs):
@@ -161,9 +163,9 @@ def test_pochhammer_product_identity(c, d, e):
     # build (c q^d; q)_e directly from the definition
     prod = TruncatedQSeries.one(order)
     for i in range(e):
-        factor = TruncatedQSeries.constant(1, order) - TruncatedQSeries.constant(
-            c, order
-        ).shift_pow_q(d + i)
+        factor = TruncatedQSeries.constant(1, order) - times_q_power(
+            TruncatedQSeries.constant(c, order), d + i
+        )
         prod = prod * factor
     assert head * prod == pochhammer_finite(c, d + e, order)
 
@@ -187,6 +189,37 @@ def test_pochhammer_kernels_match_dense_products(c, d, order):
         sign, cpow, shift, series = inverse_reversed_pochhammer(c, d, order)
         assert (sign, cpow, shift) == ((-1) ** d, -d, d * (d + 1) // 2)
         assert series == dense_factors(1 / c, range(1, d + 1), order).inverse()
+
+
+@given(
+    st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda c: c != 0),
+    st.integers(1, 3),
+    st.integers(0, 8),
+    st.integers(1, 4),
+    st.integers(0, 12),
+)
+@example(Fraction(1), 1, 5, 1, 6)
+@example(Fraction(-7, 4), 2, 3, 2, 9)
+@settings(max_examples=80)
+def test_pochhammer_kernels_under_q_to_scale_q(c, k, m, first, order):
+    # with scale B a multiple of c's numerator and denominator, every
+    # multiplier c^(+-1) B^i is whole: the kernels keep int data int, and
+    # coefficient j is B^j times the unscaled one
+    B = k * abs(c.numerator) * c.denominator
+    for kernel, mult in ((pochhammer_mul_inplace, c), (pochhammer_div_inplace, c), (pochhammer_div_inplace, 1 / c)):
+        plain = [Fraction(1)] + [Fraction(j % 3) for j in range(order)]
+        scaled = [1] + [(j % 3) * B ** (j + 1) for j in range(order)]
+        kernel(plain, mult, m, first)
+        kernel(scaled, mult, m, first, scale=B)
+        assert all(type(a) is int for a in scaled)
+        assert scaled == [a * B**j for j, a in enumerate(plain)]
+
+
+def test_pochhammer_kernel_scale_keeps_a_fraction_multiplier():
+    # c B^i not whole for i = 1: 1/((1 - q/2)(1 - q^2)), still exact
+    out = [1, 0, 0]
+    pochhammer_div_inplace(out, Fraction(1, 4), 2, scale=2)
+    assert out == [1, Fraction(1, 2), Fraction(5, 4)]
 
 
 def test_pochhammer_infinite_inverse_frozen():
@@ -230,7 +263,7 @@ def test_euler_inverse_inverts_the_euler_product():
     prod = TruncatedQSeries.one(order)
     for i in range(1, order + 1):
         prod = prod * (
-            TruncatedQSeries.one(order) - TruncatedQSeries.one(order).shift_pow_q(i)
+            TruncatedQSeries.one(order) - times_q_power(TruncatedQSeries.one(order), i)
         )
     assert euler_inverse(order) * prod == TruncatedQSeries.one(order)
 
@@ -299,8 +332,3 @@ def test_truncation_propagates_minimum_order():
     assert (a * b).order == 3
     assert (a + b).order == 3
 
-
-def test_shift_pow_q():
-    s = TruncatedQSeries(4, [1, 2])
-    t = s.shift_pow_q(2)
-    assert [t.coefficient(j) for j in range(5)] == [0, 0, 1, 2, 0]
