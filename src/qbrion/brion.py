@@ -205,27 +205,32 @@ def rs_polynomial(P):
     Needs radially symmetric normals, which make the slack sum the same
     constant m (the offset sum) at every lattice point, so each coefficient is
     an exact q-multinomial.  An empty polytope gives the zero polynomial.
-    Each row of points_with_slacks starts from multinomial_coeffs; a unit step
-    multiplies by (q;q)_a / (q;q)_b per slack a -> b, padded to the larger degree.
+    Each row of lattice.rows_with_slacks starts from multinomial_coeffs; a
+    unit step moves slack i from t_i to t_i + d_i (d_i the last entry of
+    normal i), which multiplies by (q;q)_{t_i} / (q;q)_{t_i + d_i}, padded to
+    the larger degree.
     """
     lattice.require_radially_symmetric(P)
     m = P.offset_sum()
+    moving = [(i, v[-1]) for i, v in enumerate(P.normals) if v[-1]]
     terms = {}
-    row = prev = None
-    for u, slacks in lattice.points_with_slacks(P):
-        if u[:-1] != row:
-            row, coeffs = u[:-1], multinomial_coeffs(m, slacks)
-        else:
+    for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
+        coeffs = multinomial_coeffs(m, slacks)
+        terms[prefix + (lo,)] = QPolynomial(coeffs)
+        slacks = list(slacks)
+        for t in range(lo + 1, hi + 1):
+            for i, d in moving:
+                slacks[i] += d
             size = (m * m - sum(s * s for s in slacks)) // 2 + 1
             coeffs += [0] * (size - len(coeffs))
-            for a, b in zip(prev, slacks):
-                if b < a:
-                    pochhammer_mul_inplace(coeffs, 1, a, b + 1)
-                elif b > a:
-                    pochhammer_div_inplace(coeffs, 1, b, a + 1)
+            for i, d in moving:
+                b = slacks[i]
+                if d < 0:
+                    pochhammer_mul_inplace(coeffs, 1, b - d, b + 1)
+                else:
+                    pochhammer_div_inplace(coeffs, 1, b, b - d + 1)
             del coeffs[size:]
-        terms[u] = QPolynomial(coeffs)
-        prev = slacks
+            terms[prefix + (t,)] = QPolynomial(coeffs)
     return LaurentQPoly(terms)
 
 

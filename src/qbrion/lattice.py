@@ -23,6 +23,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -403,12 +404,14 @@ def lattice_points(P):
     return [u for u, _ in points_with_slacks(P)]
 
 
-def points_with_slacks(P):
-    """Yield (point, slack vector) pairs in lexicographic point order.
+def rows_with_slacks(P):
+    """Yield (prefix, lo, hi, slacks at lo) for each nonempty row of lattice points.
 
-    The last coordinate is enumerated by an exact interval computed from the
-    facet inequalities, and slack vectors are updated incrementally along each
-    row, so the cost is proportional to the number of points plus rows.
+    A row is the set of lattice points prefix + (t,), lo <= t <= hi, that
+    share their first n - 1 coordinates; rows come in lexicographic prefix
+    order.  The bounds are the exact integer interval the facet inequalities
+    leave for the last coordinate, by floor division.  Along a row slack i
+    grows by d_i, the last entry of normal i, per unit step in t.
     """
     box = P.geometry.box
     if box is None:
@@ -417,28 +420,34 @@ def points_with_slacks(P):
     n = P.dim
     last_steps = [v[n - 1] for v in P.normals]
     for prefix in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(n - 1)]):
-        base = [
-            sum(prefix[j] * v[j] for j in range(n - 1)) + a
-            for v, a in zip(P.normals, P.offsets)
-        ]
         row_lo, row_hi = lo[n - 1], hi[n - 1]
-        feasible = True
-        for b, w in zip(base, last_steps):
-            if w == 0:
-                if b < 0:
-                    feasible = False
-                    break
-            elif w > 0:
-                row_lo = max(row_lo, math.ceil(Fraction(-b, w)))
-            else:
-                row_hi = min(row_hi, math.floor(Fraction(-b, w)))
-        if not feasible or row_lo > row_hi:
-            continue
-        slack = [b + w * row_lo for b, w in zip(base, last_steps)]
-        for t in range(row_lo, row_hi + 1):
-            yield prefix + (t,), tuple(slack)
-            if t < row_hi:
-                slack = [s + w for s, w in zip(slack, last_steps)]
+        base = []
+        for v, a, d in zip(P.normals, P.offsets, last_steps):
+            b = sum(x * y for x, y in zip(prefix, v)) + a
+            base.append(b)
+            # b + d t >= 0
+            if d > 0:
+                row_lo = max(row_lo, -(b // d))
+            elif d < 0:
+                row_hi = min(row_hi, b // -d)
+            elif b < 0:
+                row_hi = row_lo - 1
+                break
+        if row_lo <= row_hi:
+            yield prefix, row_lo, row_hi, tuple(b + d * row_lo for b, d in zip(base, last_steps))
+
+
+def points_with_slacks(P):
+    """Yield (point, slack vector) pairs in lexicographic point order.
+
+    The flattening of rows_with_slacks: slack vectors are updated along each
+    row, so the cost is proportional to the number of points plus rows.
+    """
+    last_steps = [v[-1] for v in P.normals]
+    for prefix, lo, hi, slacks in rows_with_slacks(P):
+        for t in range(lo, hi + 1):
+            yield prefix + (t,), slacks
+            slacks = tuple(map(operator.add, slacks, last_steps))
 
 
 def dilate(P, k):

@@ -13,7 +13,10 @@ matrix is the Hessian sum_i v_i v_i^T / t_i at that minimizer.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,29 +31,53 @@ from .errors import (
 )
 
 
-def _as_point(u):
-    return tuple(int(x) for x in u)
+def _lattice_point(u):
+    """u as a tuple of ints, or None unless it is a nonempty sequence of
+    integral numbers (bools excluded)."""
+    try:
+        entries = tuple(u)
+    except TypeError:
+        return None
+    point = []
+    for x in entries:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            return None
+        try:
+            i = int(x)
+        except (ValueError, OverflowError):
+            return None
+        if i != x:
+            return None
+        point.append(i)
+    return tuple(point) or None
 
 
 class DiscreteMeasure:
     """Finitely supported probability measure on lattice points.
 
-    Weights are exact rationals and are normalized at construction; zero
-    weights are dropped.
+    Keys are points of one common dimension with integral entries; anything
+    else is an InvalidInputError.  Weights are exact rationals and are
+    normalized at construction; zero weights are dropped.
     """
 
     def __init__(self, weights):
         total = Fraction(0)
         cleaned = {}
+        dims = set()
         for u, w in weights.items():
+            key = _lattice_point(u)
+            if key is None:
+                raise InvalidInputError("%r is not a lattice point" % (u,))
+            dims.add(len(key))
             w = Fraction(w)
             if w < 0:
                 raise InvalidInputError("negative weight at %r" % (u,))
             if w == 0:
                 continue
-            key = _as_point(u)
             cleaned[key] = cleaned.get(key, Fraction(0)) + w
             total += w
+        if len(dims) > 1:
+            raise InvalidInputError("points of different dimensions %s" % sorted(dims))
         if total == 0:
             raise InvalidInputError("measure needs positive total mass")
         self.atoms = {u: w / total for u, w in cleaned.items()}
@@ -59,16 +86,24 @@ class DiscreteMeasure:
         return sorted(self.atoms)
 
     def weight(self, u):
-        return self.atoms.get(_as_point(u), Fraction(0))
+        return self.atoms.get(_lattice_point(u), Fraction(0))
 
     def dim(self):
         return len(next(iter(self.atoms)))
 
+    def _moment_data(self):
+        # one-point rows; the moments are normalized, so the atoms taken over
+        # one common denominator keep the accumulator on ints
+        den = math.lcm(*(w.denominator for w in self.atoms.values()))
+        rows = ((u[:-1], u[-1], (w.numerator * (den // w.denominator),))
+                for u, w in self.atoms.items())
+        return _moments(rows, self.dim())
+
     def mean(self):
-        return _moments(self.atoms.items(), self.dim()).mean
+        return self._moment_data().mean
 
     def covariance(self):
-        return _moments(self.atoms.items(), self.dim()).covariance
+        return self._moment_data().covariance
 
     def convolve(self, other):
         out = {}
@@ -102,13 +137,6 @@ class DiscreteMeasure:
         return "DiscreteMeasure(%d atoms)" % len(self.atoms)
 
 
-def _multinomial(total, parts):
-    out = math.factorial(total)
-    for s in parts:
-        out //= math.factorial(s)
-    return out
-
-
 def max_face_value(P):
     """Largest slack sum over the polytope; attained on a face."""
     points = lattice.vertex_points(P)
@@ -118,46 +146,85 @@ def max_face_value(P):
     return max(sum(a * b for a, b in zip(p, v_delta)) for p in points) + P.offset_sum()
 
 
-def max_face_points(P):
-    """Lattice points whose slack sum is maximal, with their slacks."""
-    target = max_face_value(P)
-    out = []
-    for point, slacks in lattice.points_with_slacks(P):
-        if sum(slacks) == target:
-            out.append((point, slacks))
-    return out
+def _face_rows(P):
+    """Yield (prefix, lo, hi, slacks at lo) for each row of the max face.
 
-
-def _face_weights(P):
-    """Yield (point, multinomial coefficient of its slacks) on the max face.
-
-    Points come in points_with_slacks order.  Each row starts from one
-    multinomial; a unit step along the last coordinate moves slack i from
-    t_i - d_i to t_i, d_i the last entry of normal i, which multiplies the
-    weight by prod_i (t_i - d_i)! / t_i!.  A break in the row or in the face
-    restarts the walk.  PreconditionError when no lattice point lies on the
-    face.
+    Read from lattice.rows_with_slacks: along a row the slack sum grows by
+    sigma = sum_i d_i per unit step, d_i the last entry of normal i.  With
+    sigma = 0 a row lies wholly on the face or off it; otherwise it meets the
+    face in at most the one point where the slack sum reaches the target.
     """
     target = max_face_value(P)
     deltas = [v[-1] for v in P.normals]
-    prev = w = None
-    for point, slacks in lattice.points_with_slacks(P):
-        if sum(slacks) != target:
+    sigma = sum(deltas)
+    for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
+        gap = target - sum(slacks)
+        if sigma == 0:
+            if gap == 0:
+                yield prefix, lo, hi, slacks
             continue
-        if prev is not None and point[:-1] == prev[:-1] and point[-1] == prev[-1] + 1:
-            num = den = 1
-            for t, d in zip(slacks, deltas):
-                if d > 0:
-                    den *= math.perm(t, d)
-                elif d < 0:
-                    num *= math.perm(t - d, -d)
+        m, r = divmod(gap, sigma)
+        if r == 0 and 0 <= m <= hi - lo:
+            yield prefix, lo + m, lo + m, tuple(s + m * d for s, d in zip(slacks, deltas))
+
+
+def max_face_points(P):
+    """Lattice points whose slack sum is maximal, with their slacks."""
+    deltas = [v[-1] for v in P.normals]
+    out = []
+    for prefix, lo, hi, slacks in _face_rows(P):
+        for t in range(lo, hi + 1):
+            out.append((prefix + (t,), slacks))
+            slacks = tuple(map(operator.add, slacks, deltas))
+    return out
+
+
+def _weight_rows(P):
+    """Yield (prefix, lo, weights) for each row of the max face.
+
+    weights[m] is the multinomial coefficient target! / prod_i t_i! of the
+    slacks t at prefix + (lo + m,).  Each row starts from one multinomial,
+    off target! taken once.  A unit step moves slack i from t_i to t_i + d_i,
+    which multiplies the weight by prod_i t_i! / (t_i + d_i)!: the falling
+    slacks over the rising ones, by math.perm only where |d_i| >= 2.  Only
+    one row of weights is held at a time.  PreconditionError when no lattice
+    point lies on the face.
+    """
+    deltas = [v[-1] for v in P.normals]
+    moving = [(i, d) for i, d in enumerate(deltas) if d]
+    top = None
+    for prefix, lo, hi, slacks in _face_rows(P):
+        if top is None:
+            top = math.factorial(sum(slacks))
+        w = top
+        for s in slacks:
+            w //= math.factorial(s)
+        steps = hi - lo
+        nums, dens = [1] * steps, [1] * steps
+        for i, d in moving:
+            s = slacks[i]
+            if d > 0:  # rising: divide by (s + d)! / s! at each step
+                factors, out = range(s + d, s + (steps + 1) * d, d), dens
+            else:  # falling: multiply by s! / (s + d)!
+                factors, out = range(s, s + steps * d, d), nums
+            if abs(d) >= 2:
+                factors = map(math.perm, factors, itertools.repeat(abs(d)))
+            out[:] = map(operator.mul, out, factors)
+        weights = [w]
+        for num, den in zip(nums, dens):
             w = w * num // den
-        else:
-            w = _multinomial(target, slacks)
-        yield point, w
-        prev = point
-    if w is None:
+            weights.append(w)
+        yield prefix, lo, weights
+    if top is None:
         raise PreconditionError("no lattice points on the maximal face")
+
+
+def _face_weights(P):
+    """Yield (point, multinomial coefficient of its slacks) on the max face,
+    in lexicographic point order: the flattening of _weight_rows."""
+    for prefix, lo, weights in _weight_rows(P):
+        for m, w in enumerate(weights):
+            yield prefix + (lo + m,), w
 
 
 def mu_measure(P):
@@ -165,7 +232,7 @@ def mu_measure(P):
 
     Supported on the maximal-slack-sum face; the weight of u is the
     multinomial coefficient of its slack vector, walked along each row of
-    the face by _face_weights.  When the normals sum to zero the support is
+    the face by _weight_rows.  When the normals sum to zero the support is
     every lattice point.
     """
     return DiscreteMeasure(dict(_face_weights(P)))
@@ -241,23 +308,43 @@ class MomentData:
         return [[float(x) for x in row] for row in self.covariance]
 
 
-def _moments(weighted, n):
-    """Exact moments of the (point, weight) pairs, normalized by their total.
+def _moments(rows, n):
+    """Exact moments of rows of weighted points, normalized by their total.
 
-    One pass sums w, w u and w u u^T; the divisions come once at the end.
+    A row (prefix, lo, weights) puts weights[m] at prefix + (lo + m,).  Along
+    a row three running sums a += w, b += a, c += b take additions only; with
+    L = len(weights) they give
+
+        sum w = a,  sum m w = L a - b,  sum m^2 w = L^2 a - 2 L b + (2 c - b).
+
+    The shift by lo and the products with the prefix coordinates come once
+    per row, the divisions once at the end.
     """
     count = 0
     s0 = 0
     s1 = [0] * n
     s2 = [[0] * n for _ in range(n)]
-    for u, w in weighted:
-        count += 1
-        s0 += w
-        for j in range(n):
-            wj = w * u[j]
-            s1[j] += wj
-            for l in range(j, n):
-                s2[j][l] += wj * u[l]
+    last = n - 1
+    for prefix, lo, weights in rows:
+        a = b = c = 0
+        for w in weights:
+            a += w
+            b += a
+            c += b
+        size = len(weights)
+        count += size
+        m1 = size * a - b
+        m2 = size * (size * a - 2 * b) + 2 * c - b
+        x1 = lo * a + m1  # sum of w t over the row, t = lo + m
+        s0 += a
+        s1[last] += x1
+        s2[last][last] += lo * (lo * a + 2 * m1) + m2
+        for j in range(last):
+            pa = prefix[j] * a
+            s1[j] += pa
+            s2[j][last] += prefix[j] * x1
+            for l in range(j, last):
+                s2[j][l] += pa * prefix[l]
     mean = tuple(Fraction(s1[j], s0) for j in range(n))
     cov = [[Fraction(0)] * n for _ in range(n)]
     for j in range(n):
@@ -270,11 +357,11 @@ def _moments(weighted, n):
 def dilation_moments(P, k):
     """Exact mean and covariance of mu_measure(dilate(P, k)).
 
-    One pass of _moments over the _face_weights walk of the dilation, so
+    One pass of _moments over the _weight_rows walk of the dilation, so
     large dilations stay exact without a factorial per point or a stored
     measure.
     """
-    return _moments(_face_weights(lattice.dilate(P, k)), P.dim)
+    return _moments(_weight_rows(lattice.dilate(P, k)), P.dim)
 
 
 def active_facets(P):
@@ -404,7 +491,16 @@ def convergence_report(P, k_values, tol=1e-10):
 
     For each k reports || mean/k - m ||_2 and || cov/k - Sigma ||_F together
     with the relative Frobenius error; both errors decay like 1/k.
+    k_values must be an iterable of positive ints.
     """
+    try:
+        k_values = list(k_values)
+    except TypeError:
+        k_values = None
+    if k_values is None or not all(
+        isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in k_values
+    ):
+        raise InvalidInputError("k_values must be an iterable of positive integers")
     model = gaussian_model(P, tol=tol)
     m = model.minimizer_array()
     sigma = model.covariance_array()

@@ -58,6 +58,24 @@ def translate(P, shift):
     )
 
 
+def sheared(P):
+    """The image of a polygon under (x, y) -> (x, y + 2x): normals
+    (a, b) -> (a - 2b, b), so one row of points can end just below where the
+    next one starts."""
+    from qbrion.lattice import Polytope
+
+    return Polytope(2, tuple((a - 2 * b, b) for a, b in P.normals), P.offsets)
+
+
+def skewed(P, c=2):
+    """The image of a polygon under (x, y) -> (x + c y, y): normals
+    (a, b) -> (a, b - c a), so for c = 2 the last normal entries reach +-2
+    and +-3."""
+    from qbrion.lattice import Polytope
+
+    return Polytope(2, tuple((a, b - c * a) for a, b in P.normals), P.offsets)
+
+
 def face_measure_reference(P):
     """(weights, mean, covariance) of the q -> 1 limit measure, computed
     directly: every lattice point whose slack sum is the largest one takes

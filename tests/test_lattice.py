@@ -13,7 +13,7 @@ from qbrion import fixtures, lattice, measures
 from qbrion.errors import EmptyPolytopeError, InvalidInputError, SmoothnessError
 from qbrion.lattice import Polytope
 
-from conftest import segment, translate
+from conftest import segment, sheared, skewed, translate
 
 
 # ---------------------------------------------------------------- validation
@@ -287,6 +287,45 @@ def test_points_with_slacks_consistency(hexagon):
     for point, slacks in lattice.points_with_slacks(hexagon):
         assert slacks == hexagon.slacks(point)
         assert all(s >= 0 for s in slacks)
+
+
+def row_walk_cases(polytopes, solids):
+    for name, P in polytopes.items():
+        for k in (1, 2, 3, 4):
+            Q = lattice.dilate(P, k)
+            yield "%s*%d" % (name, k), Q
+            yield "%s*%d+shift" % (name, k), translate(Q, (3, -5)[: P.dim])
+            if P.dim == 2:
+                yield "sheared %s*%d" % (name, k), sheared(Q)
+                yield "skewed %s*%d" % (name, k), skewed(Q)
+    for name, P in solids.items():
+        for k in (1, 2, 3):
+            yield "%s*%d" % (name, k), lattice.dilate(P, k)
+
+
+def test_points_with_slacks_flattens_rows_with_slacks(polytopes, solids):
+    """Each row is the maximal run of lattice points over its prefix, with the
+    slacks at its low end; the rows in prefix order, flattened, are the
+    points_with_slacks sequence and the brute-force point list."""
+    for label, P in row_walk_cases(polytopes, solids):
+        rows = list(lattice.rows_with_slacks(P))
+        prefixes = [prefix for prefix, _, _, _ in rows]
+        assert prefixes == sorted(set(prefixes)), label
+        flat = []
+        for prefix, lo, hi, slacks in rows:
+            assert lo <= hi, label
+            assert slacks == P.slacks(prefix + (lo,)), label
+            assert not P.contains(prefix + (lo - 1,)), label
+            assert not P.contains(prefix + (hi + 1,)), label
+            flat += [(prefix + (t,), P.slacks(prefix + (t,))) for t in range(lo, hi + 1)]
+        assert list(lattice.points_with_slacks(P)) == flat, label
+        assert [u for u, _ in flat] == brute_force_points(P), label
+
+
+def test_rows_with_slacks_of_an_empty_polytope():
+    P = Polytope(2, ((1, 0), (0, 1), (-1, -1)), (-1, -1, 1))  # x, y >= 1, x + y <= 1
+    assert list(lattice.rows_with_slacks(P)) == []
+    assert list(lattice.points_with_slacks(P)) == []
 
 
 def test_slack_sum_constant_on_radially_symmetric(polytopes):

@@ -23,7 +23,7 @@ from qbrion.measures import (
     potential,
 )
 
-from conftest import face_measure_reference, segment, translate
+from conftest import face_measure_reference, segment, sheared, skewed, translate
 
 
 # ------------------------------------------------------------ discrete measure
@@ -39,6 +39,42 @@ def test_measure_rejects_bad_mass():
         DiscreteMeasure({(0,): -1, (1,): 2})
     with pytest.raises(InvalidInputError):
         DiscreteMeasure({(0,): 0})
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {(0.5,): 1, (1,): 1},
+        {(Fraction(3, 2),): 1},
+        {(True,): 1},
+        {(0, False): 1},
+        {(0,): 1, (0, 1): 1},
+        {(0,): 1, (0, 1): 0},
+        {(): 1},
+        {0: 1},
+        {(float("nan"),): 1},
+        {(float("inf"),): 1},
+        {("1",): 1},
+    ],
+)
+def test_measure_rejects_keys_that_are_not_lattice_points(weights):
+    with pytest.raises(InvalidInputError):
+        DiscreteMeasure(weights)
+
+
+def test_measure_accepts_integral_entries_of_any_number_type():
+    mu = DiscreteMeasure({(Fraction(2), 1.0): 1, (0, 0): 1})
+    assert mu.atoms == {(2, 1): Fraction(1, 2), (0, 0): Fraction(1, 2)}
+    assert all(type(x) is int for u in mu.atoms for x in u)
+
+
+def test_measure_weight_off_the_lattice_is_zero():
+    mu = DiscreteMeasure({(0,): 1, (1,): 3})
+    assert mu.weight((0.7,)) == 0
+    assert mu.weight((Fraction(1, 2),)) == 0
+    assert mu.weight((1.0,)) == Fraction(3, 4)
+    assert mu.weight((Fraction(0),)) == Fraction(1, 4)
+    assert mu.weight((0, 0)) == 0
 
 
 def test_measure_moments_exact():
@@ -330,6 +366,9 @@ def assert_matches_reference(P, k):
     Q = lattice.dilate(P, k)
     weights, mean, cov = face_measure_reference(Q)
     assert dict(measures._face_weights(Q)) == weights
+    face = max_face_points(Q)
+    assert [u for u, _ in face] == sorted(weights)
+    assert all(t == Q.slacks(u) for u, t in face)
     mu = mu_measure(Q)
     assert mu == DiscreteMeasure(weights)
     assert mu.mean() == mean
@@ -363,9 +402,26 @@ def test_q1_layer_proper_face_matches_reference(trapezoid, k):
 def test_q1_layer_sheared_rows_match_reference(polytopes, name, k):
     # under (x, y) -> (x, y + 2x) one row of points can end just below where
     # the next one starts, so only the row prefix tells the two rows apart
-    P = polytopes[name]
-    sheared = Polytope(2, tuple((a - 2 * b, b) for a, b in P.normals), P.offsets)
-    assert_matches_reference(sheared, k)
+    assert_matches_reference(sheared(polytopes[name]), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("name", ["hexagon", "simplex_p2", "square_p1xp1", "trapezoid_f1"])
+def test_q1_layer_skewed_rows_match_reference(polytopes, name, k):
+    # under (x, y) -> (x + 2y, y) the last normal entries reach +-2 and +-3:
+    # a step along a face row takes math.perm factors, and the trapezoid's
+    # rows (slack sum slope 1) meet the face in single points
+    assert_matches_reference(skewed(polytopes[name]), k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 7])
+def test_q1_layer_inexact_face_crossings_match_reference(trapezoid, k):
+    # the slack sum grows by 2 per step along each row, so a row whose gap
+    # to the target is odd steps over the face, and one with an even gap
+    # meets it
+    P = skewed(transpose(trapezoid), -2)
+    assert sum(v[-1] for v in P.normals) == 2
+    assert_matches_reference(P, k)
 
 
 def test_q1_layer_needs_a_lattice_point_on_the_max_face():
@@ -404,6 +460,17 @@ def test_hexagon_large_dilation_covariance(hexagon):
     target = np.array([[1 / 3, 1 / 6], [1 / 6, 1 / 3]])
     rel = np.linalg.norm(cov - target) / np.linalg.norm(target)
     assert rel <= 0.03
+
+
+@pytest.mark.parametrize("k_values", [5, None, [0], [-3], [True], [2.0], [Fraction(2)], "5", [1, 2.5]])
+def test_convergence_report_rejects_bad_k_values(hexagon, k_values):
+    with pytest.raises(InvalidInputError):
+        convergence_report(hexagon, k_values)
+
+
+def test_convergence_report_takes_any_iterable_of_ints(hexagon):
+    report = convergence_report(hexagon, (k for k in (2, 4)))
+    assert [row["k"] for row in report["rows"]] == [2, 4]
 
 
 def test_convergence_report_errors_decay(hexagon):
