@@ -47,6 +47,7 @@ from .qalg import (
 
 
 _ONE = Fraction(1)
+_BOUND, _MAX_ATTEMPTS = 9, 10000  # sampled numerators and denominators lie in [1, _BOUND]
 
 
 def thread_count():
@@ -151,20 +152,18 @@ class LaurentQPoly:
 
     def evaluate_series(self, x0, order):
         """Substitute the rational point x0; result is a truncated q-series."""
-        if self.terms:
-            x0 = _require_point(x0, len(next(iter(self.terms))))
-        acc = TruncatedQSeries(order)
-        for u, c in sorted(self.terms.items()):
-            if isinstance(c, QPolynomial):
-                c = c.to_series(order)
-            else:
-                c = c.truncate(min(order, c.order))
-                if c.order < order:
-                    raise PreconditionError(
-                        "coefficient series order %d below requested order %d" % (c.order, order)
-                    )
-            acc = acc + c.scale(monomial_value(x0, u))
-        return acc
+        weights = self._weights(order)
+        if weights:
+            x0 = _require_point(x0, len(weights[0][0]))
+        return _unscaled(*_scaled_points(weights, x0, order))
+
+    def _weights(self, order):
+        """(u, coefficients of q^0 .. q^order) per term, as _scaled_points reads them."""
+        require_count(order, 0, "series order")
+        for c in self.terms.values():
+            if isinstance(c, TruncatedQSeries) and c.order < order:
+                raise PreconditionError("coefficient series order %d below requested order %d" % (c.order, order))
+        return [(u, c.coeffs[: order + 1]) for u, c in self.terms.items()]
 
     def __eq__(self, other):
         return isinstance(other, LaurentQPoly) and self.terms == other.terms
@@ -188,15 +187,46 @@ def _g_coeffs(slacks, order):
 
 def g_weight(slacks, order):
     """prod_i 1/(q;q)_{slack_i} as a truncated series (the lattice-point weight)."""
-    return TruncatedQSeries(order, _g_coeffs(slacks, order))
+    return TruncatedQSeries(order, _g_coeffs(slacks, require_count(order, 0, "series order")))
+
+
+def _row_weights(P, start, size):
+    """Yield (u, coefficient list) for every lattice point u: each row of
+    lattice.rows_with_slacks starts from start(slacks); a unit step moves slack
+    i from t_i to t_i + d_i (d_i the last entry of normal i), which multiplies
+    by (q;q)_{t_i} / (q;q)_{t_i + d_i}, padded or cut to size(slacks) entries.
+    The list is then updated in place, so a caller that keeps it copies it."""
+    moving = [(i, v[-1]) for i, v in enumerate(P.normals) if v[-1]]
+    for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
+        coeffs = start(slacks)
+        yield prefix + (lo,), coeffs
+        slacks = list(slacks)
+        for t in range(lo + 1, hi + 1):
+            for i, d in moving:
+                slacks[i] += d
+            n = size(slacks)
+            coeffs += [0] * (n - len(coeffs))
+            for i, d in moving:
+                b = slacks[i]
+                if d < 0:
+                    pochhammer_mul_inplace(coeffs, 1, b - d, b + 1)
+                else:
+                    pochhammer_div_inplace(coeffs, 1, b, b - d + 1)
+            del coeffs[n:]
+            yield prefix + (t,), coeffs
+
+
+def _g_weights(P, order):
+    """(u, int coefficients of g_weight(slacks(u))) for every lattice point u,
+    by the row walk; they do not depend on the evaluation point."""
+    walk = _row_weights(P, lambda s: _g_coeffs(s, order), lambda s: order + 1)
+    return [(u, list(g)) for u, g in walk]
 
 
 def lhs_series(P, order):
     """Weighted lattice-point enumerator: sum_u g_weight(slacks(u)) x^u."""
-    terms = {}
-    for u, slacks in lattice.points_with_slacks(P):
-        terms[u] = g_weight(slacks, order)
-    return LaurentQPoly(terms)
+    require_count(order, 0, "series order")
+    return LaurentQPoly({u: TruncatedQSeries(order, g) for u, g in _g_weights(P, order)})
 
 
 def rs_polynomial(P):
@@ -205,46 +235,27 @@ def rs_polynomial(P):
     Needs radially symmetric normals, which make the slack sum the same
     constant m (the offset sum) at every lattice point, so each coefficient is
     an exact q-multinomial.  An empty polytope gives the zero polynomial.
-    Each row of lattice.rows_with_slacks starts from multinomial_coeffs; a
-    unit step moves slack i from t_i to t_i + d_i (d_i the last entry of
-    normal i), which multiplies by (q;q)_{t_i} / (q;q)_{t_i + d_i}, padded to
-    the larger degree.
+    Each row starts from multinomial_coeffs and is walked by _row_weights at
+    the exact degree (m^2 - sum t_i^2) / 2.
     """
     lattice.require_radially_symmetric(P)
     m = P.offset_sum()
-    moving = [(i, v[-1]) for i, v in enumerate(P.normals) if v[-1]]
-    terms = {}
-    for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
-        coeffs = multinomial_coeffs(m, slacks)
-        terms[prefix + (lo,)] = QPolynomial(coeffs)
-        slacks = list(slacks)
-        for t in range(lo + 1, hi + 1):
-            for i, d in moving:
-                slacks[i] += d
-            size = (m * m - sum(s * s for s in slacks)) // 2 + 1
-            coeffs += [0] * (size - len(coeffs))
-            for i, d in moving:
-                b = slacks[i]
-                if d < 0:
-                    pochhammer_mul_inplace(coeffs, 1, b - d, b + 1)
-                else:
-                    pochhammer_div_inplace(coeffs, 1, b, b - d + 1)
-            del coeffs[size:]
-            terms[prefix + (t,)] = QPolynomial(coeffs)
-    return LaurentQPoly(terms)
+    walk = _row_weights(P, lambda s: multinomial_coeffs(m, s),
+                        lambda s: (m * m - sum(t * t for t in s)) // 2 + 1)
+    return LaurentQPoly({u: QPolynomial(c) for u, c in walk})
 
 
 def _edge_values(x0, vd):
     return [monomial_value(x0, e) for e in vd.edge_dirs]
 
 
-def _sample_from_rng(P, rng, bound, vertices, max_attempts=10000):
+def _sample_from_rng(P, rng, vertices):
     n = P.dim
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         coords = []
         for _ in range(n):
-            num = rng.randint(1, bound)
-            den = rng.randint(1, bound)
+            num = rng.randint(1, _BOUND)
+            den = rng.randint(1, _BOUND)
             sign = 1 if rng.random() < 0.5 else -1
             coords.append(Fraction(sign * num, den))
         x0 = tuple(coords)
@@ -263,15 +274,15 @@ def _sample_from_rng(P, rng, bound, vertices, max_attempts=10000):
     raise PreconditionError("could not sample a pole-free evaluation point")
 
 
-def sample_generic_point(P, seed=0, bound=9):
+def sample_generic_point(P, seed=0):
     """Deterministic random rational point avoiding all evaluation poles.
 
     Coordinates are reduced fractions with numerator and denominator drawn
-    from [1, bound] (random sign), resampled until no coordinate is 0 or +-1
+    from [1, 9] (random sign), resampled until no coordinate is 0 or +-1
     and no vertex edge monomial x0^{u_i(p)} evaluates to 1.
     """
     vertices = lattice.enumerate_vertices(P)
-    return _sample_from_rng(P, random.Random(seed), bound, vertices)
+    return _sample_from_rng(P, random.Random(seed), vertices)
 
 
 def _scaled_sum(order, terms, series):
@@ -377,16 +388,11 @@ def vertex_term(P, vd, b, x0, order):
     negative valuation raises PreconditionError.
     """
     x0 = _require_point(x0, P.dim)
+    require_count(order, 0, "series order")
     shift = lattice.corner_degree_valuation(P, vd, b)
     if shift < 0:
         raise PreconditionError("corner term has negative q-valuation %d" % shift)
     return _unscaled(*_scaled_corners(P, [vd], [[b]], x0, order, 0))
-
-
-def _corner_sum(P, vertices, per_vertex, x0, order):
-    """Sum of every vertex's corner terms over its degree set (per_vertex is
-    aligned with vertices), divided by (q;q)_infinity^(facets - dim)."""
-    return _unscaled(*_scaled_corners(P, vertices, per_vertex, x0, order, P.facet_count - P.dim))
 
 
 def rhs_series_at(P, x0, order):
@@ -398,20 +404,16 @@ def rhs_series_at(P, x0, order):
     ring.  The result is divided by (q;q)_infinity^(facets - dim).
     """
     x0 = _require_point(x0, P.dim)
+    require_count(order, 0, "series order")
     vertices = lattice.enumerate_vertices(P)
     per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
-    return _corner_sum(P, vertices, per_vertex, x0, order)
+    return _unscaled(*_scaled_corners(P, vertices, per_vertex, x0, order, P.facet_count - P.dim))
 
 
-def _g_weights(P, order):
-    """(u, int coefficients of g_weight(slacks(u))) for every lattice point u;
-    they do not depend on the evaluation point."""
-    return [(u, _g_coeffs(slacks, order)) for u, slacks in lattice.points_with_slacks(P)]
-
-
-def _scaled_lhs(weights, x0, order):
-    """sum_u x0^u g(u) over the g-weights of _g_weights, as (int
-    coefficients, common denominator D, 1) in the form _unscaled reads."""
+def _scaled_points(weights, x0, order):
+    """sum_u x0^u w(u) over (u, w(u)) pairs such as those of _g_weights, each
+    w(u) the coefficients of q^0 .. at most q^order, as (coefficients, common
+    denominator D, 1) in the form _unscaled reads."""
     terms = [(0, xu.numerator, xu.denominator) for xu in (monomial_value(x0, u) for u, _ in weights)]
     acc, den = _scaled_sum(order, terms, (g for _, g in weights))
     return acc, den, 1
@@ -420,7 +422,8 @@ def _scaled_lhs(weights, x0, order):
 def lhs_value_at(P, x0, order):
     """Weighted enumerator evaluated at the rational point x0."""
     x0 = _require_point(x0, P.dim)
-    return _unscaled(*_scaled_lhs(_g_weights(P, order), x0, order))
+    require_count(order, 0, "series order")
+    return _unscaled(*_scaled_points(_g_weights(P, order), x0, order))
 
 
 @dataclass
@@ -479,13 +482,13 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
     points = []
     equal = True
     first_mismatch = None
-    rs = rs_polynomial(P) if finite_form else None
+    rs = rs_polynomial(P)._weights(order) if finite_form else None
     m = P.offset_sum()
     weights = _g_weights(P, order)
     for t in range(trials):
-        x0 = _sample_from_rng(P, rng, 9, vertices)
+        x0 = _sample_from_rng(P, rng, vertices)
         points.append([str(c) for c in x0])
-        lhs = _scaled_lhs(weights, x0, order)
+        lhs = _scaled_points(weights, x0, order)
         rhs = _scaled_corners(P, vertices, per_vertex, x0, order, P.facet_count - P.dim)
         if finite_form:
             # both sides times (q;q)_{offset sum}, on the ints
@@ -496,7 +499,7 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
         if finite_form:
             pairs = [
                 ("corner_sum_finite", lhs, rhs),
-                ("symmetric_polynomial", lhs, rs.evaluate_series(x0, order)),
+                ("symmetric_polynomial", lhs, _unscaled(*_scaled_points(rs, x0, order))),
             ]
         for label, a_side, b_side in pairs:
             j = _first_difference(a_side, b_side)

@@ -34,6 +34,7 @@ from .errors import (
     PreconditionError,
     SmoothnessError,
 )
+from .qalg import require_count
 
 
 def row_reduce(rows, width):
@@ -498,8 +499,7 @@ def enumerate_corner_degrees(P, vd, order):
     the order, carries the facet entries along, and adds their positive parts
     at the leaf: the prune is exact and tightens under dilation.
     """
-    if order < 0:
-        raise InvalidInputError("series order must be nonnegative")
+    require_count(order, 0, "series order")
     free = [j for j in range(P.facet_count) if j not in vd.facet_set]
     slacks = P.slacks(vd.point)
     # expansion of each free normal in the facet-normal basis, via duality:

@@ -15,6 +15,7 @@ from conftest import (
     reference_lhs,
     reference_vertex_term,
     segment,
+    skewed,
     times_q_power,
     translate,
 )
@@ -86,6 +87,47 @@ def test_rs_polynomial_matches_dense_multinomials_edge_cases(P):
     rs = brion.rs_polynomial(P)
     assert rs == _dense_rs(P)
     assert len(rs.terms) == len(lattice.lattice_points(P))
+
+
+# Not radially symmetric, with row steps that move a slack by 2 or 3.
+SLOPED_OPEN = lattice.Polytope.from_facets(
+    2, [((1, 0), 3), ((-1, 2), 4), ((1, -1), 2), ((0, -1), 5)]
+)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+@pytest.mark.parametrize(
+    "P",
+    [
+        skewed(fixtures.load("trapezoid_f1")),
+        lattice.dilate(skewed(fixtures.load("trapezoid_f1")), 3),
+        SLOPED_OPEN,
+    ],
+    ids=["skewed-trapezoid", "skewed-trapezoid*3", "sloped-open"],
+)
+def test_g_weight_row_walk_matches_per_point_weights(P, K):
+    # the walk's truncated steps agree with g_weight rebuilt at every point;
+    # on the dilated and sloped polytopes slacks pass the truncation order
+    assert not P.is_radially_symmetric()
+    assert max(abs(v[-1]) for v in P.normals) >= 2
+    points = list(lattice.points_with_slacks(P))
+    want = {u: list(brion.g_weight(slacks, K).coeffs) for u, slacks in points}
+    assert dict(brion._g_weights(P, K)) == want
+
+
+@pytest.mark.parametrize("name", ["hexagon", "trapezoid_f1", "simplex_p2"])
+def test_lhs_series_evaluates_to_lhs_value(polytopes, name):
+    P = lattice.dilate(polytopes[name], 2)
+    x0 = brion.sample_generic_point(P, seed=5)
+    assert brion.lhs_series(P, 6).evaluate_series(x0, 6) == brion.lhs_value_at(P, x0, 6)
+
+
+def test_evaluate_series_rejects_coefficients_below_order():
+    poly = brion.LaurentQPoly({(1,): TruncatedQSeries(2, [1, 1]), (0,): TruncatedQSeries(5, [3])})
+    assert poly.evaluate_series((2,), 2) == TruncatedQSeries(2, [5, 2])
+    assert poly.evaluate_series((2,), 1) == TruncatedQSeries(1, [5, 2])
+    with pytest.raises(PreconditionError):
+        poly.evaluate_series((2,), 3)
 
 
 def test_g_weight_is_inverse_pochhammer_product():
@@ -387,7 +429,7 @@ def test_scaled_corner_sum_holds_only_ints(P, x0):
     per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
     acc, den, scale = brion._scaled_corners(P, vertices, per_vertex, x0, order, P.facet_count - P.dim)
     assert all(type(a) is int for a in acc + [den, scale])
-    acc, den, scale = brion._scaled_lhs(brion._g_weights(P, order), x0, order)
+    acc, den, scale = brion._scaled_points(brion._g_weights(P, order), x0, order)
     assert all(type(a) is int for a in acc + [den, scale])
     assert brion.rhs_series_at(P, x0, order) == reference_corner_sum(P, x0, order)
 
@@ -438,6 +480,28 @@ BAD_POINTS = {
     "string": ("2", 3),
     "not-a-sequence": 5,
 }
+
+
+@pytest.mark.parametrize("order", [-1, 2.5, True, "3", None], ids=["-1", "2.5", "True", "str", "None"])
+@pytest.mark.parametrize(
+    "entry",
+    ["lhs_series", "lhs_value_at", "rhs_series_at", "vertex_term", "g_weight", "evaluate_series",
+     "enumerate_corner_degrees"],
+)
+def test_series_order_is_validated(hexagon, entry, order):
+    x0 = (2, Fraction(-1, 3))
+    vd = lattice.enumerate_vertices(hexagon)[0]
+    call = {
+        "lhs_series": lambda: brion.lhs_series(hexagon, order),
+        "lhs_value_at": lambda: brion.lhs_value_at(hexagon, x0, order),
+        "rhs_series_at": lambda: brion.rhs_series_at(hexagon, x0, order),
+        "vertex_term": lambda: brion.vertex_term(hexagon, vd, (0,) * 6, x0, order),
+        "g_weight": lambda: brion.g_weight((1, 2), order),
+        "evaluate_series": lambda: brion.rs_polynomial(hexagon).evaluate_series(x0, order),
+        "enumerate_corner_degrees": lambda: lattice.enumerate_corner_degrees(hexagon, vd, order),
+    }[entry]
+    with pytest.raises(InvalidInputError):
+        call()
 
 
 @pytest.mark.parametrize("x0", list(BAD_POINTS.values()), ids=list(BAD_POINTS))
