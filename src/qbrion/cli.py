@@ -26,8 +26,43 @@ def _write_text(path, text):
             fh.write(text)
 
 
+_encode = json.JSONEncoder().encode  # the C encoder, for keys and scalar leaves
+
+
 def _json_text(obj):
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """obj as JSON with sorted keys and a two-space indent, plus a newline:
+    byte for byte what json.dumps writes with those settings.
+
+    json runs its C encoder only without an indent, so the layout is written
+    here and only keys and scalar leaves go through the encoder.  A list of
+    exact ints is one join.  Object keys must be str (TypeError otherwise).
+    """
+    return _json_render(obj, "\n") + "\n"
+
+
+def _json_render(obj, pad):
+    # pad is the newline plus the indent of the line that holds obj
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        for key in obj:
+            if not isinstance(key, str):
+                raise TypeError("JSON object keys must be str, not %s" % type(key).__name__)
+        inner = pad + "  "
+        body = ("," + inner).join(
+            _encode(key) + ": " + _json_render(obj[key], inner) for key in sorted(obj)
+        )
+        return "{" + inner + body + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = pad + "  "
+        if all(type(x) is int for x in obj):
+            body = ("," + inner).join(map(int.__repr__, obj))
+        else:
+            body = ("," + inner).join(_json_render(x, inner) for x in obj)
+        return "[" + inner + body + pad + "]"
+    return _encode(obj)
 
 
 def _exponent_key(u):
@@ -89,10 +124,7 @@ def cmd_rs(args):
     P = lattice.Polytope.from_file(args.polytope)
     lattice.validate(P)
     poly = brion.rs_polynomial(P)
-    data = {
-        _exponent_key(u): [int(c) for c in poly.terms[u].coeffs]
-        for u in sorted(poly.terms)
-    }
+    data = {_exponent_key(u): term.coeffs for u, term in poly.terms.items()}
     _write_text(args.output, _json_text(data))
     return 0
 
@@ -102,8 +134,8 @@ def cmd_lhs(args):
     lattice.validate(P)
     series_poly = brion.lhs_series(P, args.order)
     data = {
-        _exponent_key(u): [_coeff_json(c) for c in series_poly.terms[u].coeffs]
-        for u in sorted(series_poly.terms)
+        _exponent_key(u): [_coeff_json(c) for c in term.coeffs]
+        for u, term in series_poly.terms.items()
     }
     _write_text(args.output, _json_text(data))
     return 0

@@ -52,16 +52,29 @@ def _lattice_point(u):
     return tuple(point) or None
 
 
+def _exact_weight(w, u):
+    """w as an int or Fraction: ints (bools excluded) and Fractions as they
+    are, finite floats exactly; InvalidInputError for anything else."""
+    if isinstance(w, (int, Fraction)) and not isinstance(w, bool):
+        return w
+    if isinstance(w, float) and math.isfinite(w):
+        return Fraction(w)
+    raise InvalidInputError(
+        "weight %r at %r is not an int, a Fraction or a finite float" % (w, u)
+    )
+
+
 class DiscreteMeasure:
     """Finitely supported probability measure on lattice points.
 
-    Keys are points of one common dimension with integral entries; anything
-    else is an InvalidInputError.  Weights are exact rationals and are
-    normalized at construction; zero weights are dropped.
+    Keys are points of one common dimension with integral entries; weights
+    are ints (bools excluded), Fractions or finite floats, taken exactly;
+    anything else is an InvalidInputError.  Weights are normalized at
+    construction, once, over one common denominator; zero weights are
+    dropped.
     """
 
     def __init__(self, weights):
-        total = Fraction(0)
         cleaned = {}
         dims = set()
         for u, w in weights.items():
@@ -69,18 +82,20 @@ class DiscreteMeasure:
             if key is None:
                 raise InvalidInputError("%r is not a lattice point" % (u,))
             dims.add(len(key))
-            w = Fraction(w)
+            w = _exact_weight(w, u)
             if w < 0:
                 raise InvalidInputError("negative weight at %r" % (u,))
             if w == 0:
                 continue
-            cleaned[key] = cleaned.get(key, Fraction(0)) + w
-            total += w
+            cleaned[key] = cleaned.get(key, 0) + w
         if len(dims) > 1:
             raise InvalidInputError("points of different dimensions %s" % sorted(dims))
-        if total == 0:
+        if not cleaned:
             raise InvalidInputError("measure needs positive total mass")
-        self.atoms = {u: w / total for u, w in cleaned.items()}
+        den = math.lcm(*(w.denominator for w in cleaned.values()))
+        nums = {u: w.numerator * (den // w.denominator) for u, w in cleaned.items()}
+        total = sum(nums.values())
+        self.atoms = {u: Fraction(n, total) for u, n in nums.items()}
 
     def support(self):
         return sorted(self.atoms)
@@ -184,21 +199,21 @@ def _weight_rows(P):
 
     weights[m] is the multinomial coefficient target! / prod_i t_i! of the
     slacks t at prefix + (lo + m,).  Each row starts from one multinomial,
-    off target! taken once.  A unit step moves slack i from t_i to t_i + d_i,
-    which multiplies the weight by prod_i t_i! / (t_i + d_i)!: the falling
-    slacks over the rising ones, by math.perm only where |d_i| >= 2.  Only
-    one row of weights is held at a time.  PreconditionError when no lattice
-    point lies on the face.
+    the product of the binomials C(t_1 + ... + t_i, t_i).  A unit step moves
+    slack i from t_i to t_i + d_i, which multiplies the weight by
+    prod_i t_i! / (t_i + d_i)!: the falling slacks over the rising ones, by
+    math.perm only where |d_i| >= 2.  Only one row of weights is held at a
+    time.  PreconditionError when no lattice point lies on the face.
     """
     deltas = [v[-1] for v in P.normals]
     moving = [(i, d) for i, d in enumerate(deltas) if d]
-    top = None
+    empty = True
     for prefix, lo, hi, slacks in _face_rows(P):
-        if top is None:
-            top = math.factorial(sum(slacks))
-        w = top
+        empty = False
+        w, running = 1, 0
         for s in slacks:
-            w //= math.factorial(s)
+            running += s
+            w *= math.comb(running, s)
         steps = hi - lo
         nums, dens = [1] * steps, [1] * steps
         for i, d in moving:
@@ -215,7 +230,7 @@ def _weight_rows(P):
             w = w * num // den
             weights.append(w)
         yield prefix, lo, weights
-    if top is None:
+    if empty:
         raise PreconditionError("no lattice points on the maximal face")
 
 

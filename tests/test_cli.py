@@ -7,8 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qbrion import fixtures
+from qbrion import cli, fixtures, lattice
 
 
 def run_cli(*args):
@@ -299,3 +301,83 @@ def test_jackson_ladder_report(fixture_files):
 def test_jackson_requires_exactly_one_mode(fixture_files):
     r = run_cli("jackson", fixture_files["hexagon"])
     assert r.returncode == 2
+
+
+# --------------------------------------------------------------- JSON writer
+
+
+def _json_oracle(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+JSON_COMMANDS = [
+    ["validate"],
+    ["verify"],
+    ["verify", "--theorem1"],
+    ["rs"],
+    ["lhs"],
+    ["jackson", "--axis", "1"],
+    ["jackson", "--ladder", "2,1"],
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_json_writer_matches_json_dumps_on_cli_outputs(tmp_path, monkeypatch, capsys, name, k):
+    path = tmp_path / "P.json"
+    path.write_text(lattice.dilate(fixtures.load(name), k).to_json())
+    seen = []
+    writer = cli._json_text
+
+    def spy(obj):
+        seen.append(obj)
+        return writer(obj)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    written = 0
+    for command in JSON_COMMANDS:
+        out = tmp_path / "out.json"
+        if out.exists():
+            out.unlink()
+        seen.clear()
+        code = cli.main([command[0], str(path), *command[1:], "--output", str(out)])
+        assert len(seen) == (1 if code in (0, 1) else 0), (command, code)
+        if seen:
+            assert out.read_text(encoding="utf-8") == _json_oracle(seen[0]), command
+            written += 1
+    capsys.readouterr()
+    assert written >= 4
+
+
+_json_leaves = st.one_of(
+    st.integers(),
+    st.integers(min_value=-(2**300), max_value=2**300),
+    st.booleans(),
+    st.none(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.just(-0.0),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n\t\x00", "\u00e9\u4e2d\U0001f600", ""]),
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+        st.dictionaries(st.text(), inner),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == _json_oracle(obj)
+
+
+@pytest.mark.parametrize("obj", [{1: 2}, {None: 1}, {(1, 2): 3}, {"a": [{2.5: 1}]}])
+def test_json_writer_rejects_keys_that_are_not_str(obj):
+    with pytest.raises(TypeError):
+        cli._json_text(obj)

@@ -62,6 +62,20 @@ def test_measure_rejects_keys_that_are_not_lattice_points(weights):
         DiscreteMeasure(weights)
 
 
+@pytest.mark.parametrize(
+    "weight",
+    [float("nan"), float("inf"), float("-inf"), "abc", "1/3", None, True, False, 1j, [1]],
+)
+def test_measure_rejects_weights_that_are_not_exact_numbers(weight):
+    with pytest.raises(InvalidInputError):
+        DiscreteMeasure({(0,): 1, (1,): weight})
+
+
+def test_measure_weights_mix_ints_fractions_and_floats_exactly():
+    mu = DiscreteMeasure({(0,): 2, (1,): Fraction(1, 3), (2,): 0.25, (3,): -0.0})
+    assert mu.atoms == {(0,): Fraction(24, 31), (1,): Fraction(4, 31), (2,): Fraction(3, 31)}
+
+
 def test_measure_accepts_integral_entries_of_any_number_type():
     mu = DiscreteMeasure({(Fraction(2), 1.0): 1, (0, 0): 1})
     assert mu.atoms == {(2, 1): Fraction(1, 2), (0, 0): Fraction(1, 2)}
