@@ -35,7 +35,8 @@ def _json_text(obj):
 
     json runs its C encoder only without an indent, so the layout is written
     here and only keys and scalar leaves go through the encoder.  A list of
-    exact ints is one join.  Object keys must be str (TypeError otherwise).
+    exact ints is one "%d" template.  Object keys must be str (TypeError
+    otherwise).
     """
     return _json_render(obj, "\n") + "\n"
 
@@ -58,7 +59,7 @@ def _json_render(obj, pad):
             return "[]"
         inner = pad + "  "
         if all(type(x) is int for x in obj):
-            body = ("," + inner).join(map(int.__repr__, obj))
+            body = ("%d" + ("," + inner + "%d") * (len(obj) - 1)) % tuple(obj)
         else:
             body = ("," + inner).join(_json_render(x, inner) for x in obj)
         return "[" + inner + body + pad + "]"

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 from . import lattice
 from .brion import LaurentQPoly, rs_polynomial
 from .errors import InvalidInputError, PreconditionError
-from .qalg import QPolynomial, q_factorial, q_integer, q_multinomial, require_count
+from .qalg import (
+    QPolynomial,
+    pochhammer_div_inplace,
+    pochhammer_mul_inplace,
+    q_factorial,
+    q_integer,
+    q_multinomial,
+    require_count,
+)
 
 
 def _check_axis(f, axis):
@@ -27,6 +35,20 @@ def _check_axis(f, axis):
     u = next(iter(f.terms), ())
     if require_count(axis, 0, "axis") >= len(u) > 0:
         raise InvalidInputError("axis %d outside 0..%d" % (axis, len(u) - 1))
+
+
+def _times_q_integer(c, e):
+    """c [e]_q for e >= 1.  A QPolynomial takes c (1 - q^e) / (1 - q): one
+    pass of each kernel over its coefficients padded to the product's
+    length; a truncated series keeps its own product."""
+    if e == 1:
+        return c
+    if not isinstance(c, QPolynomial):
+        return c * q_integer(e)
+    out = list(c.coeffs) + [0] * (e - 1)
+    pochhammer_mul_inplace(out, 1, e, e)
+    pochhammer_div_inplace(out, 1, 1)
+    return QPolynomial(out)
 
 
 def q_shift(f, axis):
@@ -56,7 +78,7 @@ def jackson_derivative(f, axis):
         if e == 0:
             continue
         # u -> u - e_axis is injective, so no two terms share a key
-        terms[u[:axis] + (e - 1,) + u[axis + 1 :]] = c * q_integer(e)
+        terms[u[:axis] + (e - 1,) + u[axis + 1 :]] = _times_q_integer(c, e)
     return LaurentQPoly(terms)
 
 
@@ -150,8 +172,10 @@ def verify_derivative_identity(D, axis):
     a_sum = P.offset_sum()
     derived = derived_divisor(D, axis)
     derived_rs = rs_polynomial(derived.polytope)
-    factor = q_integer(a_sum) if a_sum >= 1 else QPolynomial.zero()
-    rhs = derived_rs.scale(factor)
+    if a_sum >= 1:
+        rhs = LaurentQPoly({u: _times_q_integer(c, a_sum) for u, c in derived_rs.terms.items()})
+    else:
+        rhs = LaurentQPoly.zero()
     return {
         "axis": axis,
         "offset_sum": a_sum,

@@ -110,7 +110,7 @@ class DiscreteMeasure:
         # one-point rows; the moments are normalized, so the atoms taken over
         # one common denominator keep the accumulator on ints
         den = math.lcm(*(w.denominator for w in self.atoms.values()))
-        rows = ((u[:-1], u[-1], (w.numerator * (den // w.denominator),))
+        rows = ((u[:-1], u[-1], 1, w.numerator * (den // w.denominator), 0, 0)
                 for u, w in self.atoms.items())
         return _moments(rows, self.dim())
 
@@ -194,26 +194,61 @@ def max_face_points(P):
     return out
 
 
+def _nonempty(face_rows):
+    """The face rows as they come; PreconditionError when there are none."""
+    empty = True
+    for row in face_rows:
+        empty = False
+        yield row
+    if empty:
+        raise PreconditionError("no lattice points on the maximal face")
+
+
+def _carried(value, old, new):
+    """value * F(new) / F(old), for F(ups, downs, e) = 2**e prod_{x in ups} x!
+    / prod_{y in downs} y! an integer at both argument lists.
+
+    An argument that moves from x to y takes y! / x! = math.perm(y, y - x)
+    into the numerator or the denominator.  Between neighbouring face rows
+    the arguments move by little, so these products stay small and the
+    carried value costs one big multiply and one exact division.  old None
+    starts from F = 1 at all-zero arguments.
+    """
+    ups, downs, e = new
+    if old is None:
+        old = ((0,) * len(ups), (0,) * len(downs), 0)
+    old_ups, old_downs, old_e = old
+    num = den = 1
+    # each pair (x, y) contributes y! / x!
+    for x, y in zip(old_ups + downs, ups + old_downs):
+        if y > x:
+            num *= math.perm(y, y - x)
+        elif x > y:
+            den *= math.perm(x, x - y)
+    if e > old_e:
+        num <<= e - old_e
+    elif old_e > e:
+        den <<= old_e - e
+    return value * num // den
+
+
 def _weight_rows(P):
     """Yield (prefix, lo, weights) for each row of the max face.
 
     weights[m] is the multinomial coefficient target! / prod_i t_i! of the
-    slacks t at prefix + (lo + m,).  Each row starts from one multinomial,
-    the product of the binomials C(t_1 + ... + t_i, t_i).  A unit step moves
-    slack i from t_i to t_i + d_i, which multiplies the weight by
-    prod_i t_i! / (t_i + d_i)!: the falling slacks over the rising ones, by
-    math.perm only where |d_i| >= 2.  Only one row of weights is held at a
-    time.  PreconditionError when no lattice point lies on the face.
+    slacks t at prefix + (lo + m,).  Each row's first weight is carried from
+    the last row's by _carried.  A unit step moves slack i from t_i to
+    t_i + d_i, which multiplies the weight by prod_i t_i! / (t_i + d_i)!: the
+    falling slacks over the rising ones, by math.perm only where |d_i| >= 2.
+    Only one row of weights is held at a time.  PreconditionError when no
+    lattice point lies on the face.
     """
     deltas = [v[-1] for v in P.normals]
     moving = [(i, d) for i, d in enumerate(deltas) if d]
-    empty = True
-    for prefix, lo, hi, slacks in _face_rows(P):
-        empty = False
-        w, running = 1, 0
-        for s in slacks:
-            running += s
-            w *= math.comb(running, s)
+    first, args = 1, None
+    for prefix, lo, hi, slacks in _nonempty(_face_rows(P)):
+        new = ((sum(slacks),), slacks, 0)
+        first, args = _carried(first, args, new), new
         steps = hi - lo
         nums, dens = [1] * steps, [1] * steps
         for i, d in moving:
@@ -225,13 +260,12 @@ def _weight_rows(P):
             if abs(d) >= 2:
                 factors = map(math.perm, factors, itertools.repeat(abs(d)))
             out[:] = map(operator.mul, out, factors)
+        w = first
         weights = [w]
         for num, den in zip(nums, dens):
             w = w * num // den
             weights.append(w)
         yield prefix, lo, weights
-    if empty:
-        raise PreconditionError("no lattice points on the maximal face")
 
 
 def _face_weights(P):
@@ -323,33 +357,95 @@ class MomentData:
         return [[float(x) for x in row] for row in self.covariance]
 
 
-def _moments(rows, n):
-    """Exact moments of rows of weighted points, normalized by their total.
+def _walk_sums(weights):
+    """(sum w, sum m w, sum m^2 w) over the row weights[m].
 
-    A row (prefix, lo, weights) puts weights[m] at prefix + (lo + m,).  Along
-    a row three running sums a += w, b += a, c += b take additions only; with
+    Three running sums a += w, b += a, c += b take additions only; with
     L = len(weights) they give
 
         sum w = a,  sum m w = L a - b,  sum m^2 w = L^2 a - 2 L b + (2 c - b).
+    """
+    a = b = c = 0
+    for w in weights:
+        a += w
+        b += a
+        c += b
+    size = len(weights)
+    return a, size * a - b, size * (size * a - 2 * b) + 2 * c - b
 
-    The shift by lo and the products with the prefix coordinates come once
-    per row, the divisions once at the end.
+
+def _row_sums(P):
+    """Yield (prefix, lo, size, sum w, sum m w, sum m^2 w) for each row of the
+    max face, w the weight at prefix + (lo + m,) as in _weight_rows.
+
+    Closed forms apply when every d_i is -1, 0 or 1, with one or two rising
+    (+1) slacks and as many falling (-1) ones.  Pair rising slack a_p with
+    falling slack c_p (values at lo); N_p = a_p + c_p stays fixed along the
+    row, as do the other slacks s and the face value T.  The weight at m is
+    T! / (prod s! prod N_p!) times prod_p C(N_p, a_p + m), and
+    rows_with_slacks ends the row where the smallest rising slack and the
+    smallest falling slack reach 0, so the row covers every nonzero term.
+    With j = a_1 + m:
+
+        one pair:   sum_j C(N, j) = 2^N                       (binomial theorem)
+        two pairs:  sum_j C(N_1, j) C(N_2, K - j) = C(N_1 + N_2, K),
+                    K = a_1 + c_2                             (Chu-Vandermonde)
+
+    Absorption, j C(N, j) = N C(N - 1, j - 1), turns sum w into sum j w and
+    sum j (j - 1) w by the factors N / 2, then (N - 1) / 2 for one pair, and
+    N_1 K / (N_1 + N_2), then (N_1 - 1)(K - 1) / (N_1 + N_2 - 1) for two;
+    m = j - a_1 gives the sums in m.  Each row's sum w is carried from the
+    last row's by _carried.  Other normals take the _weight_rows walk.
+    """
+    deltas = [v[-1] for v in P.normals]
+    rising = [i for i, d in enumerate(deltas) if d == 1]
+    falling = [i for i, d in enumerate(deltas) if d == -1]
+    fixed = [i for i, d in enumerate(deltas) if d == 0]
+    pairs = len(rising)
+    if pairs != len(falling) or pairs not in (1, 2) or len(fixed) + 2 * pairs != len(deltas):
+        for prefix, lo, weights in _weight_rows(P):
+            yield (prefix, lo, len(weights)) + _walk_sums(weights)
+        return
+    total, args = 1, None
+    for prefix, lo, hi, slacks in _nonempty(_face_rows(P)):
+        a1, c1 = slacks[rising[0]], slacks[falling[0]]
+        n1 = a1 + c1
+        rest = tuple(slacks[i] for i in fixed)
+        if pairs == 1:
+            new = ((sum(slacks),), rest + (n1,), n1)
+        else:
+            c2 = slacks[falling[1]]
+            n, k = n1 + slacks[rising[1]] + c2, a1 + c2
+            new = ((sum(slacks), n), rest + (n1, n - n1, k, n - k), 0)
+        total, args = _carried(total, args, new), new
+        if hi == lo:
+            yield prefix, lo, 1, total, 0, 0
+            continue
+        if pairs == 1:
+            j1 = total * n1 // 2
+            j2 = j1 * (n1 - 1) // 2
+        else:
+            j1 = total * (n1 * k) // n
+            j2 = j1 * ((n1 - 1) * (k - 1)) // (n - 1)
+        yield (prefix, lo, hi - lo + 1, total, j1 - a1 * total,
+               j2 + (1 - 2 * a1) * j1 + a1 * a1 * total)
+
+
+def _moments(rows, n):
+    """Exact moments of rows of weighted points, normalized by their total.
+
+    A row (prefix, lo, size, w0, w1, w2) stands for the points prefix +
+    (lo + m,), 0 <= m < size, whose weights w have sum w = w0, sum m w = w1
+    and sum m^2 w = w2.  The shift by lo and the products with the prefix
+    coordinates come once per row, the divisions once at the end.
     """
     count = 0
     s0 = 0
     s1 = [0] * n
     s2 = [[0] * n for _ in range(n)]
     last = n - 1
-    for prefix, lo, weights in rows:
-        a = b = c = 0
-        for w in weights:
-            a += w
-            b += a
-            c += b
-        size = len(weights)
+    for prefix, lo, size, a, m1, m2 in rows:
         count += size
-        m1 = size * a - b
-        m2 = size * (size * a - 2 * b) + 2 * c - b
         x1 = lo * a + m1  # sum of w t over the row, t = lo + m
         s0 += a
         s1[last] += x1
@@ -372,11 +468,12 @@ def _moments(rows, n):
 def dilation_moments(P, k):
     """Exact mean and covariance of mu_measure(dilate(P, k)).
 
-    One pass of _moments over the _weight_rows walk of the dilation, so
-    large dilations stay exact without a factorial per point or a stored
-    measure.
+    One pass of _moments over the _row_sums of the dilation: a closed form
+    per face row where the normals allow one, else the row's weight walk.
+    Large dilations stay exact without a stored measure, and on the closed
+    forms without a weight per point.
     """
-    return _moments(_weight_rows(lattice.dilate(P, k)), P.dim)
+    return _moments(_row_sums(lattice.dilate(P, k)), P.dim)
 
 
 def active_facets(P):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrion import fixtures, jackson, lattice
-from qbrion.brion import LaurentQPoly, rs_polynomial
+from qbrion.brion import LaurentQPoly, lhs_series, rs_polynomial
 from qbrion.errors import InvalidInputError, PreconditionError
 from qbrion.jackson import (
     FirstOrthantDivisor,
@@ -111,6 +111,24 @@ def test_jackson_monomial_rule(e, other):
     f = lp({(e, other): [1]})
     got = jackson_derivative(f, 0)
     assert got.coefficient((e - 1, other)) == q_integer(e)
+
+
+@given(st.lists(st.integers(-50, 50), min_size=1, max_size=8), st.integers(1, 12))
+@settings(max_examples=60)
+def test_jackson_q_integer_factor_matches_dense_product(coeffs, e):
+    # the kernel pair's c (1 - q^e) / (1 - q) against the dense c [e]_q
+    f = lp({(e, 1): coeffs})
+    got = jackson_derivative(f, 0)
+    assert got == LaurentQPoly({(e - 1, 1): QPolynomial(coeffs) * q_integer(e)})
+
+
+def test_jackson_derivative_of_series_coefficients(hexagon):
+    # truncated series coefficients keep their own truncated product
+    f = lhs_series(hexagon, 5)
+    got = jackson_derivative(f, 0)
+    for u, c in f.terms.items():
+        if u[0]:
+            assert got.coefficient((u[0] - 1, u[1])) == c * q_integer(u[0])
 
 
 def test_jackson_linearity(square):

@@ -453,6 +453,92 @@ def test_q1_layer_solids_match_reference(solids, name, k):
     assert_matches_reference(solids[name], k)
 
 
+def permuted(P, order):
+    """P with its coordinates taken in the given order."""
+    return Polytope(P.dim, tuple(tuple(v[j] for j in order) for v in P.normals), P.offsets)
+
+
+# last normal entries -1, 0, 1 with one or two of each sign: face rows in closed form
+def closed_form_families(polytopes, solids):
+    out = {}
+    for name in ("hexagon", "simplex_p2", "square_p1xp1", "segment_0", "segment_5"):
+        P = polytopes[name]
+        out[name] = P
+        out[name + "+shift"] = translate(P, (3, -2)[: P.dim])
+        if P.dim == 2:
+            out[name + "^T"] = transpose(P)
+            out[name + "+sheared"] = sheared(P)
+    out["simplex_p2+skewed1"] = skewed(polytopes["simplex_p2"], 1)
+    out["cube"] = solids["cube"]
+    out["simplex3"] = solids["simplex3"]
+    out["hexagon_prism"] = solids["hexagon_prism"]
+    # the hexagon's second coordinate last: two rising and two falling slacks in 3-D
+    out["hexagon_prism_permuted"] = permuted(solids["hexagon_prism"], (2, 0, 1))
+    return out
+
+
+def walked_row_sums(Q):
+    return [
+        (prefix, lo, len(w)) + measures._walk_sums(w)
+        for prefix, lo, w in measures._weight_rows(Q)
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_closed_form_row_sums_match_reference(polytopes, solids, monkeypatch, k):
+    families = closed_form_families(polytopes, solids)
+    for P in families.values():
+        assert_matches_reference(P, k)
+    # the moments above took no weight walk
+    monkeypatch.setattr(measures, "_weight_rows", None)
+    for P in families.values():
+        dilation_moments(P, k)
+
+
+@pytest.mark.parametrize("name,k", [("hexagon", 60), ("simplex_p2", 90), ("square_p1xp1", 40)])
+def test_closed_form_row_sums_match_the_walk_row_by_row(polytopes, solids, name, k):
+    # large dilations: every row's three sums, not only the normalized moments
+    for P in (polytopes[name], permuted(solids["hexagon_prism"], (2, 0, 1))):
+        Q = lattice.dilate(P, k if P.dim == 2 else 6)
+        assert list(measures._row_sums(Q)) == walked_row_sums(Q)
+
+
+# rising and falling slacks that the closed forms do not cover: three of each,
+# or |d_i| >= 2 after the skew
+OCTAGON = Polytope(
+    2,
+    ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (-1, 1), (1, -1)),
+    (0, 0, 3, 3, -1, 5, 2, 2),
+)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_rows_outside_the_closed_forms_take_the_walk(polytopes, monkeypatch, k):
+    walked = []
+    weight_rows = measures._weight_rows
+
+    def spy(Q):
+        walked.append(Q)
+        return weight_rows(Q)
+
+    monkeypatch.setattr(measures, "_weight_rows", spy)
+    for P in (OCTAGON, skewed(polytopes["hexagon"]), skewed(polytopes["simplex_p2"], -2)):
+        walked.clear()
+        assert_matches_reference(P, k)
+        assert lattice.dilate(P, k) in walked
+
+
+def test_closed_form_needs_a_lattice_point_on_the_max_face():
+    # two rising and two falling slacks; the slack sum is largest at the
+    # vertex (2/3, 1/3), so the face has no lattice point until k = 3
+    P = Polytope(2, ((-2, 1), (1, 1), (-1, -1), (3, -1)), (1, 2, 1, 2))
+    assert len(lattice.lattice_points(P)) == 4
+    for k in (1, 2, 4):
+        with pytest.raises(PreconditionError):
+            dilation_moments(P, k)
+    assert dilation_moments(P, 3).point_count == 1
+
+
 @pytest.mark.parametrize("k", [True, 1.0, 0, -1])
 def test_dilation_moments_rejects_bad_factor(hexagon, k):
     with pytest.raises(InvalidInputError):
