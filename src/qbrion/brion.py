@@ -190,37 +190,47 @@ def g_weight(slacks, order):
     return TruncatedQSeries(order, _g_coeffs(slacks, require_count(order, 0, "series order")))
 
 
-def _row_weights(P, start, size):
-    """Yield (u, coefficient list) for every lattice point u: each row of
-    lattice.rows_with_slacks starts from start(slacks); a unit step moves slack
-    i from t_i to t_i + d_i (d_i the last entry of normal i), which multiplies
-    by (q;q)_{t_i} / (q;q)_{t_i + d_i}, padded or cut to size(slacks) entries.
-    The list is then updated in place, so a caller that keeps it copies it."""
+def _row_weights(P, start, degree=None):
+    """Yield (u, coefficient list, degree) for every lattice point u: each row
+    of lattice.rows_with_slacks starts from start(slacks); a unit step moves
+    slack i from t_i to t_i + d_i (d_i the last entry of normal i), which
+    multiplies by (q;q)_{t_i} / (q;q)_{t_i + d_i}, one kernel pass per factor,
+    exact modulo q^len.
+
+    Without degree the list keeps start's length: a series truncated at a
+    fixed order, yielded with degree None.  With degree, every weight is a
+    palindrome of degree D = degree(slacks) (c_j = c_(D-j)) and the list holds
+    only c_0 .. c_(D//2), as start must give it.  A step that lengthens the
+    list fills the new entries j from the last weight's mirror c_(D'-j), or 0
+    past its degree D', before the passes; one that shortens it cuts first.
+    The list is updated in place, so a caller that keeps it copies it."""
     moving = [(i, v[-1]) for i, v in enumerate(P.normals) if v[-1]]
     for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
         coeffs = start(slacks)
-        yield prefix + (lo,), coeffs
+        top = degree(slacks) if degree else None
+        yield prefix + (lo,), coeffs, top
         slacks = list(slacks)
         for t in range(lo + 1, hi + 1):
             for i, d in moving:
                 slacks[i] += d
-            n = size(slacks)
-            coeffs += [0] * (n - len(coeffs))
+            if degree:
+                prev, top = top, degree(slacks)
+                n = top // 2 + 1
+                coeffs += [coeffs[prev - j] if j <= prev else 0 for j in range(len(coeffs), n)]
+                del coeffs[n:]
             for i, d in moving:
                 b = slacks[i]
                 if d < 0:
                     pochhammer_mul_inplace(coeffs, 1, b - d, b + 1)
                 else:
                     pochhammer_div_inplace(coeffs, 1, b, b - d + 1)
-            del coeffs[n:]
-            yield prefix + (t,), coeffs
+            yield prefix + (t,), coeffs, top
 
 
 def _g_weights(P, order):
     """(u, int coefficients of g_weight(slacks(u))) for every lattice point u,
     by the row walk; they do not depend on the evaluation point."""
-    walk = _row_weights(P, lambda s: _g_coeffs(s, order), lambda s: order + 1)
-    return [(u, list(g)) for u, g in walk]
+    return [(u, list(g)) for u, g, _ in _row_weights(P, lambda s: _g_coeffs(s, order))]
 
 
 def lhs_series(P, order):
@@ -234,15 +244,19 @@ def rs_polynomial(P):
 
     Needs radially symmetric normals, which make the slack sum the same
     constant m (the offset sum) at every lattice point, so each coefficient is
-    an exact q-multinomial.  An empty polytope gives the zero polynomial.
-    Each row starts from multinomial_coeffs and is walked by _row_weights at
-    the exact degree (m^2 - sum t_i^2) / 2.
+    an exact q-multinomial, a palindrome of degree D = (m^2 - sum t_i^2) / 2.
+    An empty polytope gives the zero polynomial.  Each row starts from
+    multinomial_coeffs and is walked by _row_weights on the first D//2 + 1
+    coefficients only; the rest are their mirror image.
     """
     lattice.require_radially_symmetric(P)
     m = P.offset_sum()
-    walk = _row_weights(P, lambda s: multinomial_coeffs(m, s),
-                        lambda s: (m * m - sum(t * t for t in s)) // 2 + 1)
-    return LaurentQPoly({u: QPolynomial(c) for u, c in walk})
+
+    def degree(s):
+        return (m * m - sum(t * t for t in s)) // 2
+
+    walk = _row_weights(P, lambda s: multinomial_coeffs(m, s, degree(s) // 2 + 1), degree)
+    return LaurentQPoly({u: QPolynomial(c + c[: D + 1 - len(c)][::-1]) for u, c, D in walk})
 
 
 def _edge_values(x0, vd):

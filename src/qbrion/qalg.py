@@ -20,6 +20,7 @@ from .errors import InvalidInputError, PoleError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_INT_TYPES = frozenset((int,))  # exact coefficient types that need no per-item check
 
 
 def _as_fraction(value):
@@ -31,18 +32,21 @@ def _as_fraction(value):
 
 
 class QPolynomial:
-    """Dense polynomial in q with integer coefficients, lowest degree first."""
+    """Dense polynomial in q with integer coefficients (not bools), lowest
+    degree first."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = list(coeffs)
-        for c in coeffs:
-            if not isinstance(c, int):
-                raise TypeError("QPolynomial coefficients must be int, got %r" % type(c))
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
+        coeffs = tuple(coeffs)
+        if not _INT_TYPES.issuperset(map(type, coeffs)):
+            for c in coeffs:
+                if isinstance(c, bool) or not isinstance(c, int):
+                    raise TypeError("QPolynomial coefficients must be int, got %r" % type(c))
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
+        self.coeffs = coeffs[:n]
 
     @classmethod
     def zero(cls):
@@ -307,12 +311,15 @@ def gaussian_binomial(n, k):
     return q_multinomial(n, (k, n - k))
 
 
-def multinomial_coeffs(m, parts):
+def multinomial_coeffs(m, parts, length=None):
     """[m; parts]_q = (q;q)_m / prod_i (q;q)_(parts_i) as its D + 1 integer
-    coefficients, D = (m^2 - sum parts_i^2) / 2: one largest part t cancels into
-    (q^(t+1);q)_(m-t), the others divide out, exactly modulo q^(D+1)."""
+    coefficients, D = (m^2 - sum parts_i^2) / 2, or as its first length ones:
+    one largest part t cancels into (q^(t+1);q)_(m-t), the others divide out,
+    exactly modulo q^(D+1) (or q^length)."""
     *rest, top = sorted(parts) or [0]
-    out = [1] + [0] * ((m * m - sum(p * p for p in parts)) // 2)
+    if length is None:
+        length = (m * m - sum(p * p for p in parts)) // 2 + 1
+    out = [1] + [0] * (length - 1)
     pochhammer_mul_inplace(out, 1, m, top + 1)
     for p in rest:
         pochhammer_div_inplace(out, 1, p)
@@ -342,24 +349,34 @@ def pochhammer_mul_inplace(out, c, m, first=1, scale=None):
     factors with i >= len(out) are 1 modulo the truncation.  out may hold ints
     or Fractions.  A scale B applies the substitution q -> Bq, under which
     coefficient j of a series becomes B^j times itself: then c_i = c B^i,
-    made a Python int whenever it is whole, so int data stays int.
+    made a Python int whenever it is whole, so int data stays int.  A pass
+    whose c_i is exactly 1 subtracts without the multiply.
     """
     n = len(out)
     for i in range(first, min(m, n - 1) + 1):
         ci = c if scale is None else _scaled(c, scale, i)
-        for j in range(n - 1, i - 1, -1):
-            out[j] -= ci * out[j - i]
+        if ci == 1:
+            for j in range(n - 1, i - 1, -1):
+                out[j] -= out[j - i]
+        else:
+            for j in range(n - 1, i - 1, -1):
+                out[j] -= ci * out[j - i]
 
 
 def pochhammer_div_inplace(out, c, m, first=1, scale=None):
     """out /= prod_{i=first..m} (1 - c_i q^i), in place, modulo q^len(out):
     the inverse of pochhammer_mul_inplace (c_i and scale as there), one pass
-    out[j] += c_i out[j-i] from the bottom up per factor."""
+    out[j] += c_i out[j-i] from the bottom up per factor, without the
+    multiply when c_i is exactly 1."""
     n = len(out)
     for i in range(first, min(m, n - 1) + 1):
         ci = c if scale is None else _scaled(c, scale, i)
-        for j in range(i, n):
-            out[j] += ci * out[j - i]
+        if ci == 1:
+            for j in range(i, n):
+                out[j] += out[j - i]
+        else:
+            for j in range(i, n):
+                out[j] += ci * out[j - i]
 
 
 def q_pochhammer(m):

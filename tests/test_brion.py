@@ -1,12 +1,13 @@
 """Corner-sum identity engine: weights, series, randomized verification."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
-from qbrion import brion, fixtures, lattice
+from qbrion import brion, fixtures, lattice, qalg
 from qbrion.errors import InvalidInputError, PoleError, PreconditionError
-from qbrion.qalg import QPolynomial, TruncatedQSeries, q_pochhammer
+from qbrion.qalg import QPolynomial, TruncatedQSeries, q_multinomial, q_pochhammer
 
 from conftest import (
     dense_factors,
@@ -53,6 +54,15 @@ def _dense_rs(P):
     )
 
 
+def _assert_palindromes(P, rs):
+    # each coefficient [m; t]_q has degree D = (m^2 - sum t_i^2) / 2 and
+    # c_j = c_(D - j)
+    for u, s in lattice.points_with_slacks(P):
+        c = rs.coefficient(u).coeffs
+        assert len(c) == (sum(s) ** 2 - sum(t * t for t in s)) // 2 + 1, u
+        assert c == c[::-1], u
+
+
 # Radially symmetric, not smooth: last normal coordinates 0, 2, -1, -1, so a
 # row step moves one slack by two.
 SLOPED = lattice.Polytope.from_facets(
@@ -66,12 +76,16 @@ SLOPED = lattice.Polytope.from_facets(
 )
 def test_rs_polynomial_matches_dense_multinomials(polytopes, name, k):
     P = lattice.dilate(polytopes[name], k)
-    assert brion.rs_polynomial(P) == _dense_rs(P)
+    rs = brion.rs_polynomial(P)
+    assert rs == _dense_rs(P)
+    _assert_palindromes(P, rs)
 
 
 @pytest.mark.parametrize("name", ["cube", "simplex3", "hexagon_prism"])
 def test_rs_polynomial_matches_dense_multinomials_3d(solids, name):
-    assert brion.rs_polynomial(solids[name]) == _dense_rs(solids[name])
+    rs = brion.rs_polynomial(solids[name])
+    assert rs == _dense_rs(solids[name])
+    _assert_palindromes(solids[name], rs)
 
 
 @pytest.mark.parametrize(
@@ -87,6 +101,58 @@ def test_rs_polynomial_matches_dense_multinomials_edge_cases(P):
     rs = brion.rs_polynomial(P)
     assert rs == _dense_rs(P)
     assert len(rs.terms) == len(lattice.lattice_points(P))
+    _assert_palindromes(P, rs)
+
+
+def test_rs_polynomial_on_a_large_sloped_dilation():
+    # 803 points, degrees up to 2377, row steps that move a slack by 2:
+    # every point is checked for its degree, its palindrome and its value at
+    # q = 1, and a fixed sample against the per-point kernel-built
+    # q-multinomial (the dense oracle takes more than 100 s here)
+    P = lattice.dilate(SLOPED, 5)
+    rs = brion.rs_polynomial(P)
+    points = list(lattice.points_with_slacks(P))
+    assert len(rs.terms) == len(points) == 803
+    _assert_palindromes(P, rs)
+    for u, s in points:
+        value = math.factorial(sum(s))
+        for t in s:
+            value //= math.factorial(t)
+        assert rs.coefficient(u).evaluate(1) == value, u
+    for u, s in points[::40]:
+        assert rs.coefficient(u) == q_multinomial(sum(s), s), u
+
+
+@pytest.mark.parametrize(
+    "P",
+    [fixtures.load("hexagon"), lattice.dilate(fixtures.load("simplex_p2"), 3), SLOPED, lattice.dilate(SLOPED, 3)],
+    ids=["hexagon", "simplex_p2*3", "sloped", "sloped*3"],
+)
+def test_rs_walk_keeps_half_of_each_palindrome(monkeypatch, P):
+    # every kernel pass of the walk, row starts included, runs on at most
+    # D//2 + 1 coefficients of the weight it builds
+    want = brion.rs_polynomial(P)
+    lengths = []
+    for name in ("pochhammer_mul_inplace", "pochhammer_div_inplace"):
+        kernel = getattr(qalg, name)
+
+        def counted(out, *args, kernel=kernel, **kwargs):
+            lengths.append(len(out))
+            return kernel(out, *args, **kwargs)
+
+        for module in (qalg, brion):
+            monkeypatch.setattr(module, name, counted)
+    walk = brion._row_weights
+
+    def checked(*args):
+        for u, c, D in walk(*args):
+            assert len(c) == D // 2 + 1, u
+            assert lengths and max(lengths) <= D // 2 + 1, u
+            lengths.clear()
+            yield u, c, D
+
+    monkeypatch.setattr(brion, "_row_weights", checked)
+    assert brion.rs_polynomial(P) == want
 
 
 # Not radially symmetric, with row steps that move a slack by 2 or 3.

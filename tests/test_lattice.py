@@ -234,8 +234,8 @@ def test_degenerate_segment_has_one_cone_per_facet():
     assert {v.facet_set for v in vs} == {(0,), (1,)}
 
 
-def test_vertex_scan_runs_once_per_polytope(monkeypatch, hexagon):
-    P = lattice.dilate(hexagon, 2)  # a fresh object, not scanned yet
+def test_vertex_scan_runs_once_per_polytope(monkeypatch):
+    P = lattice.dilate(fixtures.load("hexagon"), 2)  # a fresh object, not scanned yet
     solves = []
     row_reduce = lattice.row_reduce
 
@@ -341,6 +341,30 @@ def test_dilate_ehrhart_counts(hexagon):
     for k in (1, 2, 3, 5):
         Q = lattice.dilate(hexagon, k)
         assert len(lattice.lattice_points(Q)) == 3 * k * k + 3 * k + 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_dilation_of_a_scanned_smooth_polytope_scales_its_geometry(polytopes, solids, k):
+    # the dilation takes P's cached scan times k, with no scan of its own,
+    # and every field (the vertex cones too) equals a fresh scan's
+    for name, P in [*polytopes.items(), *solids.items()]:
+        P = Polytope(P.dim, P.normals, P.offsets)
+        assert P.geometry.smooth, name
+        Q = lattice.dilate(P, k)
+        assert "geometry" in vars(Q), name
+        fresh = lattice.Geometry(Q)
+        assert Q.geometry.vertices == fresh.vertices, name
+        assert vars(Q.geometry) == vars(fresh), name
+
+
+def test_dilation_of_a_non_smooth_polytope_is_scanned_anew():
+    # the vertex (0, 1/2) is not integral, but (0, 1) in the dilation is
+    P = Polytope.from_facets(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), 1)])
+    assert any("non-integral" in p for p in P.geometry.problems)
+    Q = lattice.dilate(P, 2)
+    assert "geometry" not in vars(Q)
+    assert not any("non-integral" in p for p in Q.geometry.problems)
+    assert vars(Q.geometry) == vars(lattice.Geometry(Q))
 
 
 @pytest.mark.parametrize("k", [0, -2, True, False, 1.0, 2.0, "2"])

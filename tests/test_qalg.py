@@ -15,6 +15,7 @@ from qbrion.qalg import (
     euler_inverse,
     gaussian_binomial,
     inverse_reversed_pochhammer,
+    multinomial_coeffs,
     pochhammer_finite,
     pochhammer_div_inplace,
     pochhammer_infinite_inverse,
@@ -93,6 +94,10 @@ def test_q_multinomial_matches_pascal_products(parts):
     m = sum(parts)
     assert q_multinomial(m, parts) == dense_multinomial(m, parts)
     assert q_multinomial(m, tuple(reversed(parts))) == dense_multinomial(m, parts)
+    # the first length coefficients alone, exact modulo q^length
+    full = dense_multinomial(m, parts).coeffs
+    for length in (1, len(full) // 2 + 1, len(full)):
+        assert multinomial_coeffs(m, parts, length) == list(full[:length])
 
 
 @given(st.integers(-2, 12), st.integers(-3, 14))
@@ -213,6 +218,50 @@ def test_pochhammer_kernels_under_q_to_scale_q(c, k, m, first, order):
         kernel(scaled, mult, m, first, scale=B)
         assert all(type(a) is int for a in scaled)
         assert scaled == [a * B**j for j, a in enumerate(plain)]
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=14),
+    st.integers(0, 9),
+    st.integers(1, 4),
+)
+@example([1] + [0] * 12, 12, 1)
+@settings(max_examples=60)
+def test_pochhammer_kernel_unit_passes_match_dense_products(data, m, first):
+    # c = 1: every pass adds or subtracts without a multiply; int data stays
+    # int, and int or Fraction data gives the dense product
+    order = len(data) - 1
+    factor = dense_factors(1, range(first, m + 1), order)
+    for values in (list(data), [Fraction(x, 7) for x in data]):
+        base = TruncatedQSeries(order, values)
+        for kernel, want in ((pochhammer_mul_inplace, base * factor), (pochhammer_div_inplace, base * factor.inverse())):
+            out = list(values)
+            kernel(out, 1, m, first)
+            assert [type(x) for x in out] == [type(x) for x in values]
+            assert TruncatedQSeries(order, out) == want
+
+
+@pytest.mark.parametrize(
+    "B, c, first", [(6, Fraction(1, 6), 1), (6, Fraction(1, 36), 2), (5, Fraction(1, 125), 3)]
+)
+def test_pochhammer_kernel_unit_pass_under_q_to_scale_q(B, c, first):
+    # c B^first == 1: the scaled pass at i = first is a unit pass, and the
+    # int result is still B^j times the dense product's coefficient j
+    order, m = 9, 6
+    plain = TruncatedQSeries(order, [j % 4 - 1 for j in range(order + 1)])
+    factor = dense_factors(c, range(first, m + 1), order)
+    for kernel, want in ((pochhammer_mul_inplace, plain * factor), (pochhammer_div_inplace, plain * factor.inverse())):
+        out = [int(a * B**j) for j, a in enumerate(plain.coeffs)]
+        kernel(out, c, m, first, scale=B)
+        assert all(type(a) is int for a in out)
+        assert out == [a * B**j for j, a in enumerate(want.coeffs)]
+
+
+def test_qpolynomial_rejects_non_int_coefficients():
+    assert QPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
+    for bad in ([True, 2], [1, False], [1.0], [Fraction(1, 2)], ["1"]):
+        with pytest.raises(TypeError):
+            QPolynomial(bad)
 
 
 def test_pochhammer_kernel_scale_keeps_a_fraction_multiplier():
