@@ -47,6 +47,7 @@ from .qalg import (
 
 
 _ONE = Fraction(1)
+_UNIT = QPolynomial.one()
 _BOUND, _MAX_ATTEMPTS = 9, 10000  # sampled numerators and denominators lie in [1, _BOUND]
 
 
@@ -138,10 +139,13 @@ class LaurentQPoly:
         if not isinstance(other, LaurentQPoly):
             return NotImplemented
         out = {}
+        # a factor equal to QPolynomial.one() passes the other one through
+        right = [(w, cw, cw == _UNIT) for w, cw in other.terms.items()]
         for u, cu in self.terms.items():
-            for w, cw in other.terms.items():
+            left_one = cu == _UNIT
+            for w, cw, right_one in right:
                 key = tuple(a + b for a, b in zip(u, w))
-                prod = cu * cw
+                prod = cw if left_one else cu if right_one else cu * cw
                 if key in out:
                     prod = out[key] + prod
                 if prod.is_zero:

@@ -10,6 +10,7 @@ produce byte-identical output files; wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -27,6 +28,7 @@ def _write_text(path, text):
 
 
 _encode = json.JSONEncoder().encode  # the C encoder, for keys and scalar leaves
+_INT_ONLY = frozenset((int,))  # exact ints: bool, a subclass, is left out
 
 
 def _json_text(obj):
@@ -58,7 +60,7 @@ def _json_render(obj, pad):
         if not obj:
             return "[]"
         inner = pad + "  "
-        if all(type(x) is int for x in obj):
+        if _INT_ONLY.issuperset(map(type, obj)):
             body = ("%d" + ("," + inner + "%d") * (len(obj) - 1)) % tuple(obj)
         else:
             body = ("," + inner).join(_json_render(x, inner) for x in obj)
@@ -217,15 +219,18 @@ def cmd_heatmap(args):
         if not 0.0 < q < 1.0:
             raise InvalidInputError("q must lie strictly between 0 and 1, got %r" % tok)
         qs.append(q)
+    # one walk over the points for every q: each point's coordinate columns
+    # are written once, each distinct weight's text once per q
+    points, keys = measures._sorted_slacks(Q)
+    header = "\t".join(["u_%d" % (j + 1) for j in range(Q.dim)] + ["weight"]) + "\n"
+    columns = ["\t".join(map(str, point)) + "\t" for point in points]
     written = []
     for tok, q in zip(q_tokens, qs):
-        table = measures.log_weight_table(Q, q)
+        weights = measures._multiset_weights(keys, q)
+        text = {key: repr(w) + "\n" for key, w in weights.items()}
         path = "%s_q%s.tsv" % (args.output, tok)
-        lines = ["\t".join(["u_%d" % (j + 1) for j in range(Q.dim)] + ["weight"])]
-        for point, w in table:
-            lines.append("\t".join([str(x) for x in point] + [repr(w)]))
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header + "".join(map(str.__add__, columns, map(text.__getitem__, keys))))
         written.append(path)
     for path in written:
         print(path)
@@ -323,9 +328,12 @@ def build_parser():
     return parser
 
 
+# built once per process: parse_args reads the parser and changes nothing in it
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidInputError as exc:

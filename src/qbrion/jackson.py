@@ -12,6 +12,7 @@ symmetric polynomials it forms a raising/lowering ladder.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -238,17 +239,20 @@ def raising_operator(f, axis, n, convention="vars_with_one"):
     for level in range(n + 1):
         e_poly = elementary_symmetric(n, level + 1, convention)
         if not e_poly.is_zero and not d.is_zero:
-            out = out + (e_poly * d).scale(q_minus_one ** level)
+            term = e_poly * d
+            out = out + (term.scale(q_minus_one ** level) if level else term)
         if level < n:
             d = jackson_derivative(d, axis)
     return out
 
 
+@functools.cache
 def discriminate_convention():
     """Pick the elementary-symmetric variable family from the n=1 ladder data.
 
     Exactly one convention satisfies R(RS_0) = RS_1 in one variable; that one
     is returned.  (1, x) gives 1 + x which matches, (x) gives x which does not.
+    The data are fixed, so the choice is made once per process.
     """
     base = rogers_szego(1, 0)
     target = rogers_szego(1, 1)
@@ -274,14 +278,17 @@ def verify_ladder(n, max_degree, convention=None):
     rs = [rogers_szego(n, k) for k in range(max_degree + 2)]
     failures = []
     for axis in range(n):
+        # R_i(RS_k) and L_i(RS_k) once each, for k = 0 .. max_degree
+        raised = [raising_operator(f, axis, n, convention) for f in rs[:-1]]
+        lowered = [jackson_derivative(f, axis) for f in rs[:-1]]
         for k in range(1, max_degree + 1):
-            if raising_operator(rs[k - 1], axis, n, convention) != rs[k]:
+            if raised[k - 1] != rs[k]:
                 failures.append(("raising", axis, k))
-            if jackson_derivative(rs[k], axis) != rs[k - 1].scale(q_integer(k)):
+            if lowered[k] != rs[k - 1].scale(q_integer(k)):
                 failures.append(("lowering", axis, k))
         for k in range(max_degree + 1):
-            lr = jackson_derivative(raising_operator(rs[k], axis, n, convention), axis)
-            rl = raising_operator(jackson_derivative(rs[k], axis), axis, n, convention)
+            lr = jackson_derivative(raised[k], axis)
+            rl = raising_operator(lowered[k], axis, n, convention)
             if lr - rl != rs[k].scale(QPolynomial.monomial(k)):
                 failures.append(("commutator", axis, k))
     report = {

@@ -19,6 +19,7 @@ summand per maximal cone of the normal fan, not per geometric point.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import json
@@ -124,7 +125,7 @@ class Polytope:
             seen.add(v)
         if not all(_is_integer(a) for a in self.offsets):
             raise InvalidInputError("facet offsets must be integers")
-        if not self._is_bounded():
+        if not _is_bounded(tuple(self.normals)):
             raise InvalidInputError("the half-space intersection is unbounded")
 
     # -- construction helpers -------------------------------------------------
@@ -203,30 +204,6 @@ class Polytope:
     def is_radially_symmetric(self):
         return all(x == 0 for x in self.normal_sum())
 
-    def _is_bounded(self):
-        """Recession cone check: bounded iff no nonzero u has all <u,v_i> >= 0.
-
-        The normals must span R^n (otherwise the cone contains a line), and no
-        candidate extreme-ray direction (kernel of n-1 independent normals) may
-        satisfy all inequalities.
-        """
-        n = self.dim
-        if len(row_reduce(self.normals, n)[1]) < n:
-            return False
-        for rows in itertools.combinations(self.normals, n - 1):
-            reduced, pivots, _, _ = row_reduce(rows, n)
-            if len(pivots) < n - 1:
-                continue
-            free = next(c for c in range(n) if c not in pivots)
-            ray = [Fraction(0)] * n
-            ray[free] = Fraction(1)
-            for e, p in zip(reduced, pivots):
-                ray[p] = -e[free]
-            for sign in (1, -1):
-                if all(sign * sum(x * y for x, y in zip(ray, v)) >= 0 for v in self.normals):
-                    return False
-        return True
-
     @cached_property
     def geometry(self):
         """The vertex scan, computed on first use and kept: the polytope is immutable."""
@@ -235,6 +212,33 @@ class Polytope:
 
 def _is_integer(x):
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+@functools.lru_cache(maxsize=256)
+def _is_bounded(normals):
+    """Recession cone check: bounded iff no nonzero u has all <u,v_i> >= 0.
+
+    The normals must span R^n (otherwise the cone contains a line), and no
+    candidate extreme-ray direction (kernel of n-1 independent normals) may
+    satisfy all inequalities.  The answer depends on the normals alone, so a
+    dilation or an offset shift of a polytope already built reuses it.
+    """
+    n = len(normals[0])
+    if len(row_reduce(normals, n)[1]) < n:
+        return False
+    for rows in itertools.combinations(normals, n - 1):
+        reduced, pivots, _, _ = row_reduce(rows, n)
+        if len(pivots) < n - 1:
+            continue
+        free = next(c for c in range(n) if c not in pivots)
+        ray = [Fraction(0)] * n
+        ray[free] = Fraction(1)
+        for e, p in zip(reduced, pivots):
+            ray[p] = -e[free]
+        for sign in (1, -1):
+            if all(sign * sum(x * y for x, y in zip(ray, v)) >= 0 for v in normals):
+                return False
+    return True
 
 
 @dataclass(frozen=True)

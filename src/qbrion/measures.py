@@ -31,9 +31,14 @@ from .errors import (
 )
 
 
+_INT_ONLY = frozenset((int,))
+
+
 def _lattice_point(u):
     """u as a tuple of ints, or None unless it is a nonempty sequence of
     integral numbers (bools excluded)."""
+    if type(u) is tuple and u and _INT_ONLY.issuperset(map(type, u)):
+        return u  # already one: the points every measure here is built on
     try:
         entries = tuple(u)
     except TypeError:
@@ -83,19 +88,29 @@ class DiscreteMeasure:
                 raise InvalidInputError("%r is not a lattice point" % (u,))
             dims.add(len(key))
             w = _exact_weight(w, u)
-            if w < 0:
+            if w.numerator < 0:
                 raise InvalidInputError("negative weight at %r" % (u,))
-            if w == 0:
+            if not w.numerator:
                 continue
-            cleaned[key] = cleaned.get(key, 0) + w
+            if key in cleaned:
+                cleaned[key] += w
+            else:
+                cleaned[key] = w
         if len(dims) > 1:
             raise InvalidInputError("points of different dimensions %s" % sorted(dims))
         if not cleaned:
             raise InvalidInputError("measure needs positive total mass")
-        den = math.lcm(*(w.denominator for w in cleaned.values()))
-        nums = {u: w.numerator * (den // w.denominator) for u, w in cleaned.items()}
-        total = sum(nums.values())
-        self.atoms = {u: Fraction(n, total) for u, n in nums.items()}
+        # Over the lcm of the denominators every weight is an int n; equal
+        # weights share one (numerator, denominator) pair, so the scaling and
+        # Fraction(n, total) with its gcd come once per distinct weight.
+        pairs = [(w.numerator, w.denominator) for w in cleaned.values()]
+        dens = {d for _, d in pairs}
+        den = math.lcm(*dens)
+        scale = {d: den // d for d in dens}
+        nums = {pair: pair[0] * scale[pair[1]] for pair in set(pairs)}
+        total = sum(map(nums.__getitem__, pairs))
+        atom = {pair: Fraction(n, total) for pair, n in nums.items()}
+        self.atoms = dict(zip(cleaned, map(atom.__getitem__, pairs)))
 
     def support(self):
         return sorted(self.atoms)
@@ -290,8 +305,10 @@ def mu_measure(P):
 def mu_limit_estimate(P, q):
     """Normalized q-weights w_q(u) proportional to prod_i 1 / (q;q)_{t_i(u)}.
 
-    q must be a rational in (0, 1); everything is exact.  As q -> 1- the
-    result converges to mu_measure(P) in total variation.
+    q must be a rational in (0, 1); everything is exact.  The weight depends
+    only on the multiset of u's slacks, so it is built once per sorted slack
+    tuple.  As q -> 1- the result converges to mu_measure(P) in total
+    variation.
     """
     q = Fraction(q)
     if not 0 < q < 1:
@@ -305,14 +322,54 @@ def mu_limit_estimate(P, q):
         return poch_cache[s]
 
     weights = {}
+    by_multiset = {}
     for point, slacks in lattice.points_with_slacks(P):
-        w = Fraction(1)
-        for s in slacks:
-            w /= poch(s)
+        key = tuple(sorted(slacks))
+        w = by_multiset.get(key)
+        if w is None:
+            w = Fraction(1)
+            for s in key:
+                w /= poch(s)
+            by_multiset[key] = w
         weights[point] = w
     if not weights:
         raise PreconditionError("empty polytope has no limit measure")
     return DiscreteMeasure(weights)
+
+
+def _sorted_slacks(P):
+    """The lattice points of P in lexicographic order, and the sorted slack
+    tuple of each; PreconditionError when there are none."""
+    points, keys = [], []
+    for point, slacks in lattice.points_with_slacks(P):
+        points.append(point)
+        keys.append(tuple(sorted(slacks)))
+    if not points:
+        raise PreconditionError("empty polytope has no weight table")
+    return points, keys
+
+
+def _multiset_weights(keys, q):
+    """{sorted slack tuple: normalized float q-weight} over the distinct keys.
+
+    The log-weight of a key is the sum of its log-Pochhammer terms in sorted
+    order, so equal multisets get bitwise identical weights; the max, the
+    exps and the division come once per key, and fsum runs over one term per
+    point, as keys lists them.
+    """
+    prefix = [0.0]
+
+    def log_poch(s):
+        while len(prefix) <= s:
+            j = len(prefix)
+            prefix.append(prefix[-1] + math.log1p(-(q ** j)))
+        return prefix[s]
+
+    logw = {key: -sum(log_poch(s) for s in key) for key in set(keys)}
+    top = max(logw.values())
+    expd = {key: math.exp(v - top) for key, v in logw.items()}
+    norm = math.fsum(map(expd.__getitem__, keys))
+    return {key: w / norm for key, w in expd.items()}
 
 
 def log_weight_table(P, q):
@@ -324,24 +381,9 @@ def log_weight_table(P, q):
     """
     if not 0.0 < q < 1.0:
         raise InvalidInputError("q must lie strictly between 0 and 1")
-    prefix = [0.0]
-
-    def log_poch(s):
-        while len(prefix) <= s:
-            j = len(prefix)
-            prefix.append(prefix[-1] + math.log1p(-(q ** j)))
-        return prefix[s]
-
-    rows = []
-    for point, slacks in lattice.points_with_slacks(P):
-        logw = -sum(log_poch(s) for s in sorted(slacks))
-        rows.append((point, logw))
-    if not rows:
-        raise PreconditionError("empty polytope has no weight table")
-    top = max(logw for _, logw in rows)
-    expd = [(point, math.exp(logw - top)) for point, logw in rows]
-    norm = math.fsum(w for _, w in expd)
-    return [(point, w / norm) for point, w in expd]
+    points, keys = _sorted_slacks(P)
+    weights = _multiset_weights(keys, q)
+    return list(zip(points, map(weights.__getitem__, keys)))
 
 
 @dataclass(frozen=True)

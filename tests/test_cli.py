@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrion import cli, fixtures, lattice
+from qbrion import cli, fixtures, lattice, measures
 
 
 def run_cli(*args):
@@ -274,6 +274,44 @@ def test_heatmap_rejects_bad_q(fixture_files, tmp_path):
         assert list(tmp_path.glob("x_q*.tsv")) == [], qs
 
 
+def test_heatmap_matches_one_weight_table_per_q(fixture_files, tmp_path, capsys):
+    base = tmp_path / "h"
+    tokens = ("0.2", "0.61", "0.9")
+    argv = ["heatmap", fixture_files["hexagon"], "--dilate", "5", "--q", ",".join(tokens)]
+    assert cli.main(argv + ["--output", str(base)]) == 0
+    assert capsys.readouterr().out.split() == [str(base) + "_q%s.tsv" % tok for tok in tokens]
+    Q = lattice.dilate(fixtures.load("hexagon"), 5)
+    for tok in tokens:
+        lines = ["u_1\tu_2\tweight"]
+        for point, w in measures.log_weight_table(Q, float(tok)):
+            lines.append("\t".join([str(x) for x in point] + [repr(w)]))
+        expected = ("\n".join(lines) + "\n").encode("utf-8")
+        assert (tmp_path / ("h_q%s.tsv" % tok)).read_bytes() == expected, tok
+
+
+def test_heatmap_walks_the_points_once_for_all_q(fixture_files, tmp_path, monkeypatch, capsys):
+    Q = lattice.dilate(fixtures.load("hexagon"), 4)
+    multisets = {tuple(sorted(t)) for _, t in lattice.points_with_slacks(Q)}
+    walks, exps = [], []
+    walk, exp = lattice.points_with_slacks, math.exp
+
+    def counting_walk(P):
+        walks.append(P)
+        return walk(P)
+
+    def counting_exp(x):
+        exps.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(lattice, "points_with_slacks", counting_walk)
+    monkeypatch.setattr(math, "exp", counting_exp)
+    argv = ["heatmap", fixture_files["hexagon"], "--dilate", "4", "--q", "0.2,0.5,0.8"]
+    assert cli.main(argv + ["--output", str(tmp_path / "h")]) == 0
+    capsys.readouterr()
+    assert walks.count(Q) == 1  # validate walks the undilated polytope too
+    assert len(exps) == 3 * len(multisets)
+
+
 # -------------------------------------------------------------------- jackson
 
 
@@ -381,3 +419,47 @@ def test_json_writer_matches_json_dumps(obj):
 def test_json_writer_rejects_keys_that_are_not_str(obj):
     with pytest.raises(TypeError):
         cli._json_text(obj)
+
+
+# ------------------------------------------------------------ repeated calls
+
+
+def _outputs(tmp_path, tag, commands, run):
+    """Run each command with --output under tmp_path/tag; the bytes of every
+    file written, with the stdout of each run, paths made relative."""
+    root = tmp_path / tag
+    root.mkdir()
+    seen = []
+    for i, command in enumerate(commands):
+        out = root / ("c%d" % i)
+        code, stdout = run(command + ["--output", str(out)])
+        seen.append((code, stdout.replace(str(root), "<root>")))
+    files = {p.name: p.read_bytes() for p in sorted(root.iterdir())}
+    return seen, files
+
+
+def test_repeated_main_calls_write_what_fresh_calls_write(fixture_files, tmp_path, capsys):
+    hexagon, trapezoid = fixture_files["hexagon"], fixture_files["trapezoid_f1"]
+    commands = [
+        ["verify", hexagon, "--order", "6", "--theorem1"],
+        ["heatmap", hexagon, "--dilate", "2"],
+        ["verify", hexagon],  # the defaults again, after other values
+        ["measure", trapezoid, "--dilate", "2"],
+        ["jackson", hexagon, "--ladder", "2,2"],
+        ["heatmap", hexagon, "--q", "0.5"],
+        ["jackson", hexagon, "--axis", "1"],
+        ["rs", hexagon],
+        ["validate", trapezoid],
+    ]
+
+    def in_process(argv):
+        code = cli.main(argv)
+        return code, capsys.readouterr().out
+
+    def fresh(argv):
+        r = run_cli(*argv)
+        return r.returncode, r.stdout
+
+    assert _outputs(tmp_path, "in_process", commands, in_process) == _outputs(
+        tmp_path, "fresh", commands, fresh
+    )

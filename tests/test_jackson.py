@@ -328,6 +328,71 @@ def test_ladder_two_variables():
     assert report["raising_ok"] and report["lowering_ok"] and report["commutator_ok"]
 
 
+def _ladder_reference(n, max_degree, convention):
+    """The ladder checks with every operator applied afresh, one identity at
+    a time."""
+    rs = [rogers_szego(n, k) for k in range(max_degree + 2)]
+    failures = []
+    for axis in range(n):
+        for k in range(1, max_degree + 1):
+            if raising_operator(rs[k - 1], axis, n, convention) != rs[k]:
+                failures.append(("raising", axis, k))
+            if jackson_derivative(rs[k], axis) != rs[k - 1].scale(q_integer(k)):
+                failures.append(("lowering", axis, k))
+        for k in range(max_degree + 1):
+            lr = jackson_derivative(raising_operator(rs[k], axis, n, convention), axis)
+            rl = raising_operator(jackson_derivative(rs[k], axis), axis, n, convention)
+            if lr - rl != rs[k].scale(QPolynomial.monomial(k)):
+                failures.append(("commutator", axis, k))
+    return failures
+
+
+@pytest.mark.parametrize("n, max_degree", [(1, 4), (2, 3), (3, 2)])
+@pytest.mark.parametrize("convention", jackson.CONVENTIONS)
+def test_ladder_raises_each_degree_twice_per_axis(monkeypatch, n, max_degree, convention):
+    # R_i(RS_k) and R_i(L_i(RS_k)) for k = 0 .. max_degree: 2 max_degree + 2
+    # raising calls per axis, shared by the raising and commutator checks
+    calls = []
+    raising = jackson.raising_operator
+
+    def counting(f, axis, n_vars, conv="vars_with_one"):
+        calls.append(axis)
+        return raising(f, axis, n_vars, conv)
+
+    monkeypatch.setattr(jackson, "raising_operator", counting)
+    report = verify_ladder(n, max_degree, convention)
+    assert len(calls) == n * (2 * max_degree + 2)
+    monkeypatch.undo()
+    assert report["failures"] == _ladder_reference(n, max_degree, convention)
+    assert report["all_ok"] == (convention == "vars_with_one")
+
+
+def test_discriminate_convention_is_computed_once(monkeypatch):
+    first = discriminate_convention()
+    calls = []
+    raising = jackson.raising_operator
+
+    def counting(*args):
+        calls.append(args)
+        return raising(*args)
+
+    monkeypatch.setattr(jackson, "raising_operator", counting)
+    assert discriminate_convention() == first
+    assert calls == []
+
+
+def test_unit_coefficient_passes_the_other_factor_through():
+    f = lp({(0, 1): [1, 2, 1], (2, 0): [0, 3]})
+    e = lp({(1, 0): [1], (0, 0): [1]})
+    expected = lp({(1, 1): [1, 2, 1], (3, 0): [0, 3], (0, 1): [1, 2, 1], (2, 0): [0, 3]})
+    for prod in (e * f, f * e):
+        assert prod == expected
+        assert prod.terms[(3, 0)] is f.terms[(2, 0)]
+    g = lp({(1, 1): [2, 1]})
+    assert (f * g).terms[(1, 2)] == QPolynomial([2, 5, 4, 1])
+    assert (e * e) == lp({(2, 0): [1], (1, 0): [2], (0, 0): [1]})
+
+
 def test_ladder_lowering_scalar():
     # L(RS_k) = [k]_q RS_{k-1} spot check at k=4
     f = rogers_szego(1, 4)

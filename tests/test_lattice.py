@@ -357,6 +357,33 @@ def test_dilation_of_a_scanned_smooth_polytope_scales_its_geometry(polytopes, so
         assert vars(Q.geometry) == vars(fresh), name
 
 
+def test_polytopes_on_known_normals_skip_the_boundedness_check(monkeypatch, polytopes):
+    # boundedness depends on the normals alone: a dilation, an offset shift or
+    # a derived divisor of a polytope already built does no row reduction
+    built = {name: Polytope(P.dim, P.normals, P.offsets) for name, P in polytopes.items()}
+    solves = []
+    row_reduce = lattice.row_reduce
+
+    def counting(rows, width):
+        solves.append(width)
+        return row_reduce(rows, width)
+
+    monkeypatch.setattr(lattice, "row_reduce", counting)
+    for name, P in built.items():
+        for k in (1, 2, 5):
+            lattice.dilate(P, k)
+        Polytope(P.dim, P.normals, tuple(a + 1 for a in P.offsets))
+        assert solves == [], name
+
+
+def test_unbounded_normals_are_rejected_every_time():
+    for _ in range(2):
+        with pytest.raises(InvalidInputError):
+            Polytope.from_facets(2, [((1, 0), 0), ((0, 1), 0)])
+        with pytest.raises(InvalidInputError):
+            Polytope.from_facets(2, [((1, 0), 3), ((0, 1), 1), ((-1, 1), 2)])
+
+
 def test_dilation_of_a_non_smooth_polytope_is_scanned_anew():
     # the vertex (0, 1/2) is not integral, but (0, 1) in the dilation is
     P = Polytope.from_facets(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), 1)])

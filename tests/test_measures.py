@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qbrion import fixtures, lattice, measures
 from qbrion.errors import EmptyPolytopeError, InvalidInputError, PreconditionError
@@ -98,6 +100,41 @@ def test_measure_moments_exact():
     assert cov == ((Fraction(1),),)
 
 
+def _reference_normalization(weights):
+    """Per-atom normalization: Fraction(w) / the exact total, zeros dropped."""
+    exact = {u: Fraction(w) for u, w in weights.items() if w}
+    total = sum(exact.values())
+    return {u: w / total for u, w in exact.items()}
+
+
+def test_measure_repeated_mixed_weights_match_per_atom_normalization():
+    weights = {
+        (0,): 3, (1,): Fraction(3), (2,): Fraction(1, 6), (3,): 0.5, (4,): Fraction(1, 2),
+        (5,): 3, (6,): 0.1, (7,): Fraction(1, 6), (8,): 0, (9,): Fraction(0), (10,): 0.1,
+    }
+    mu = DiscreteMeasure(weights)
+    ref = _reference_normalization(weights)
+    assert list(mu.atoms.items()) == list(ref.items())
+    assert all(type(w) is Fraction for w in mu.atoms.values())
+    # one Fraction per distinct weight, shared by the atoms that carry it
+    assert len({id(w) for w in mu.atoms.values()}) == len(set(ref.values())) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(
+    st.sampled_from([0, 1, 2, 7, Fraction(1, 3), Fraction(2, 3), Fraction(7, 12), 0.25, 0.1, 2.5]),
+    min_size=1, max_size=30,
+))
+def test_measure_normalization_matches_per_atom_reference(values):
+    weights = {(i, -i): w for i, w in enumerate(values)}
+    if not any(values):
+        with pytest.raises(InvalidInputError):
+            DiscreteMeasure(weights)
+        return
+    mu = DiscreteMeasure(weights)
+    assert list(mu.atoms.items()) == list(_reference_normalization(weights).items())
+
+
 def test_total_variation_basics():
     a = DiscreteMeasure({(0,): 1})
     b = DiscreteMeasure({(1,): 1})
@@ -171,6 +208,46 @@ def test_limit_estimate_rejects_bad_q(hexagon):
         mu_limit_estimate(hexagon, 0)
 
 
+def _limit_reference(P, q):
+    """One Fraction product per lattice point, normalized by the exact sum."""
+    weights = {}
+    for point, slacks in lattice.points_with_slacks(P):
+        w = Fraction(1)
+        for s in slacks:
+            for j in range(1, s + 1):
+                w /= 1 - q ** j
+        weights[point] = w
+    total = sum(weights.values())
+    return {u: w / total for u, w in weights.items()}
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(9, 10)])
+@pytest.mark.parametrize("key", list(fixtures.NAMES) + ["hexagon*3", "trapezoid_f1*4"])
+def test_limit_estimate_matches_per_point_reference(key, q):
+    name, _, k = key.partition("*")
+    P = fixtures.load(name)
+    if k:
+        P = lattice.dilate(P, int(k))
+    est = mu_limit_estimate(P, q)
+    assert list(est.atoms.items()) == list(_limit_reference(P, q).items())
+
+
+def test_limit_estimate_builds_one_weight_per_slack_multiset(monkeypatch, hexagon):
+    P = lattice.dilate(hexagon, 4)
+    built = []
+
+    def capture(weights):
+        built.append(weights)
+        return DiscreteMeasure(weights)
+
+    monkeypatch.setattr(measures, "DiscreteMeasure", capture)
+    mu_limit_estimate(P, Fraction(2, 3))
+    multisets = {tuple(sorted(t)) for _, t in lattice.points_with_slacks(P)}
+    (weights,) = built
+    assert len(weights) == len(lattice.lattice_points(P)) > len(multisets)
+    assert len({id(w) for w in weights.values()}) == len(multisets)
+
+
 # ------------------------------------------------------------- weight tables
 
 
@@ -186,6 +263,45 @@ def test_log_weight_table_bitwise_symmetric(hexagon):
     for u, w in rows.items():
         mirror = (2 * k - u[0], 2 * k - u[1])
         assert rows[mirror] == w  # bitwise, not approximately
+
+
+def _log_weight_reference(P, q):
+    """The weight table one point at a time: sorted-slack log-weights, then
+    the max, the exps, fsum and the division over the point list."""
+    prefix = [0.0]
+    for j in range(1, max(max(t) for _, t in lattice.points_with_slacks(P)) + 1):
+        prefix.append(prefix[-1] + math.log1p(-(q ** j)))
+    rows = [(u, -sum(prefix[s] for s in sorted(t))) for u, t in lattice.points_with_slacks(P)]
+    top = max(logw for _, logw in rows)
+    expd = [(u, math.exp(logw - top)) for u, logw in rows]
+    norm = math.fsum(w for _, w in expd)
+    return [(u, w / norm) for u, w in expd]
+
+
+@pytest.mark.parametrize("q", [0.2, 0.37, 0.9])
+@pytest.mark.parametrize("key", ["hexagon*5", "simplex_p2*6", "trapezoid_f1*3", "segment_5"])
+def test_log_weight_table_matches_per_point_reference(key, q):
+    name, _, k = key.partition("*")
+    P = fixtures.load(name)
+    if k:
+        P = lattice.dilate(P, int(k))
+    assert log_weight_table(P, q) == _log_weight_reference(P, q)  # bitwise
+
+
+def test_log_weight_table_one_exp_per_slack_multiset(monkeypatch, hexagon):
+    P = lattice.dilate(hexagon, 5)
+    multisets = {tuple(sorted(t)) for _, t in lattice.points_with_slacks(P)}
+    calls = []
+    exp = math.exp
+
+    def counting(x):
+        calls.append(x)
+        return exp(x)
+
+    monkeypatch.setattr(math, "exp", counting)
+    rows = log_weight_table(P, 0.6)
+    assert len(rows) > len(multisets)
+    assert len(calls) == len(multisets)
 
 
 def test_log_weight_table_tracks_exact_weights(hexagon):
