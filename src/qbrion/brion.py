@@ -194,47 +194,54 @@ def g_weight(slacks, order):
     return TruncatedQSeries(order, _g_coeffs(slacks, require_count(order, 0, "series order")))
 
 
-def _row_weights(P, start, degree=None):
-    """Yield (u, coefficient list, degree) for every lattice point u: each row
-    of lattice.rows_with_slacks starts from start(slacks); a unit step moves
-    slack i from t_i to t_i + d_i (d_i the last entry of normal i), which
-    multiplies by (q;q)_{t_i} / (q;q)_{t_i + d_i}, one kernel pass per factor,
-    exact modulo q^len.
+def _row_weights(P, start, length):
+    """Yield (u, coefficient list) for every lattice point u, one list per
+    multiset of slacks: each point is keyed by its sorted slack tuple, and a
+    multiset already seen takes its shared list, with no kernel pass.
 
-    Without degree the list keeps start's length: a series truncated at a
-    fixed order, yielded with degree None.  With degree, every weight is a
-    palindrome of degree D = degree(slacks) (c_j = c_(D-j)) and the list holds
-    only c_0 .. c_(D//2), as start must give it.  A step that lengthens the
-    list fills the new entries j from the last weight's mirror c_(D'-j), or 0
-    past its degree D', before the passes; one that shortens it cuts first.
-    The list is updated in place, so a caller that keeps it copies it."""
+    A new multiset at a row's first point (rows from
+    lattice.rows_with_slacks) starts from start(key).  At a later point it
+    copies the previous point's list, cut or padded with zeros to
+    length(key), and takes the unit step: slack i moves from t_i to
+    t_i + d_i (d_i the last entry of normal i), which multiplies by
+    (q;q)_{t_i} / (q;q)_{t_i + d_i}, one kernel pass per factor.  That is
+    exact modulo q^length(key): the previous weight is a polynomial or a
+    series already truncated at that order, and the step is a power series.
+    Every point with the same multiset gets the same list object; callers
+    must not mutate it."""
     moving = [(i, v[-1]) for i, v in enumerate(P.normals) if v[-1]]
+    shared = {}
     for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
-        coeffs = start(slacks)
-        top = degree(slacks) if degree else None
-        yield prefix + (lo,), coeffs, top
+        key = tuple(sorted(slacks))
+        coeffs = shared.get(key)
+        if coeffs is None:
+            coeffs = shared[key] = start(key)
+        yield prefix + (lo,), coeffs
         slacks = list(slacks)
         for t in range(lo + 1, hi + 1):
             for i, d in moving:
                 slacks[i] += d
-            if degree:
-                prev, top = top, degree(slacks)
-                n = top // 2 + 1
-                coeffs += [coeffs[prev - j] if j <= prev else 0 for j in range(len(coeffs), n)]
-                del coeffs[n:]
-            for i, d in moving:
-                b = slacks[i]
-                if d < 0:
-                    pochhammer_mul_inplace(coeffs, 1, b - d, b + 1)
-                else:
-                    pochhammer_div_inplace(coeffs, 1, b, b - d + 1)
-            yield prefix + (t,), coeffs, top
+            key = tuple(sorted(slacks))
+            prev, coeffs = coeffs, shared.get(key)
+            if coeffs is None:
+                n = length(key)
+                coeffs = prev[:n]
+                coeffs += [0] * (n - len(coeffs))
+                for i, d in moving:
+                    b = slacks[i]
+                    if d < 0:
+                        pochhammer_mul_inplace(coeffs, 1, b - d, b + 1)
+                    else:
+                        pochhammer_div_inplace(coeffs, 1, b, b - d + 1)
+                shared[key] = coeffs
+            yield prefix + (t,), coeffs
 
 
 def _g_weights(P, order):
     """(u, int coefficients of g_weight(slacks(u))) for every lattice point u,
-    by the row walk; they do not depend on the evaluation point."""
-    return [(u, list(g)) for u, g, _ in _row_weights(P, lambda s: _g_coeffs(s, order))]
+    by the row walk; they do not depend on the evaluation point.  Points with
+    the same slack multiset share one list, which callers only read."""
+    return list(_row_weights(P, lambda s: _g_coeffs(s, order), lambda s: order + 1))
 
 
 def lhs_series(P, order):
@@ -248,19 +255,25 @@ def rs_polynomial(P):
 
     Needs radially symmetric normals, which make the slack sum the same
     constant m (the offset sum) at every lattice point, so each coefficient is
-    an exact q-multinomial, a palindrome of degree D = (m^2 - sum t_i^2) / 2.
-    An empty polytope gives the zero polynomial.  Each row starts from
-    multinomial_coeffs and is walked by _row_weights on the first D//2 + 1
-    coefficients only; the rest are their mirror image.
+    an exact q-multinomial of degree D = (m^2 - sum t_i^2) / 2.  An empty
+    polytope gives the zero polynomial.  The coefficients come from
+    _row_weights, a row's first multinomial from multinomial_coeffs; every
+    point with the same slack multiset holds the same QPolynomial object.
     """
     lattice.require_radially_symmetric(P)
     m = P.offset_sum()
 
-    def degree(s):
-        return (m * m - sum(t * t for t in s)) // 2
+    def length(s):
+        return (m * m - sum(t * t for t in s)) // 2 + 1
 
-    walk = _row_weights(P, lambda s: multinomial_coeffs(m, s, degree(s) // 2 + 1), degree)
-    return LaurentQPoly({u: QPolynomial(c + c[: D + 1 - len(c)][::-1]) for u, c, D in walk})
+    polys, terms = {}, {}
+    # the walk keeps every list it yields alive, so their ids stay distinct
+    for u, c in _row_weights(P, lambda s: multinomial_coeffs(m, s), length):
+        poly = polys.get(id(c))
+        if poly is None:
+            poly = polys[id(c)] = QPolynomial(c)
+        terms[u] = poly
+    return LaurentQPoly(terms)
 
 
 def _edge_values(x0, vd):

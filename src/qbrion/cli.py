@@ -37,14 +37,18 @@ def _json_text(obj):
 
     json runs its C encoder only without an indent, so the layout is written
     here and only keys and scalar leaves go through the encoder.  A list of
-    exact ints is one "%d" template.  Object keys must be str (TypeError
-    otherwise).
+    exact ints is one "%d" template.  A list or tuple object that occurs more
+    than once (such as the coefficient tuple that rs shares between points
+    with the same slack multiset) is rendered once per indent.  Object keys
+    must be str (TypeError otherwise).
     """
-    return _json_render(obj, "\n") + "\n"
+    return _json_render(obj, "\n", {}) + "\n"
 
 
-def _json_render(obj, pad):
-    # pad is the newline plus the indent of the line that holds obj
+def _json_render(obj, pad, memo):
+    # pad is the newline plus the indent of the line that holds obj; memo maps
+    # (id, pad) of a list or tuple inside obj, alive for the whole call, to
+    # its text
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -53,23 +57,27 @@ def _json_render(obj, pad):
                 raise TypeError("JSON object keys must be str, not %s" % type(key).__name__)
         inner = pad + "  "
         body = ("," + inner).join(
-            _encode(key) + ": " + _json_render(obj[key], inner) for key in sorted(obj)
+            _encode(key) + ": " + _json_render(obj[key], inner, memo) for key in sorted(obj)
         )
         return "{" + inner + body + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        inner = pad + "  "
-        if _INT_ONLY.issuperset(map(type, obj)):
-            body = ("%d" + ("," + inner + "%d") * (len(obj) - 1)) % tuple(obj)
-        else:
-            body = ("," + inner).join(_json_render(x, inner) for x in obj)
-        return "[" + inner + body + pad + "]"
+        text = memo.get((id(obj), pad))
+        if text is None:
+            inner = pad + "  "
+            if _INT_ONLY.issuperset(map(type, obj)):
+                body = ("%d" + ("," + inner + "%d") * (len(obj) - 1)) % tuple(obj)
+            else:
+                body = ("," + inner).join(_json_render(x, inner, memo) for x in obj)
+            text = memo[(id(obj), pad)] = "[" + inner + body + pad + "]"
+        return text
     return _encode(obj)
 
 
 def _exponent_key(u):
-    return json.dumps(list(u))
+    # json.dumps(list(u)) for a tuple of ints
+    return "[%s]" % ", ".join(map(str, u))
 
 
 def _coeff_json(c):
@@ -221,7 +229,9 @@ def cmd_heatmap(args):
         qs.append(q)
     # one walk over the points for every q: each point's coordinate columns
     # are written once, each distinct weight's text once per q
-    points, keys = measures._sorted_slacks(Q)
+    points, keys = lattice.sorted_slacks(Q)
+    if not points:
+        raise PreconditionError("empty polytope has no weight table")
     header = "\t".join(["u_%d" % (j + 1) for j in range(Q.dim)] + ["weight"]) + "\n"
     columns = ["\t".join(map(str, point)) + "\t" for point in points]
     written = []

@@ -469,6 +469,17 @@ def points_with_slacks(P):
             slacks = tuple(map(operator.add, slacks, last_steps))
 
 
+def sorted_slacks(P):
+    """The lattice points of P in lexicographic order and the sorted slack
+    tuple of each, as two lists: every weight that depends only on the
+    multiset of a point's slacks is keyed by that tuple."""
+    points, keys = [], []
+    for point, slacks in points_with_slacks(P):
+        points.append(point)
+        keys.append(tuple(sorted(slacks)))
+    return points, keys
+
+
 def dilate(P, k):
     """k-fold dilation: same normals, offsets scaled by the positive integer k.
 

@@ -13,6 +13,7 @@ matrix is the Hessian sum_i v_i v_i^T / t_i at that minimizer.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 import numbers
@@ -76,7 +77,8 @@ class DiscreteMeasure:
     are ints (bools excluded), Fractions or finite floats, taken exactly;
     anything else is an InvalidInputError.  Weights are normalized at
     construction, once, over one common denominator; zero weights are
-    dropped.
+    dropped.  The moments behind mean() and covariance() are computed once,
+    on first use, so atoms is not to be mutated.
     """
 
     def __init__(self, weights):
@@ -121,19 +123,21 @@ class DiscreteMeasure:
     def dim(self):
         return len(next(iter(self.atoms)))
 
+    @functools.cached_property
     def _moment_data(self):
-        # one-point rows; the moments are normalized, so the atoms taken over
-        # one common denominator keep the accumulator on ints
+        # once per measure, on first use: one-point rows; the moments are
+        # normalized, so the atoms taken over one common denominator keep the
+        # accumulator on ints
         den = math.lcm(*(w.denominator for w in self.atoms.values()))
         rows = ((u[:-1], u[-1], 1, w.numerator * (den // w.denominator), 0, 0)
                 for u, w in self.atoms.items())
         return _moments(rows, self.dim())
 
     def mean(self):
-        return self._moment_data().mean
+        return self._moment_data.mean
 
     def covariance(self):
-        return self._moment_data().covariance
+        return self._moment_data.covariance
 
     def convolve(self, other):
         out = {}
@@ -321,32 +325,17 @@ def mu_limit_estimate(P, q):
             poch_cache.append(poch_cache[-1] * (1 - q ** j))
         return poch_cache[s]
 
-    weights = {}
-    by_multiset = {}
-    for point, slacks in lattice.points_with_slacks(P):
-        key = tuple(sorted(slacks))
-        w = by_multiset.get(key)
-        if w is None:
-            w = Fraction(1)
-            for s in key:
-                w /= poch(s)
-            by_multiset[key] = w
-        weights[point] = w
-    if not weights:
-        raise PreconditionError("empty polytope has no limit measure")
-    return DiscreteMeasure(weights)
-
-
-def _sorted_slacks(P):
-    """The lattice points of P in lexicographic order, and the sorted slack
-    tuple of each; PreconditionError when there are none."""
-    points, keys = [], []
-    for point, slacks in lattice.points_with_slacks(P):
-        points.append(point)
-        keys.append(tuple(sorted(slacks)))
+    points, keys = lattice.sorted_slacks(P)
     if not points:
-        raise PreconditionError("empty polytope has no weight table")
-    return points, keys
+        raise PreconditionError("empty polytope has no limit measure")
+    by_multiset = {}
+    for key in set(keys):
+        w = Fraction(1)
+        for s in key:
+            w /= poch(s)
+        by_multiset[key] = w
+    weights = dict(zip(points, map(by_multiset.__getitem__, keys)))
+    return DiscreteMeasure(weights)
 
 
 def _multiset_weights(keys, q):
@@ -381,7 +370,9 @@ def log_weight_table(P, q):
     """
     if not 0.0 < q < 1.0:
         raise InvalidInputError("q must lie strictly between 0 and 1")
-    points, keys = _sorted_slacks(P)
+    points, keys = lattice.sorted_slacks(P)
+    if not points:
+        raise PreconditionError("empty polytope has no weight table")
     weights = _multiset_weights(keys, q)
     return list(zip(points, map(weights.__getitem__, keys)))
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qbrion import brion, fixtures, lattice, qalg
+from qbrion import brion, fixtures, lattice
 from qbrion.errors import InvalidInputError, PoleError, PreconditionError
 from qbrion.qalg import QPolynomial, TruncatedQSeries, q_multinomial, q_pochhammer
 
@@ -128,31 +128,51 @@ def test_rs_polynomial_on_a_large_sloped_dilation():
     [fixtures.load("hexagon"), lattice.dilate(fixtures.load("simplex_p2"), 3), SLOPED, lattice.dilate(SLOPED, 3)],
     ids=["hexagon", "simplex_p2*3", "sloped", "sloped*3"],
 )
-def test_rs_walk_keeps_half_of_each_palindrome(monkeypatch, P):
-    # every kernel pass of the walk, row starts included, runs on at most
-    # D//2 + 1 coefficients of the weight it builds
-    want = brion.rs_polynomial(P)
-    lengths = []
+def test_rs_walk_steps_only_into_new_multisets(monkeypatch, P):
+    # kernel passes run only on a step into a slack multiset the walk has not
+    # seen, a row starts from at most one multinomial, and every point with
+    # the same multiset holds the same coefficient object
+    slacks = dict(lattice.points_with_slacks(P))
+    keys = {u: tuple(sorted(s)) for u, s in slacks.items()}
+    events = []
     for name in ("pochhammer_mul_inplace", "pochhammer_div_inplace"):
-        kernel = getattr(qalg, name)
+        kernel = getattr(brion, name)
 
         def counted(out, *args, kernel=kernel, **kwargs):
-            lengths.append(len(out))
+            events.append("pass")
             return kernel(out, *args, **kwargs)
 
-        for module in (qalg, brion):
-            monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(brion, name, counted)
+    multinomial = brion.multinomial_coeffs
+
+    def started(*args):
+        events.append("start")
+        return multinomial(*args)
+
+    monkeypatch.setattr(brion, "multinomial_coeffs", started)
     walk = brion._row_weights
+    seen, starts, lists = set(), {}, {}
+    passes = 0
 
     def checked(*args):
-        for u, c, D in walk(*args):
-            assert len(c) == D // 2 + 1, u
-            assert lengths and max(lengths) <= D // 2 + 1, u
-            lengths.clear()
-            yield u, c, D
+        nonlocal passes
+        for u, c in walk(*args):
+            if events:
+                assert keys[u] not in seen, u
+            starts[u[:-1]] = starts.get(u[:-1], 0) + events.count("start")
+            passes += events.count("pass")
+            events.clear()
+            seen.add(keys[u])
+            lists.setdefault(keys[u], c)
+            assert c is lists[keys[u]], u
+            yield u, c
 
     monkeypatch.setattr(brion, "_row_weights", checked)
-    assert brion.rs_polynomial(P) == want
+    rs = brion.rs_polynomial(P)
+    assert rs == _dense_rs(P)
+    assert max(starts.values()) <= 1
+    assert passes > 0
+    assert len({id(c) for c in rs.terms.values()}) == len(set(keys.values())) == len(lists)
 
 
 # Not radially symmetric, with row steps that move a slack by 2 or 3.

@@ -415,6 +415,28 @@ def test_json_writer_matches_json_dumps(obj):
     assert cli._json_text(obj) == _json_oracle(obj)
 
 
+_SHARED = (3, 1, 4, 1, 5)
+_SHARED_LIST = [True, None, 2.5, "x", [7, 8]]
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        # one tuple at two depths: rendered at each indent
+        {"a": _SHARED, "b": [_SHARED, {"c": _SHARED}]},
+        [_SHARED, [[_SHARED]]],
+        # one tuple repeated at one depth
+        {"[0, 0]": _SHARED, "[0, 1]": _SHARED, "[1, 0]": _SHARED},
+        [_SHARED] * 4,
+        # one list that is a dict value and an element of a nested list
+        {"a": _SHARED_LIST, "b": [[_SHARED_LIST], _SHARED_LIST], "c": [{"d": _SHARED_LIST}]},
+    ],
+    ids=["two-depths", "two-depths-list", "one-depth", "one-depth-list", "value-and-element"],
+)
+def test_json_writer_renders_shared_objects_like_json_dumps(obj):
+    assert cli._json_text(obj) == _json_oracle(obj)
+
+
 @pytest.mark.parametrize("obj", [{1: 2}, {None: 1}, {(1, 2): 3}, {"a": [{2.5: 1}]}])
 def test_json_writer_rejects_keys_that_are_not_str(obj):
     with pytest.raises(TypeError):

@@ -328,6 +328,13 @@ def test_rows_with_slacks_of_an_empty_polytope():
     assert list(lattice.points_with_slacks(P)) == []
 
 
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_sorted_slacks_lists_points_with_their_multisets(polytopes, name):
+    P = lattice.dilate(polytopes[name], 2)
+    flat = list(lattice.points_with_slacks(P))
+    assert lattice.sorted_slacks(P) == ([u for u, _ in flat], [tuple(sorted(s)) for _, s in flat])
+
+
 def test_slack_sum_constant_on_radially_symmetric(polytopes):
     for name in ("segment_5", "hexagon", "simplex_p2", "square_p1xp1"):
         P = polytopes[name]

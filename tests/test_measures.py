@@ -100,6 +100,39 @@ def test_measure_moments_exact():
     assert cov == ((Fraction(1),),)
 
 
+def test_measure_moments_computed_once(monkeypatch, hexagon):
+    mu = mu_measure(lattice.dilate(hexagon, 3))
+    want_mean = tuple(sum(w * u[j] for u, w in mu.atoms.items()) for j in range(2))
+    want_cov = tuple(
+        tuple(
+            sum(w * u[j] * u[l] for u, w in mu.atoms.items()) - want_mean[j] * want_mean[l]
+            for l in range(2)
+        )
+        for j in range(2)
+    )
+    calls = []
+    moments = measures._moments
+
+    def counted(rows, dim):
+        calls.append(dim)
+        return moments(rows, dim)
+
+    monkeypatch.setattr(measures, "_moments", counted)
+    assert mu.mean() == want_mean
+    assert mu.covariance() == want_cov
+    assert mu.mean() == want_mean
+    assert len(calls) == 1
+
+
+def test_empty_polytope_weight_tables_raise_their_own_errors():
+    P = Polytope(1, ((1,), (-1,)), (-3, 1))  # 3 <= u <= 1
+    assert lattice.sorted_slacks(P) == ([], [])
+    with pytest.raises(PreconditionError, match="no weight table"):
+        log_weight_table(P, 0.5)
+    with pytest.raises(PreconditionError, match="no limit measure"):
+        mu_limit_estimate(P, Fraction(1, 2))
+
+
 def _reference_normalization(weights):
     """Per-atom normalization: Fraction(w) / the exact total, zeros dropped."""
     exact = {u: Fraction(w) for u, w in weights.items() if w}

@@ -94,10 +94,7 @@ def test_q_multinomial_matches_pascal_products(parts):
     m = sum(parts)
     assert q_multinomial(m, parts) == dense_multinomial(m, parts)
     assert q_multinomial(m, tuple(reversed(parts))) == dense_multinomial(m, parts)
-    # the first length coefficients alone, exact modulo q^length
-    full = dense_multinomial(m, parts).coeffs
-    for length in (1, len(full) // 2 + 1, len(full)):
-        assert multinomial_coeffs(m, parts, length) == list(full[:length])
+    assert multinomial_coeffs(m, parts) == list(dense_multinomial(m, parts).coeffs)
 
 
 @given(st.integers(-2, 12), st.integers(-3, 14))
