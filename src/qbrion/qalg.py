@@ -221,6 +221,17 @@ class TruncatedQSeries:
             return NotImplemented
         return self + (-other)
 
+    def __radd__(self, other):
+        # QPolynomial + series: the polynomial cut to this order, as in __add__
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
+        return self + other
+
+    def __rsub__(self, other):
+        if not isinstance(other, QPolynomial):
+            return NotImplemented
+        return -self + other
+
     def __neg__(self):
         return TruncatedQSeries(self.order, [-c for c in self.coeffs])
 
@@ -332,26 +343,22 @@ def q_multinomial(m, parts):
     return QPolynomial(multinomial_coeffs(m, parts))
 
 
-def _scaled(c, scale, i):
-    """c scale^i, as a Python int when it is whole."""
-    whole, rest = divmod(c.numerator * scale**i, c.denominator)
-    return Fraction(c) * scale**i if rest else whole
+def pochhammer_mul_inplace(out, c, m, first=1):
+    """out *= prod_{i=first..m} (1 - c_i q^i), which is (c q; q)_m for
+    c_i = c and first = 1, in place, modulo q^len(out).
 
-
-def pochhammer_mul_inplace(out, c, m, first=1, scale=None):
-    """out *= prod_{i=first..m} (1 - c_i q^i), c_i = c, which is (c q; q)_m
-    for first = 1, in place, modulo q^len(out).
-
-    Each factor is one pass out[j] -= c_i out[j-i] from the top down, O(len(out));
-    factors with i >= len(out) are 1 modulo the truncation.  out may hold ints
-    or Fractions.  A scale B applies the substitution q -> Bq, under which
-    coefficient j of a series becomes B^j times itself: then c_i = c B^i,
-    made a Python int whenever it is whole, so int data stays int.  A pass
-    whose c_i is exactly 1 subtracts without the multiply.
+    c is a number, every c_i = c, or a table, a list whose entry i is c_i
+    (entry 0 is not read).  A table of c B^i carries out the substitution
+    q -> Bq, under which coefficient j of a series becomes B^j times itself;
+    with whole entries, int data stays int.  Each factor is one pass
+    out[j] -= c_i out[j-i] from the top down, O(len(out)), without the
+    multiply when c_i is exactly 1; factors with i >= len(out) are 1 modulo
+    the truncation.  out may hold ints or Fractions.
     """
     n = len(out)
+    table = c if isinstance(c, list) else None
     for i in range(first, min(m, n - 1) + 1):
-        ci = c if scale is None else _scaled(c, scale, i)
+        ci = c if table is None else table[i]
         if ci == 1:
             for j in range(n - 1, i - 1, -1):
                 out[j] -= out[j - i]
@@ -360,14 +367,15 @@ def pochhammer_mul_inplace(out, c, m, first=1, scale=None):
                 out[j] -= ci * out[j - i]
 
 
-def pochhammer_div_inplace(out, c, m, first=1, scale=None):
+def pochhammer_div_inplace(out, c, m, first=1):
     """out /= prod_{i=first..m} (1 - c_i q^i), in place, modulo q^len(out):
-    the inverse of pochhammer_mul_inplace (c_i and scale as there), one pass
-    out[j] += c_i out[j-i] from the bottom up per factor, without the
-    multiply when c_i is exactly 1."""
+    the inverse of pochhammer_mul_inplace (c a number or a table as there),
+    one pass out[j] += c_i out[j-i] from the bottom up per factor, without
+    the multiply when c_i is exactly 1."""
     n = len(out)
+    table = c if isinstance(c, list) else None
     for i in range(first, min(m, n - 1) + 1):
-        ci = c if scale is None else _scaled(c, scale, i)
+        ci = c if table is None else table[i]
         if ci == 1:
             for j in range(i, n):
                 out[j] += out[j - i]

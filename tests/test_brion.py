@@ -424,6 +424,153 @@ def test_verify_identity_enumerates_each_vertex_once(monkeypatch, hexagon):
     assert calls == lattice.enumerate_vertices(P)
 
 
+# ------------------------------------------------------ per-point tables
+
+PER_POINT = [
+    fixtures.load("hexagon"),
+    lattice.dilate(fixtures.load("simplex_p2"), 3),
+    translate(fixtures.load("trapezoid_f1"), (3, -2)),
+]
+PER_POINT_IDS = ["hexagon", "simplex_p2*3", "trapezoid+(3,-2)"]
+
+
+def _check_report_points(P, report, order):
+    """Both sides at every point the report sampled equal the Fraction
+    reference path."""
+    assert report.equal
+    for coords in report.points:
+        x0 = tuple(Fraction(c) for c in coords)
+        assert brion.rhs_series_at(P, x0, order) == reference_corner_sum(P, x0, order)
+        assert brion.lhs_value_at(P, x0, order) == reference_lhs(P, x0, order)
+
+
+@pytest.mark.parametrize("P", PER_POINT, ids=PER_POINT_IDS)
+def test_verify_identity_takes_each_valuation_once(monkeypatch, P):
+    # the kept degree vectors and their valuations do not depend on the
+    # point: one valuation per (vertex, degree vector) for all trials
+    order, calls = 8, {}
+    valuation = lattice.corner_degree_valuation
+
+    def counting(P, vd, b):
+        calls[vd, b] = calls.get((vd, b), 0) + 1
+        return valuation(P, vd, b)
+
+    monkeypatch.setattr(lattice, "corner_degree_valuation", counting)
+    report = brion.verify_identity(P, order=order, trials=3, seed=2)
+    monkeypatch.undo()
+    want = {(vd, b) for vd in lattice.enumerate_vertices(P)
+            for b in lattice.enumerate_corner_degrees(P, vd, order)}
+    assert set(calls) == want
+    assert set(calls.values()) == {1}
+    _check_report_points(P, report, order)
+
+
+@pytest.mark.parametrize("P", PER_POINT, ids=PER_POINT_IDS)
+def test_verify_identity_builds_one_table_per_value_and_point(monkeypatch, P):
+    # per trial point, one table per distinct value among the edge values c,
+    # the 1/c a positive degree entry needs, and 1 (the powers of B); entry
+    # i >= 1 of the table of c is the int c B^i
+    order, built = 8, []
+
+    class Recording(brion._Tables):
+        def __init__(self, B, order):
+            super().__init__(B, order)
+            self.made = []
+            built.append(self)
+
+        def __missing__(self, c):
+            self.made.append(c)
+            return super().__missing__(c)
+
+    monkeypatch.setattr(brion, "_Tables", Recording)
+    report = brion.verify_identity(P, order=order, trials=3, seed=2)
+    monkeypatch.undo()
+    assert len(built) == 3
+    vertices = lattice.enumerate_vertices(P)
+    for tables, coords in zip(built, report.points):
+        x0 = tuple(Fraction(c) for c in coords)
+        values = {brion.monomial_value(x0, e) for vd in vertices for e in vd.edge_dirs}
+        B = math.lcm(*(x for c in values for x in (c.numerator, c.denominator)))
+        made = [Fraction(*c) for c in tables.made]
+        assert len(made) == len(set(made))
+        assert values <= set(made) <= values | {1 / c for c in values}
+        assert set(tables) == {(1, 1), *tables.made}
+        assert tables[1, 1] == [B**i for i in range(order + 1)]
+        for c, table in tables.items():
+            assert len(table) == order + 1
+            assert all(type(x) is int for x in table)
+            assert table[1:] == [Fraction(*c) * B**i for i in range(1, order + 1)]
+    _check_report_points(P, report, order)
+
+
+@pytest.mark.parametrize("P", PER_POINT, ids=PER_POINT_IDS)
+def test_verify_identity_adds_one_pass_per_slack_multiset(monkeypatch, P):
+    # the lattice-point side reads each shared weight list once per point:
+    # one multiply-add pass per slack multiset, not one per lattice point
+    order, lists = 8, []
+
+    class Counted(list):
+        passes = 0
+
+        def __iter__(self):
+            self.passes += 1
+            return super().__iter__()
+
+    g_weights = brion._g_weights
+
+    def counted(P, k):
+        out, seen = [], {}
+        for u, g in g_weights(P, k):
+            c = seen.get(id(g))
+            if c is None:
+                c = seen[id(g)] = Counted(g)
+                lists.append(c)
+            out.append((u, c))
+        return out
+
+    monkeypatch.setattr(brion, "_g_weights", counted)
+    report = brion.verify_identity(P, order=order, trials=3, seed=2)
+    monkeypatch.undo()
+    multisets = {tuple(sorted(s)) for _, s in lattice.points_with_slacks(P)}
+    assert len(lists) == len(multisets) < len(lattice.lattice_points(P))
+    assert [c.passes for c in lists] == [3] * len(lists)
+    if P.is_radially_symmetric():
+        # the finite-form side groups before it slices
+        weights = brion.rs_polynomial(P)._weights(order)
+        assert len({id(w) for _, w in weights}) == len(multisets)
+    _check_report_points(P, report, order)
+
+
+@pytest.mark.parametrize("P", PER_POINT, ids=PER_POINT_IDS)
+def test_verify_identity_samples_the_generic_points(P):
+    # the edge values come along with the point; the draws do not change
+    for seed in (0, 1, 7, 123):
+        report = brion.verify_identity(P, order=4, trials=1, seed=seed)
+        assert tuple(Fraction(c) for c in report.points[0]) == brion.sample_generic_point(P, seed)
+        _check_report_points(P, report, 4)
+
+
+@pytest.mark.parametrize("P", PER_POINT, ids=PER_POINT_IDS)
+def test_lhs_series_shares_one_series_per_slack_multiset(P):
+    K = 6
+    series = brion.lhs_series(P, K)
+    points = list(lattice.points_with_slacks(P))
+    assert series.terms == {u: brion.g_weight(s, K) for u, s in points}
+    assert len({id(s) for s in series.terms.values()}) == len({tuple(sorted(s)) for _, s in points})
+    x0 = brion.sample_generic_point(P, seed=3)
+    assert series.evaluate_series(x0, K) == reference_lhs(P, x0, K)
+
+
+def test_lhs_series_missing_coefficient_adds_on_either_side(hexagon):
+    # a missing coefficient is QPolynomial.zero(), which adds to a series
+    # from the left as from the right
+    f = brion.lhs_series(hexagon, 5)
+    zero, c = f.coefficient((99, 99)), f.coefficient((0, 0))
+    assert zero + c == c + zero == c
+    assert zero - c == -c
+    assert c - zero == c
+
+
 # ----------------------------------------------------- finite-form coherence
 
 
@@ -513,10 +660,12 @@ def test_scaled_corner_sum_holds_only_ints(P, x0):
     x0 = x0 or brion.sample_generic_point(P, seed=1)
     vertices = lattice.enumerate_vertices(P)
     per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
-    acc, den, scale = brion._scaled_corners(P, vertices, per_vertex, x0, order, P.facet_count - P.dim)
-    assert all(type(a) is int for a in acc + [den, scale])
-    acc, den, scale = brion._scaled_points(brion._g_weights(P, order), x0, order)
-    assert all(type(a) is int for a in acc + [den, scale])
+    plan = brion._corner_plan(P, vertices, per_vertex, order)
+    edge_vals = brion._edge_pairs(x0, vertices)
+    acc, den, powers = brion._scaled_corners(plan, x0, edge_vals, order, P.facet_count - P.dim)
+    assert all(type(a) is int for a in acc + [den] + powers)
+    acc, den, powers = brion._scaled_points(brion._point_groups(brion._g_weights(P, order)), x0, order)
+    assert all(type(a) is int for a in acc + [den] + powers)
     assert brion.rhs_series_at(P, x0, order) == reference_corner_sum(P, x0, order)
 
 

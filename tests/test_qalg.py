@@ -33,6 +33,16 @@ def poly(*coeffs):
     return QPolynomial(list(coeffs))
 
 
+def scaled_table(c, B, order):
+    """The kernels' table of c B^i, i = 0 .. order, each entry an int when
+    it is whole: the substitution q -> Bq."""
+    out = []
+    for i in range(order + 1):
+        x = Fraction(c) * B**i
+        out.append(x.numerator if x.denominator == 1 else x)
+    return out
+
+
 # ---------------------------------------------------------------- basics
 
 
@@ -204,15 +214,15 @@ def test_pochhammer_kernels_match_dense_products(c, d, order):
 @example(Fraction(-7, 4), 2, 3, 2, 9)
 @settings(max_examples=80)
 def test_pochhammer_kernels_under_q_to_scale_q(c, k, m, first, order):
-    # with scale B a multiple of c's numerator and denominator, every
-    # multiplier c^(+-1) B^i is whole: the kernels keep int data int, and
-    # coefficient j is B^j times the unscaled one
+    # with B a multiple of c's numerator and denominator, every table entry
+    # c^(+-1) B^i is whole: the kernels keep int data int, and coefficient j
+    # is B^j times the unscaled one
     B = k * abs(c.numerator) * c.denominator
     for kernel, mult in ((pochhammer_mul_inplace, c), (pochhammer_div_inplace, c), (pochhammer_div_inplace, 1 / c)):
         plain = [Fraction(1)] + [Fraction(j % 3) for j in range(order)]
         scaled = [1] + [(j % 3) * B ** (j + 1) for j in range(order)]
         kernel(plain, mult, m, first)
-        kernel(scaled, mult, m, first, scale=B)
+        kernel(scaled, scaled_table(mult, B, order), m, first)
         assert all(type(a) is int for a in scaled)
         assert scaled == [a * B**j for j, a in enumerate(plain)]
 
@@ -249,7 +259,7 @@ def test_pochhammer_kernel_unit_pass_under_q_to_scale_q(B, c, first):
     factor = dense_factors(c, range(first, m + 1), order)
     for kernel, want in ((pochhammer_mul_inplace, plain * factor), (pochhammer_div_inplace, plain * factor.inverse())):
         out = [int(a * B**j) for j, a in enumerate(plain.coeffs)]
-        kernel(out, c, m, first, scale=B)
+        kernel(out, scaled_table(c, B, order), m, first)
         assert all(type(a) is int for a in out)
         assert out == [a * B**j for j, a in enumerate(want.coeffs)]
 
@@ -264,7 +274,7 @@ def test_qpolynomial_rejects_non_int_coefficients():
 def test_pochhammer_kernel_scale_keeps_a_fraction_multiplier():
     # c B^i not whole for i = 1: 1/((1 - q/2)(1 - q^2)), still exact
     out = [1, 0, 0]
-    pochhammer_div_inplace(out, Fraction(1, 4), 2, scale=2)
+    pochhammer_div_inplace(out, scaled_table(Fraction(1, 4), 2, 2), 2)
     assert out == [1, Fraction(1, 2), Fraction(5, 4)]
 
 
@@ -378,3 +388,15 @@ def test_truncation_propagates_minimum_order():
     assert (a * b).order == 3
     assert (a + b).order == 3
 
+
+
+def test_series_and_polynomial_add_and_subtract_in_either_order():
+    # the polynomial is cut to the series order on both sides
+    s = TruncatedQSeries(2, [1, Fraction(1, 2), 3])
+    p = QPolynomial([4, 5, 6, 7])
+    assert p + s == s + p == TruncatedQSeries(2, [5, Fraction(11, 2), 9])
+    assert p - s == TruncatedQSeries(2, [3, Fraction(9, 2), 3])
+    assert s - p == TruncatedQSeries(2, [-3, Fraction(-9, 2), -3])
+    zero = QPolynomial.zero()
+    assert zero + s == s + zero == s
+    assert zero - s == -s and s - zero == s
