@@ -157,27 +157,20 @@ class LaurentQPoly:
         return LaurentQPoly(out)
 
     def evaluate_series(self, x0, order):
-        """Substitute the rational point x0; result is a truncated q-series."""
-        weights = self._weights(order)
-        if weights:
-            x0 = _require_point(x0, len(weights[0][0]))
-        return _unscaled(*_scaled_points(_point_groups(weights), x0, order))
-
-    def _weights(self, order):
-        """(u, coefficients of q^0 .. q^order) per term, as _point_groups
-        reads them: terms that share one coefficient object share one
-        slice of it."""
+        """Substitute the rational point x0; result is a truncated q-series.
+        Terms are grouped by coefficient value, each value cut at q^order
+        once."""
         require_count(order, 0, "series order")
-        for c in self.terms.values():
+        index = {}  # coefficient value -> its key, hashed once per term
+        keys = [index.setdefault(c, len(index)) for c in self.terms.values()]
+        for c in index:
             if isinstance(c, TruncatedQSeries) and c.order < order:
                 raise PreconditionError("coefficient series order %d below requested order %d" % (c.order, order))
-        out, cut = [], {}
-        for u, c in self.terms.items():
-            w = cut.get(id(c))
-            if w is None:
-                w = cut[id(c)] = c.coeffs[: order + 1]
-            out.append((u, w))
-        return out
+        points = list(self.terms)
+        if points:
+            x0 = _require_point(x0, len(points[0]))
+        table = {key: c.coeffs[: order + 1] for c, key in index.items()}
+        return _unscaled(*_scaled_points(_point_groups(points, keys, table), x0, order))
 
     def __eq__(self, other):
         return isinstance(other, LaurentQPoly) and self.terms == other.terms
@@ -205,34 +198,34 @@ def g_weight(slacks, order):
 
 
 def _row_weights(P, start, length):
-    """Yield (u, coefficient list) for every lattice point u, one list per
-    multiset of slacks: each point is keyed by its sorted slack tuple, and a
-    multiset already seen takes its shared list, with no kernel pass.
+    """(points, keys, table): the lattice points in lexicographic order, the
+    sorted slack tuple (key) of each, and one coefficient list per distinct
+    key, built by a walk along the rows of lattice.rows_with_slacks.  A key
+    already in the table takes no kernel pass.
 
-    A new multiset at a row's first point (rows from
-    lattice.rows_with_slacks) starts from start(key).  At a later point it
-    copies the previous point's list, cut or padded with zeros to
+    A new key at a row's first point starts from start(key).  At a later
+    point it copies the previous point's list, cut or padded with zeros to
     length(key), and takes the unit step: slack i moves from t_i to
     t_i + d_i (d_i the last entry of normal i), which multiplies by
     (q;q)_{t_i} / (q;q)_{t_i + d_i}, one kernel pass per factor.  That is
     exact modulo q^length(key): the previous weight is a polynomial or a
     series already truncated at that order, and the step is a power series.
-    Every point with the same multiset gets the same list object; callers
-    must not mutate it."""
+    Callers must not mutate the lists."""
     moving = [(i, v[-1]) for i, v in enumerate(P.normals) if v[-1]]
-    shared = {}
+    points, keys, table = [], [], {}
     for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
         key = tuple(sorted(slacks))
-        coeffs = shared.get(key)
+        coeffs = table.get(key)
         if coeffs is None:
-            coeffs = shared[key] = start(key)
-        yield prefix + (lo,), coeffs
+            coeffs = table[key] = start(key)
+        points.append(prefix + (lo,))
+        keys.append(key)
         slacks = list(slacks)
         for t in range(lo + 1, hi + 1):
             for i, d in moving:
                 slacks[i] += d
             key = tuple(sorted(slacks))
-            prev, coeffs = coeffs, shared.get(key)
+            prev, coeffs = coeffs, table.get(key)
             if coeffs is None:
                 n = length(key)
                 coeffs = prev[:n]
@@ -243,29 +236,45 @@ def _row_weights(P, start, length):
                         pochhammer_mul_inplace(coeffs, 1, b - d, b + 1)
                     else:
                         pochhammer_div_inplace(coeffs, 1, b, b - d + 1)
-                shared[key] = coeffs
-            yield prefix + (t,), coeffs
+                table[key] = coeffs
+            points.append(prefix + (t,))
+            keys.append(key)
+    return points, keys, table
 
 
 def _g_weights(P, order):
-    """(u, int coefficients of g_weight(slacks(u))) for every lattice point u,
-    by the row walk; they do not depend on the evaluation point.  Points with
-    the same slack multiset share one list, which callers only read."""
-    return list(_row_weights(P, lambda s: _g_coeffs(s, order), lambda s: order + 1))
+    """The row walk of the int coefficients of g_weight(key) through q^order;
+    they do not depend on the evaluation point."""
+    return _row_weights(P, lambda s: _g_coeffs(s, order), lambda s: order + 1)
+
+
+def _rs_weights(P, order=None):
+    """The row walk of the q-multinomials [m; key]_q, m the offset sum, each of
+    its full D + 1 coefficients, D = (m^2 - sum t_i^2) / 2, or cut at q^order
+    when order is given; a row's first list is multinomial_coeffs(m, key)
+    cut to that length."""
+    lattice.require_radially_symmetric(P)
+    m = P.offset_sum()
+
+    def length(s):
+        n = (m * m - sum(t * t for t in s)) // 2 + 1
+        return n if order is None else min(n, order + 1)
+
+    return _row_weights(P, lambda s: multinomial_coeffs(m, s)[: length(s)], length)
+
+
+def _shared_terms(points, keys, table, make):
+    """LaurentQPoly with term make(table[key]) at each point, one object per
+    key, so every point with the same slack multiset holds the same one."""
+    made = {key: make(c) for key, c in table.items()}
+    return LaurentQPoly(dict(zip(points, map(made.__getitem__, keys))))
 
 
 def lhs_series(P, order):
     """Weighted lattice-point enumerator: sum_u g_weight(slacks(u)) x^u.
     Points with the same slack multiset share one series object."""
     require_count(order, 0, "series order")
-    series, terms = {}, {}
-    # _g_weights keeps every list alive, so their ids stay distinct
-    for u, g in _g_weights(P, order):
-        s = series.get(id(g))
-        if s is None:
-            s = series[id(g)] = TruncatedQSeries(order, g)
-        terms[u] = s
-    return LaurentQPoly(terms)
+    return _shared_terms(*_g_weights(P, order), lambda g: TruncatedQSeries(order, g))
 
 
 def rs_polynomial(P):
@@ -274,24 +283,11 @@ def rs_polynomial(P):
     Needs radially symmetric normals, which make the slack sum the same
     constant m (the offset sum) at every lattice point, so each coefficient is
     an exact q-multinomial of degree D = (m^2 - sum t_i^2) / 2.  An empty
-    polytope gives the zero polynomial.  The coefficients come from
-    _row_weights, a row's first multinomial from multinomial_coeffs; every
-    point with the same slack multiset holds the same QPolynomial object.
+    polytope gives the zero polynomial.  The coefficients come from the row
+    walk (_rs_weights); every point with the same slack multiset holds the
+    same QPolynomial object.
     """
-    lattice.require_radially_symmetric(P)
-    m = P.offset_sum()
-
-    def length(s):
-        return (m * m - sum(t * t for t in s)) // 2 + 1
-
-    polys, terms = {}, {}
-    # the walk keeps every list it yields alive, so their ids stay distinct
-    for u, c in _row_weights(P, lambda s: multinomial_coeffs(m, s), length):
-        poly = polys.get(id(c))
-        if poly is None:
-            poly = polys[id(c)] = QPolynomial(c)
-        terms[u] = poly
-    return LaurentQPoly(terms)
+    return _shared_terms(*_rs_weights(P), QPolynomial)
 
 
 def _monomial_pair(coords, u):
@@ -518,25 +514,21 @@ def rhs_series_at(P, x0, order):
     return _unscaled(*_scaled_corners(plan, x0, _edge_pairs(x0, vertices), order, P.facet_count - P.dim))
 
 
-def _point_groups(weights):
-    """What _scaled_points needs of (u, w(u)) pairs such as those of
-    _g_weights that does not depend on the evaluation point:
-    (groups, spans, origin).  groups holds one (w, exponents) pair per
-    shared coefficient object w (grouped by identity, not by value), with
-    the shifted exponent u - L of each of its points, L_j = min(0, min_u
-    u_j); spans holds H_j - L_j per coordinate, H_j = max(0, max_u u_j), so
-    every shifted exponent lies in 0 .. span; origin is -L, the shifted 0."""
-    if not weights:
+def _point_groups(points, keys, table):
+    """What _scaled_points needs of points, their keys and one coefficient
+    list per key (the shape _row_weights returns) that does not depend on
+    the evaluation point: (groups, spans, origin).  groups holds one
+    (table[key], exponents) pair per key, with the shifted exponent u - L of
+    each of its points, L_j = min(0, min_u u_j); spans holds H_j - L_j per
+    coordinate, H_j = max(0, max_u u_j), so every shifted exponent lies in
+    0 .. span; origin is -L, the shifted 0."""
+    if not points:
         return [], [], ()
-    dim = len(weights[0][0])
-    low = [min(0, *(u[j] for u, _ in weights)) for j in range(dim)]
-    high = [max(0, *(u[j] for u, _ in weights)) for j in range(dim)]
-    groups = {}
-    for u, w in weights:
-        group = groups.get(id(w))
-        if group is None:
-            group = groups[id(w)] = (w, [])
-        group[1].append(tuple(e - lo for e, lo in zip(u, low)))
+    low = [min(0, *c) for c in zip(*points)]
+    high = [max(0, *c) for c in zip(*points)]
+    groups = {key: (w, []) for key, w in table.items()}
+    for u, key in zip(points, keys):
+        groups[key][1].append(tuple(e - lo for e, lo in zip(u, low)))
     return list(groups.values()), [h - lo for lo, h in zip(low, high)], tuple(-lo for lo in low)
 
 
@@ -571,7 +563,7 @@ def lhs_value_at(P, x0, order):
     """Weighted enumerator evaluated at the rational point x0."""
     x0 = _require_point(x0, P.dim)
     require_count(order, 0, "series order")
-    return _unscaled(*_scaled_points(_point_groups(_g_weights(P, order)), x0, order))
+    return _unscaled(*_scaled_points(_point_groups(*_g_weights(P, order)), x0, order))
 
 
 @dataclass
@@ -626,7 +618,8 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
     compares both sides coefficient by coefficient.  With finite_form=True
     (radially symmetric polytopes only) both sides are multiplied by
     (q;q)_{offset sum} and additionally compared against the exact
-    symmetric-weight polynomial, whose coefficients are q-multinomials.
+    symmetric-weight polynomial, whose coefficients are q-multinomials,
+    each walked only through q^order.
     """
     start = time.perf_counter()
     require_count(order, 0, "series order")
@@ -638,8 +631,8 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
     used = {b for degs in per_vertex for b in degs}
     # everything that does not depend on the evaluation point, once
     plan = _corner_plan(P, vertices, per_vertex, order)
-    weights = _point_groups(_g_weights(P, order))
-    rs = _point_groups(rs_polynomial(P)._weights(order)) if finite_form else None
+    weights = _point_groups(*_g_weights(P, order))
+    rs = _point_groups(*_rs_weights(P, order)) if finite_form else None
     rng = random.Random(seed)
     points = []
     equal = True

@@ -192,8 +192,8 @@ def rogers_szego(n, k):
     normal) with offset k on the non-basis facet; the coefficients are the
     q-multinomials [k; i_0 .. i_n]_q.
     """
-    if n < 1 or k < 0:
-        raise InvalidInputError("need n >= 1 variables and degree k >= 0")
+    require_count(n, 1, "variable count")
+    require_count(k, 0, "degree")
     normals = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     normals.append(tuple(-1 for _ in range(n)))
     offsets = tuple([0] * n + [k])
@@ -210,6 +210,8 @@ def elementary_symmetric(n, degree, convention):
     vars_with_one uses the n+1 variables (1, x_1, .., x_n); vars_without_one
     uses (x_1, .., x_n).  Degrees beyond the family size give zero.
     """
+    require_count(n, 1, "variable count")
+    require_count(degree, None, "degree")
     if convention not in CONVENTIONS:
         raise InvalidInputError("unknown convention %r" % (convention,))
     zero_vec = tuple(0 for _ in range(n))
@@ -275,7 +277,7 @@ def verify_ladder(n, max_degree, convention=None):
     """
     if convention is None:
         convention = discriminate_convention()
-    rs = [rogers_szego(n, k) for k in range(max_degree + 2)]
+    rs = [rogers_szego(n, k) for k in range(require_count(max_degree, 0, "max degree") + 2)]
     failures = []
     for axis in range(n):
         # R_i(RS_k) and L_i(RS_k) once each, for k = 0 .. max_degree

@@ -391,7 +391,7 @@ def validate(P):
         all_facets_touch=geo.all_facets_touch,
         full_dimensional=geo.full_dimensional,
         vertex_count=len(geo.points),
-        lattice_point_count=len(lattice_points(P)),
+        lattice_point_count=sum(hi - lo + 1 for _, lo, hi, _ in rows_with_slacks(P)),
         problems=geo.problems,
     )
 

@@ -70,6 +70,13 @@ def _exact_weight(w, u):
     )
 
 
+def _require_q(q):
+    """q, if it is an int (not a bool), a Fraction or a float in (0, 1); else InvalidInputError."""
+    if isinstance(q, bool) or not isinstance(q, (int, Fraction, float)) or not 0 < q < 1:
+        raise InvalidInputError("q must be an int, a Fraction or a float in (0, 1), got %r" % (q,))
+    return q
+
+
 class DiscreteMeasure:
     """Finitely supported probability measure on lattice points.
 
@@ -309,14 +316,12 @@ def mu_measure(P):
 def mu_limit_estimate(P, q):
     """Normalized q-weights w_q(u) proportional to prod_i 1 / (q;q)_{t_i(u)}.
 
-    q must be a rational in (0, 1); everything is exact.  The weight depends
-    only on the multiset of u's slacks, so it is built once per sorted slack
-    tuple.  As q -> 1- the result converges to mu_measure(P) in total
-    variation.
+    q must be a Fraction or a float in (0, 1), taken exactly; everything is
+    exact.  The weight depends only on the multiset of u's slacks, so it is
+    built once per sorted slack tuple.  As q -> 1- the result converges to
+    mu_measure(P) in total variation.
     """
-    q = Fraction(q)
-    if not 0 < q < 1:
-        raise InvalidInputError("q must lie strictly between 0 and 1")
+    q = Fraction(_require_q(q))
     poch_cache = [Fraction(1)]
 
     def poch(s):
@@ -368,8 +373,7 @@ def log_weight_table(P, q):
     multisets (for instance mirror images under a central symmetry) get
     bitwise identical weights.
     """
-    if not 0.0 < q < 1.0:
-        raise InvalidInputError("q must lie strictly between 0 and 1")
+    _require_q(q)
     points, keys = lattice.sorted_slacks(P)
     if not points:
         raise PreconditionError("empty polytope has no weight table")

@@ -132,8 +132,7 @@ def test_rs_walk_steps_only_into_new_multisets(monkeypatch, P):
     # kernel passes run only on a step into a slack multiset the walk has not
     # seen, a row starts from at most one multinomial, and every point with
     # the same multiset holds the same coefficient object
-    slacks = dict(lattice.points_with_slacks(P))
-    keys = {u: tuple(sorted(s)) for u, s in slacks.items()}
+    keys = {u: tuple(sorted(s)) for u, s in lattice.points_with_slacks(P)}
     events = []
     for name in ("pochhammer_mul_inplace", "pochhammer_div_inplace"):
         kernel = getattr(brion, name)
@@ -150,29 +149,52 @@ def test_rs_walk_steps_only_into_new_multisets(monkeypatch, P):
         return multinomial(*args)
 
     monkeypatch.setattr(brion, "multinomial_coeffs", started)
-    walk = brion._row_weights
-    seen, starts, lists = set(), {}, {}
-    passes = 0
+    rows = lattice.rows_with_slacks
 
-    def checked(*args):
-        nonlocal passes
-        for u, c in walk(*args):
-            if events:
-                assert keys[u] not in seen, u
-            starts[u[:-1]] = starts.get(u[:-1], 0) + events.count("start")
-            passes += events.count("pass")
-            events.clear()
-            seen.add(keys[u])
-            lists.setdefault(keys[u], c)
-            assert c is lists[keys[u]], u
-            yield u, c
+    def logged_rows(P):
+        for row in rows(P):
+            events.append("row")
+            yield row
+
+    monkeypatch.setattr(lattice, "rows_with_slacks", logged_rows)
+    walk = brion._row_weights
+
+    def checked(P, start, length):
+        # the walk asks for start(key) or length(key) only for a key it has
+        # not seen, before the passes that build that key's list
+        def start_new(key):
+            events.append(("new", key))
+            return start(key)
+
+        def length_new(key):
+            events.append(("new", key))
+            return length(key)
+
+        return walk(P, start_new, length_new)
 
     monkeypatch.setattr(brion, "_row_weights", checked)
     rs = brion.rs_polynomial(P)
+    monkeypatch.undo()
     assert rs == _dense_rs(P)
-    assert max(starts.values()) <= 1
+    built, starts, passes, current = [], [], 0, None
+    for event in events:
+        if event == "row":
+            starts.append(0)
+        elif event == "start":
+            starts[-1] += 1
+        elif event == "pass":
+            assert current is not None
+            passes += 1
+        else:
+            current = event[1]
+            built.append(current)
+    assert len(built) == len(set(built)) == len(set(keys.values()))
+    assert max(starts) <= 1
     assert passes > 0
-    assert len({id(c) for c in rs.terms.values()}) == len(set(keys.values())) == len(lists)
+    shared = {}
+    for u, c in rs.terms.items():
+        assert shared.setdefault(keys[u], c) is c, u
+    assert len({id(c) for c in rs.terms.values()}) == len(shared)
 
 
 # Not radially symmetric, with row steps that move a slack by 2 or 3.
@@ -196,9 +218,31 @@ def test_g_weight_row_walk_matches_per_point_weights(P, K):
     # on the dilated and sloped polytopes slacks pass the truncation order
     assert not P.is_radially_symmetric()
     assert max(abs(v[-1]) for v in P.normals) >= 2
-    points = list(lattice.points_with_slacks(P))
-    want = {u: list(brion.g_weight(slacks, K).coeffs) for u, slacks in points}
-    assert dict(brion._g_weights(P, K)) == want
+    want = {u: list(brion.g_weight(slacks, K).coeffs) for u, slacks in lattice.points_with_slacks(P)}
+    points, keys, table = brion._g_weights(P, K)
+    assert (points, keys) == lattice.sorted_slacks(P)
+    assert {u: table[key] for u, key in zip(points, keys)} == want
+
+
+@pytest.mark.parametrize(
+    "P, K",
+    [(fixtures.load("hexagon"), 14), (lattice.dilate(fixtures.load("simplex_p2"), 3), 6), (SLOPED, 70)],
+    ids=["hexagon-K14", "simplex_p2*3-K6", "sloped-K70"],
+)
+def test_truncated_rs_walk_matches_cut_multinomials(P, K):
+    # the finite-form side's walk, cut at q^K: some multisets have degree
+    # D < K (full polynomial, so a longer list is padded from it), others
+    # D > K (cut); each list is the q-multinomial cut to min(K + 1, D + 1)
+    m = P.offset_sum()
+    points, keys, table = brion._rs_weights(P, K)
+    assert (points, keys) == lattice.sorted_slacks(P)
+    degrees = {key: (m * m - sum(t * t for t in key)) // 2 for key in table}
+    assert min(degrees.values()) < K < max(degrees.values())
+    for key, c in table.items():
+        n = min(K, degrees[key]) + 1
+        want = list(q_multinomial(m, key).coeffs)
+        assert c == (want + [0] * n)[:n], key
+        assert all(type(x) is int for x in c)
 
 
 @pytest.mark.parametrize("name", ["hexagon", "trapezoid_f1", "simplex_p2"])
@@ -506,8 +550,10 @@ def test_verify_identity_builds_one_table_per_value_and_point(monkeypatch, P):
 @pytest.mark.parametrize("P", PER_POINT, ids=PER_POINT_IDS)
 def test_verify_identity_adds_one_pass_per_slack_multiset(monkeypatch, P):
     # the lattice-point side reads each shared weight list once per point:
-    # one multiply-add pass per slack multiset, not one per lattice point
-    order, lists = 8, []
+    # one multiply-add pass per slack multiset, not one per lattice point;
+    # so does the finite-form side with its q-multinomials cut at q^order
+    order = 8
+    finite_form = P.is_radially_symmetric()
 
     class Counted(list):
         passes = 0
@@ -516,28 +562,23 @@ def test_verify_identity_adds_one_pass_per_slack_multiset(monkeypatch, P):
             self.passes += 1
             return super().__iter__()
 
-    g_weights = brion._g_weights
+    lists = {}
+    for name in ("_g_weights", "_rs_weights"):
+        walk = getattr(brion, name)
 
-    def counted(P, k):
-        out, seen = [], {}
-        for u, g in g_weights(P, k):
-            c = seen.get(id(g))
-            if c is None:
-                c = seen[id(g)] = Counted(g)
-                lists.append(c)
-            out.append((u, c))
-        return out
+        def counted(P, k, walk=walk, name=name):
+            points, keys, table = walk(P, k)
+            lists[name] = {key: Counted(c) for key, c in table.items()}
+            return points, keys, lists[name]
 
-    monkeypatch.setattr(brion, "_g_weights", counted)
-    report = brion.verify_identity(P, order=order, trials=3, seed=2)
+        monkeypatch.setattr(brion, name, counted)
+    report = brion.verify_identity(P, order=order, trials=3, seed=2, finite_form=finite_form)
     monkeypatch.undo()
     multisets = {tuple(sorted(s)) for _, s in lattice.points_with_slacks(P)}
-    assert len(lists) == len(multisets) < len(lattice.lattice_points(P))
-    assert [c.passes for c in lists] == [3] * len(lists)
-    if P.is_radially_symmetric():
-        # the finite-form side groups before it slices
-        weights = brion.rs_polynomial(P)._weights(order)
-        assert len({id(w) for _, w in weights}) == len(multisets)
+    assert sorted(lists) == (["_g_weights", "_rs_weights"] if finite_form else ["_g_weights"])
+    for table in lists.values():
+        assert set(table) == multisets and len(multisets) < len(lattice.lattice_points(P))
+        assert [c.passes for c in table.values()] == [3] * len(table)
     _check_report_points(P, report, order)
 
 
@@ -664,7 +705,7 @@ def test_scaled_corner_sum_holds_only_ints(P, x0):
     edge_vals = brion._edge_pairs(x0, vertices)
     acc, den, powers = brion._scaled_corners(plan, x0, edge_vals, order, P.facet_count - P.dim)
     assert all(type(a) is int for a in acc + [den] + powers)
-    acc, den, powers = brion._scaled_points(brion._point_groups(brion._g_weights(P, order)), x0, order)
+    acc, den, powers = brion._scaled_points(brion._point_groups(*brion._g_weights(P, order)), x0, order)
     assert all(type(a) is int for a in acc + [den] + powers)
     assert brion.rhs_series_at(P, x0, order) == reference_corner_sum(P, x0, order)
 

@@ -328,6 +328,32 @@ def test_ladder_two_variables():
     assert report["raising_ok"] and report["lowering_ok"] and report["commutator_ok"]
 
 
+BAD_LADDER_CALLS = [
+    (verify_ladder, (2, -5)),
+    (verify_ladder, (2, 2.5)),
+    (verify_ladder, (0, 2)),
+    (verify_ladder, (1.0, 2)),
+    (verify_ladder, (True, 2)),
+    (rogers_szego, (2.5, 2)),
+    (rogers_szego, (2, -1)),
+    (rogers_szego, (0, 2)),
+    (rogers_szego, (2, 1.0)),
+    (elementary_symmetric, (2, 1.5, "vars_with_one")),
+    (elementary_symmetric, (2, True, "vars_with_one")),
+    (elementary_symmetric, (1.5, 1, "vars_with_one")),
+    (elementary_symmetric, (0, 1, "vars_with_one")),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", BAD_LADDER_CALLS, ids=["%s%r" % (fn.__name__, args) for fn, args in BAD_LADDER_CALLS]
+)
+def test_ladder_inputs_are_checked(fn, args):
+    # nothing is checked vacuously and no raw TypeError escapes
+    with pytest.raises(InvalidInputError):
+        fn(*args)
+
+
 def _ladder_reference(n, max_degree, convention):
     """The ladder checks with every operator applied afresh, one identity at
     a time."""

@@ -40,6 +40,13 @@ def test_fixture_validation_flags(polytopes):
         assert not report.problems, name
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_validate_counts_points_by_row_lengths(polytopes, name, k):
+    P = lattice.dilate(polytopes[name], k)
+    assert lattice.validate(P).lattice_point_count == len(lattice.lattice_points(P))
+
+
 def test_degenerate_segment_is_flagged_lower_dimensional():
     report = lattice.validate(fixtures.load("segment_0"))
     assert not report.full_dimensional

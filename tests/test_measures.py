@@ -241,6 +241,23 @@ def test_limit_estimate_rejects_bad_q(hexagon):
         mu_limit_estimate(hexagon, 0)
 
 
+@pytest.mark.parametrize(
+    "q", ["abc", "1/2", None, True, 1, 0.0, 1.0, -0.5, float("nan"), float("inf"), complex(0.5, 0), [0.5]]
+)
+def test_q_weights_reject_bad_q_types(hexagon, q):
+    # q is a non-bool int, a Fraction or a finite float in (0, 1); anything
+    # else is an InvalidInputError, not a raw ValueError or TypeError
+    with pytest.raises(InvalidInputError):
+        mu_limit_estimate(hexagon, q)
+    with pytest.raises(InvalidInputError):
+        log_weight_table(hexagon, q)
+
+
+def test_q_weights_accept_a_float_or_fraction_q(hexagon):
+    assert mu_limit_estimate(hexagon, 0.5) == mu_limit_estimate(hexagon, Fraction(1, 2))
+    assert log_weight_table(hexagon, Fraction(1, 2)) == log_weight_table(hexagon, 0.5)
+
+
 def _limit_reference(P, q):
     """One Fraction product per lattice point, normalized by the exact sum."""
     weights = {}
