@@ -158,18 +158,21 @@ class LaurentQPoly:
 
     def evaluate_series(self, x0, order):
         """Substitute the rational point x0; result is a truncated q-series.
-        Terms are grouped by coefficient value, each value cut at q^order
-        once."""
+        Terms are grouped by their cut at q^order: a coefficient that fits in
+        it is its own key, a longer one is keyed by the cut alone."""
         require_count(order, 0, "series order")
-        index = {}  # coefficient value -> its key, hashed once per term
-        keys = [index.setdefault(c, len(index)) for c in self.terms.values()]
-        for c in index:
+        index, keys = {}, []  # each cut -> (its key, its coefficients)
+        for c in self.terms.values():
             if isinstance(c, TruncatedQSeries) and c.order < order:
                 raise PreconditionError("coefficient series order %d below requested order %d" % (c.order, order))
+            w = c.coeffs
+            if len(w) > order + 1:
+                c = w = w[: order + 1]
+            keys.append(index.setdefault(c, (len(index), w))[0])
         points = list(self.terms)
         if points:
             x0 = _require_point(x0, len(points[0]))
-        table = {key: c.coeffs[: order + 1] for c, key in index.items()}
+        table = dict(index.values())
         return _unscaled(*_scaled_points(_point_groups(points, keys, table), x0, order))
 
     def __eq__(self, other):
@@ -249,10 +252,9 @@ def _g_weights(P, order):
 
 
 def _rs_weights(P, order=None):
-    """The row walk of the q-multinomials [m; key]_q, m the offset sum, each of
-    its full D + 1 coefficients, D = (m^2 - sum t_i^2) / 2, or cut at q^order
-    when order is given; a row's first list is multinomial_coeffs(m, key)
-    cut to that length."""
+    """The row walk of the q-multinomials [m; key]_q, m the offset sum: all
+    D + 1 coefficients, D = (m^2 - sum t_i^2) / 2, or those through q^order
+    when order is given, a row's first list cut from multinomial_coeffs."""
     lattice.require_radially_symmetric(P)
     m = P.offset_sum()
 
@@ -515,13 +517,12 @@ def rhs_series_at(P, x0, order):
 
 
 def _point_groups(points, keys, table):
-    """What _scaled_points needs of points, their keys and one coefficient
-    list per key (the shape _row_weights returns) that does not depend on
-    the evaluation point: (groups, spans, origin).  groups holds one
-    (table[key], exponents) pair per key, with the shifted exponent u - L of
-    each of its points, L_j = min(0, min_u u_j); spans holds H_j - L_j per
-    coordinate, H_j = max(0, max_u u_j), so every shifted exponent lies in
-    0 .. span; origin is -L, the shifted 0."""
+    """What _scaled_points needs of (points, keys, table), as _row_weights
+    returns them, that does not depend on the evaluation point: (groups,
+    spans, origin).  groups holds one (table[key], exponents) pair per key,
+    with the shifted exponent u - L of each of its points, L_j = min(0,
+    min_u u_j); spans holds H_j - L_j per coordinate, H_j = max(0, max_u
+    u_j), so every shifted exponent lies in 0 .. span; origin is -L."""
     if not points:
         return [], [], ()
     low = [min(0, *c) for c in zip(*points)]

@@ -253,10 +253,7 @@ def cmd_jackson(args):
         pair = args.ladder
         if len(pair) != 2:
             raise InvalidInputError("--ladder needs n,k")
-        n, k = pair
-        if n < 1 or k < 0:
-            raise InvalidInputError("--ladder needs n >= 1 and k >= 0")
-        report = jackson.verify_ladder(n, k)
+        report = jackson.verify_ladder(*pair)
         report["failures"] = [list(f) for f in report["failures"]]
         _write_text(args.output, _json_text(report))
         return 0 if report["all_ok"] else 1

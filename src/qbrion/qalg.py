@@ -167,12 +167,12 @@ class QPolynomial:
 class TruncatedQSeries:
     """Power series in q with Fraction coefficients, trusted through q^order."""
 
-    __slots__ = ("order", "coeffs")
+    __slots__ = ("order", "coeffs", "_hash")
 
     def __init__(self, order, coeffs=None):
         if order < 0:
             raise InvalidInputError("series order must be nonnegative")
-        self.order = order
+        self.order, self._hash = order, None
         if coeffs is None:
             self.coeffs = (_ZERO,) * (order + 1)
             return
@@ -289,8 +289,10 @@ class TruncatedQSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
+    def __hash__(self):  # cached: Fractions hash slowly, and shared weights are keys
+        if self._hash is None:
+            self._hash = hash((self.order, self.coeffs))
+        return self._hash
 
     def __repr__(self):
         return "TruncatedQSeries(order=%d, %s)" % (self.order, list(self.coeffs))

@@ -130,9 +130,11 @@ def test_rs_polynomial_on_a_large_sloped_dilation():
 )
 def test_rs_walk_steps_only_into_new_multisets(monkeypatch, P):
     # kernel passes run only on a step into a slack multiset the walk has not
-    # seen, a row starts from at most one multinomial, and every point with
-    # the same multiset holds the same coefficient object
+    # seen, one per facet whose slack moves along the row; a row starts from
+    # at most one multinomial, and every point with the same multiset holds
+    # the same coefficient object
     keys = {u: tuple(sorted(s)) for u, s in lattice.points_with_slacks(P)}
+    moving = sum(1 for v in P.normals if v[-1])
     events = []
     for name in ("pochhammer_mul_inplace", "pochhammer_div_inplace"):
         kernel = getattr(brion, name)
@@ -145,7 +147,7 @@ def test_rs_walk_steps_only_into_new_multisets(monkeypatch, P):
     multinomial = brion.multinomial_coeffs
 
     def started(*args):
-        events.append("start")
+        events.append("multinomial")
         return multinomial(*args)
 
     monkeypatch.setattr(brion, "multinomial_coeffs", started)
@@ -160,14 +162,15 @@ def test_rs_walk_steps_only_into_new_multisets(monkeypatch, P):
     walk = brion._row_weights
 
     def checked(P, start, length):
-        # the walk asks for start(key) or length(key) only for a key it has
-        # not seen, before the passes that build that key's list
+        # the walk asks for start(key) (a row's first point) or length(key)
+        # (a step) only for a key it has not seen, before the passes that
+        # build that key's list
         def start_new(key):
-            events.append(("new", key))
+            events.append(("start", key))
             return start(key)
 
         def length_new(key):
-            events.append(("new", key))
+            events.append(("step", key))
             return length(key)
 
         return walk(P, start_new, length_new)
@@ -176,21 +179,25 @@ def test_rs_walk_steps_only_into_new_multisets(monkeypatch, P):
     rs = brion.rs_polynomial(P)
     monkeypatch.undo()
     assert rs == _dense_rs(P)
-    built, starts, passes, current = [], [], 0, None
+    builds, starts = [], []
     for event in events:
         if event == "row":
             starts.append(0)
-        elif event == "start":
+        elif event == "multinomial":
             starts[-1] += 1
         elif event == "pass":
-            assert current is not None
-            passes += 1
+            # a pass belongs to the latest build; one on a seen key would
+            # push that build's count past its expected value
+            assert builds
+            builds[-1][2] += 1
         else:
-            current = event[1]
-            built.append(current)
+            builds.append([*event, 0])
+    for kind, key, passes in builds:
+        assert passes == (moving if kind == "step" else 0), (kind, key)
+    built = [key for _, key, _ in builds]
     assert len(built) == len(set(built)) == len(set(keys.values()))
     assert max(starts) <= 1
-    assert passes > 0
+    assert any(kind == "step" for kind, _, _ in builds)
     shared = {}
     for u, c in rs.terms.items():
         assert shared.setdefault(keys[u], c) is c, u
@@ -258,6 +265,22 @@ def test_evaluate_series_rejects_coefficients_below_order():
     assert poly.evaluate_series((2,), 1) == TruncatedQSeries(1, [5, 2])
     with pytest.raises(PreconditionError):
         poly.evaluate_series((2,), 3)
+
+
+def test_evaluate_series_groups_terms_by_their_cut():
+    # equal values in distinct objects, a coefficient that fits the cut and
+    # one that only agrees with it through q^order all sum as separate terms
+    short, long = QPolynomial([1, 2]), QPolynomial([1, 2, 7])
+    poly = brion.LaurentQPoly(
+        {(0,): short, (1,): QPolynomial([1, 2]), (2,): long, (3,): QPolynomial([1, 2, 9]), (-1,): short}
+    )
+    x0 = (Fraction(1, 3),)
+    for order in (0, 1, 2, 3):
+        want = TruncatedQSeries(order)
+        for (u,), c in poly.terms.items():
+            want = want + c.to_series(order).scale(x0[0] ** u)
+        assert poly.evaluate_series(x0, order) == want, order
+    assert hash(short) == hash(QPolynomial([1, 2]))
 
 
 def test_g_weight_is_inverse_pochhammer_product():
