@@ -254,7 +254,7 @@ def _g_weights(P, order):
 def _rs_weights(P, order=None):
     """The row walk of the q-multinomials [m; key]_q, m the offset sum: all
     D + 1 coefficients, D = (m^2 - sum t_i^2) / 2, or those through q^order
-    when order is given, a row's first list cut from multinomial_coeffs."""
+    when order is given, a row's first list built modulo q^(order + 1)."""
     lattice.require_radially_symmetric(P)
     m = P.offset_sum()
 
@@ -262,7 +262,7 @@ def _rs_weights(P, order=None):
         n = (m * m - sum(t * t for t in s)) // 2 + 1
         return n if order is None else min(n, order + 1)
 
-    return _row_weights(P, lambda s: multinomial_coeffs(m, s)[: length(s)], length)
+    return _row_weights(P, lambda s: multinomial_coeffs(m, s, length(s)), length)
 
 
 def _shared_terms(points, keys, table, make):

@@ -314,11 +314,13 @@ class LeadingTermResult:
 
 def coordinate_sum_maximizer(P):
     """Lattice point maximizing the coordinate sum, lexicographically greatest
-    among ties."""
-    pts = lattice.lattice_points(P)
-    if not pts:
+    among ties: the best of the row ends, since along a row both the sum and
+    the lexicographic order grow with the last coordinate."""
+    ends = ((sum(prefix) + hi, prefix + (hi,)) for prefix, _, hi, _ in lattice.rows_with_slacks(P))
+    best = max(ends, default=None)
+    if best is None:
         raise PreconditionError("no lattice points to maximize over")
-    return max(pts, key=lambda u: (sum(u), u))
+    return best[1]
 
 
 def leading_term_check(P):

@@ -38,62 +38,72 @@ from .errors import (
 from .qalg import require_count
 
 
-def row_reduce(rows, width):
-    """Exact Gauss-Jordan elimination over the rationals, one row at a time.
+def bareiss_reduce(rows, width):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) on integer rows, one
+    row at a time.
 
     Each row is reduced against the independent rows taken before it; if any
     of its first `width` entries is left nonzero, the first such column
     becomes a pivot.  Columns from `width` on are carried along, so reducing
-    [A | B] solves A X = B.  Returns (reduced, pivots, leads, det):
+    [A | B] solves A X = B.  Every entry stays a Python int: the reduced rows
+    share one denominator d > 0, the absolute determinant of the pivot minor
+    (the independent rows at the pivot columns), and each update divides
+    exactly by the previous d.  Returns (reduced, pivots, leads, det):
 
-    - reduced[k] has 1 at column pivots[k] and 0 at every other pivot column;
+    - reduced[k] has d at column pivots[k] and 0 at every other pivot column;
+      it is d times the k-th row of the reduced row echelon form, so for an
+      invertible square A the carried columns hold d A^-1 B;
     - leads[k] is the k-th independent row reduced against the earlier ones
-      only: the input row minus a combination of earlier rows, zero at the
-      earlier pivots, with its first nonzero entry at pivots[k];
-    - det is the product of the leads' pivot entries, signed by the order in
-      which the pivots were found; for a square matrix of full rank it is
-      the determinant.
+      only, times the (positive) d of the rows before it: the input row times
+      that d minus a combination of earlier rows, zero at the earlier pivots,
+      with its first nonzero entry at pivots[k];
+    - det is d signed by the pivots' signs and the order in which they were
+      found; for a square matrix of full rank it is the determinant.
     """
     reduced, pivots, leads = [], [], []
-    det = Fraction(1)
+    d, sign = 1, 1
     for row in rows:
-        lead = [Fraction(x) for x in row]
+        # d * row minus row[p] times each earlier reduced row: zero at every
+        # earlier pivot, since reduced rows are d there and 0 at the others
+        lead = [d * x for x in row]
         for e, p in zip(reduced, pivots):
-            c = lead[p]
+            c = row[p]
             if c:
                 lead = [x - c * y for x, y in zip(lead, e)]
-        p = next((j for j in range(width) if lead[j]), None)
-        if p is None:
+        for p in range(width):
+            if lead[p]:
+                break
+        else:
             continue
-        flips = sum(1 for q in pivots if q > p)
-        det *= -lead[p] if flips % 2 else lead[p]
-        unit = [x / lead[p] for x in lead]
+        leads.append(lead)
+        pivot = lead[p]
+        if sum(q > p for q in pivots) % 2:
+            sign = -sign
+        if pivot < 0:
+            sign, pivot, lead = -sign, -pivot, [-x for x in lead]
         for k, e in enumerate(reduced):
             c = e[p]
-            if c:
-                reduced[k] = [x - c * y for x, y in zip(e, unit)]
-        reduced.append(unit)
+            reduced[k] = [(pivot * x - c * y) // d for x, y in zip(e, lead)]
+        reduced.append(lead)
         pivots.append(p)
-        leads.append(lead)
-    return reduced, pivots, leads, det
+        d = pivot
+    return reduced, pivots, leads, sign * d
 
 
 def _primitive_vector(vec):
-    """The primitive integer vector with the direction of a nonzero rational one."""
-    scale = math.lcm(*(Fraction(x).denominator for x in vec))
-    ints = [int(x * scale) for x in vec]
-    g = math.gcd(*ints)
-    return tuple(x // g for x in ints)
+    """The primitive integer vector with the direction of a nonzero integer one."""
+    g = math.gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
 def _inverse_unimodular(rows):
     """Inverse of an integer matrix with determinant +-1, as integer columns."""
     n = len(rows)
     augmented = [tuple(v) + tuple(int(i == j) for j in range(n)) for i, v in enumerate(rows)]
-    reduced, pivots, _, det = row_reduce(augmented, n)
+    reduced, pivots, _, det = bareiss_reduce(augmented, n)
     assert len(pivots) == n and det in (-1, 1)
     inverse = [e[n:] for _, e in sorted(zip(pivots, reduced), key=lambda pe: pe[0])]
-    return [tuple(int(x) for x in column) for column in zip(*inverse)]
+    return [tuple(column) for column in zip(*inverse)]
 
 
 @dataclass(frozen=True)
@@ -224,15 +234,15 @@ def _is_bounded(normals):
     dilation or an offset shift of a polytope already built reuses it.
     """
     n = len(normals[0])
-    if len(row_reduce(normals, n)[1]) < n:
+    if len(bareiss_reduce(normals, n)[1]) < n:
         return False
     for rows in itertools.combinations(normals, n - 1):
-        reduced, pivots, _, _ = row_reduce(rows, n)
+        reduced, pivots, _, det = bareiss_reduce(rows, n)
         if len(pivots) < n - 1:
             continue
         free = next(c for c in range(n) if c not in pivots)
-        ray = [Fraction(0)] * n
-        ray[free] = Fraction(1)
+        ray = [0] * n
+        ray[free] = abs(det)
         for e, p in zip(reduced, pivots):
             ray[p] = -e[free]
         for sign in (1, -1):
@@ -281,11 +291,14 @@ class ValidationReport:
 class Geometry:
     """Everything one vertex scan of a polytope yields.
 
-    The scan solves the facet system of every n-element facet subset once.
+    The scan solves the facet system of every n-element facet subset once,
+    on ints: bareiss_reduce gives its determinant det and d x with
+    d = |det|, and the point is feasible when every d * slack is >= 0.
     solutions holds (point, facet subset, determinant) for each subset with
     independent normals and a feasible point; points are the distinct vertex
-    points in sorted order, as exact rationals.  The rest is read off those
-    points: the integer coordinate box (None when empty), the smoothness
+    points in sorted order, as exact rationals (the only Fractions the scan
+    builds).  The rest is read off those points, still on ints: the integer
+    coordinate box (None when empty), the smoothness
     verdict with its problems, full dimensionality, whether every facet
     touches, the active facets (whose slack is not identically zero) and a
     primitive integer basis of the vertex differences.  The vertex cones with
@@ -294,45 +307,60 @@ class Geometry:
 
     def __init__(self, P):
         n = P.dim
-        self._normals = P.normals
+        normals, offsets = P.normals, P.offsets
+        self._normals = normals
         self.solutions = []
+        problems = []
+        # (d * point, d) in lowest terms -> (point, its slacks times some d > 0)
+        found = {}
         for subset in itertools.combinations(range(P.facet_count), n):
-            rows = [P.normals[i] + (-P.offsets[i],) for i in subset]
-            reduced, pivots, _, det = row_reduce(rows, n)
+            rows = [normals[i] + (-offsets[i],) for i in subset]
+            reduced, pivots, _, det = bareiss_reduce(rows, n)
             if len(pivots) < n:
                 continue
-            point = [None] * n
+            d = abs(det)
+            X = [0] * n  # d times the solution
             for e, p in zip(reduced, pivots):
-                point[p] = e[n]
-            point = tuple(point)
-            if all(s >= 0 for s in P.slacks(point)):
-                self.solutions.append((point, subset, int(det)))
-        problems = []
-        for point, subset, det in self.solutions:
-            if det not in (-1, 1):
+                X[p] = e[n]
+            slacks = [sum(map(operator.mul, v, X)) + a * d for v, a in zip(normals, offsets)]
+            if min(slacks) < 0:
+                continue
+            g = math.gcd(d, *X)
+            key = (tuple(x // g for x in X), d // g)
+            if key not in found:
+                found[key] = (tuple(Fraction(x, d) for x in X), slacks)
+            point = found[key][0]
+            self.solutions.append((point, subset, det))
+            if d != 1:
                 problems.append(
                     "facets %r meet at a feasible point with determinant %d" % (list(subset), det)
                 )
-            if any(x.denominator != 1 for x in point):
+            if key[1] != 1:
                 problems.append(
                     "facets %r meet at the non-integral point %r"
                     % (list(subset), [str(x) for x in point])
                 )
-        self.points = sorted({p for p, _, _ in self.solutions})
+        # sorted by value: integral points compare as int tuples
+        keys = sorted(found, key=lambda k: k[0] if k[1] == 1 else found[k][0])
+        self.points = [found[k][0] for k in keys]
         self.box = None
-        if self.points:
-            coords = list(zip(*self.points))
-            self.box = ([math.ceil(min(c)) for c in coords], [math.floor(max(c)) for c in coords])
-        diffs = [[x - y for x, y in zip(p, self.points[0])] for p in self.points[1:]]
-        _, pivots, leads, _ = row_reduce(diffs, n)
+        if keys:
+            self.box = (
+                [min(-(-X[j] // d) for X, d in keys) for j in range(n)],
+                [max(X[j] // d for X, d in keys) for j in range(n)],
+            )
+        # the vertex differences, each times a positive integer
+        diffs = [[x * keys[0][1] - y * d for x, y in zip(X, keys[0][0])] for X, d in keys[1:]]
+        _, pivots, leads, _ = bareiss_reduce(diffs, n)
         self.full_dimensional = len(pivots) == n
         self.support_basis = tuple(_primitive_vector(lead) for lead in leads)
-        slack_rows = [P.slacks(p) for p in self.points]
+        # slacks times a positive d: the same zeros, and never negative
+        slack_rows = [found[k][1] for k in keys]
         if not problems and self.full_dimensional:
             # Simplicity: a vertex of a smooth full-dimensional polytope lies
             # on exactly n facets.
             for p, slacks in zip(self.points, slack_rows):
-                tight = sum(1 for s in slacks if s == 0)
+                tight = slacks.count(0)
                 if tight != n:
                     problems.append(
                         "vertex %r lies on %d facets, expected %d" % (list(p), tight, n)
@@ -431,29 +459,77 @@ def rows_with_slacks(P):
     order.  The bounds are the exact integer interval the facet inequalities
     leave for the last coordinate, by floor division.  Along a row slack i
     grows by d_i, the last entry of normal i, per unit step in t.
+
+    The slacks at t = 0 are kept incrementally: taken once per head (the
+    first n - 2 coordinates), then moved by c_i, entry n - 2 of normal i, per
+    step of coordinate n - 2.  The facets are split once into rising
+    (d_i > 0: t >= -(b_i // d_i)), falling (d_i < 0: t <= b_i // -d_i) and
+    flat ones; a flat facet bounds coordinate n - 2 alone, so it cuts that
+    coordinate's range once per head.  A row then costs, per facet, one add
+    for its slack at t = 0, a multiply-add for its slack at lo and, for a
+    rising or falling facet, one floor division, all in itertools and map
+    pipelines that run below the Python loop.  A bounded polytope has at
+    least one rising and one falling facet: otherwise the last unit vector,
+    or its negative, is a recession direction.
     """
     box = P.geometry.box
     if box is None:
         return
     lo, hi = box
     n = P.dim
-    last_steps = [v[n - 1] for v in P.normals]
-    for prefix in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(n - 1)]):
-        row_lo, row_hi = lo[n - 1], hi[n - 1]
-        base = []
-        for v, a, d in zip(P.normals, P.offsets, last_steps):
-            b = sum(x * y for x, y in zip(prefix, v)) + a
-            base.append(b)
-            # b + d t >= 0
-            if d > 0:
-                row_lo = max(row_lo, -(b // d))
-            elif d < 0:
-                row_hi = min(row_hi, b // -d)
-            elif b < 0:
-                row_hi = row_lo - 1
-                break
+    normals, offsets = P.normals, P.offsets
+    steps = [v[-1] for v in normals]
+    if n == 1:
+        row_lo = max([lo[0]] + [-(a // d) for a, d in zip(offsets, steps) if d > 0])
+        row_hi = min([hi[0]] + [a // -d for a, d in zip(offsets, steps) if d < 0])
         if row_lo <= row_hi:
-            yield prefix, row_lo, row_hi, tuple(b + d * row_lo for b, d in zip(base, last_steps))
+            yield (), row_lo, row_hi, tuple(a + d * row_lo for a, d in zip(offsets, steps))
+        return
+    rising = [i for i, d in enumerate(steps) if d > 0]
+    falling = [i for i, d in enumerate(steps) if d < 0]
+    flat = [i for i, d in enumerate(steps) if d == 0]
+    column = [v[n - 2] for v in normals]
+    for head in itertools.product(*[range(lo[j], hi[j] + 1) for j in range(n - 2)]):
+        # slacks at (head, 0, 0), one dot product per facet per head
+        at0 = [sum(map(operator.mul, head, v)) + a for v, a in zip(normals, offsets)]
+        x0, x1 = lo[n - 2], hi[n - 2]
+        for i in flat:  # at0[i] + column[i] x >= 0
+            b, c = at0[i], column[i]
+            if c > 0:
+                x0 = max(x0, -(b // c))
+            elif c < 0:
+                x1 = min(x1, b // -c)
+            elif b < 0:
+                x1 = x0 - 1
+        if x0 > x1:
+            continue
+        count = x1 - x0
+        start = [b + c * x0 for b, c in zip(at0, column)]
+
+        def moving(i):
+            """Slack i at t = 0 for x = x0 .. x1."""
+            return itertools.accumulate(itertools.repeat(column[i], count), initial=start[i])
+
+        lows = map(
+            max,
+            itertools.repeat(lo[-1]),
+            *[map(operator.neg, map(operator.floordiv, moving(i), itertools.repeat(steps[i])))
+              for i in rising],
+        )
+        highs = map(
+            min,
+            itertools.repeat(hi[-1]),
+            *[map(operator.floordiv, moving(i), itertools.repeat(-steps[i])) for i in falling],
+        )
+        lows, *at_lo = itertools.tee(lows, len(steps) + 1)
+        # slack i at t = row_lo: b_i + d_i row_lo
+        slacks = zip(*[
+            map(operator.add, moving(i), map(operator.mul, itertools.repeat(d), low))
+            for i, (d, low) in enumerate(zip(steps, at_lo))
+        ])
+        for x, row_slacks, row_lo, row_hi in zip(range(x0, x1 + 1), slacks, lows, highs):
+            if row_lo <= row_hi:
+                yield head + (x,), row_lo, row_hi, row_slacks
 
 
 def points_with_slacks(P):

@@ -324,12 +324,15 @@ def gaussian_binomial(n, k):
     return q_multinomial(n, (k, n - k))
 
 
-def multinomial_coeffs(m, parts):
+def multinomial_coeffs(m, parts, length=None):
     """[m; parts]_q = (q;q)_m / prod_i (q;q)_(parts_i) as its D + 1 integer
-    coefficients, D = (m^2 - sum parts_i^2) / 2: one largest part t cancels
-    into (q^(t+1);q)_(m-t), the others divide out, exactly modulo q^(D+1)."""
+    coefficients, D = (m^2 - sum parts_i^2) / 2, or its first `length` ones:
+    one largest part t cancels into (q^(t+1);q)_(m-t), the others divide
+    out, each pass exact modulo q^length (default D + 1)."""
     *rest, top = sorted(parts) or [0]
-    out = [1] + [0] * ((m * m - sum(p * p for p in parts)) // 2)
+    if length is None:
+        length = (m * m - sum(p * p for p in parts)) // 2 + 1
+    out = [1] + [0] * (length - 1)
     pochhammer_mul_inplace(out, 1, m, top + 1)
     for p in rest:
         pochhammer_div_inplace(out, 1, p)

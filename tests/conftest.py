@@ -269,3 +269,135 @@ def solids(hexagon):
             hexagon.offsets + (0, 1),
         ),
     }
+
+
+# The vertex scan on Fraction rows, as it was before the integer eliminator:
+# the reference lattice.Geometry and lattice.bareiss_reduce are checked against.
+
+
+def reference_row_reduce(rows, width):
+    """Exact Gauss-Jordan elimination over the rationals, one row at a time:
+    (reduced, pivots, leads, det) with each reduced row 1 at its pivot and 0
+    at the other pivots, each lead the input row reduced against the earlier
+    independent rows only, and det the signed product of the leads' pivots."""
+    reduced, pivots, leads = [], [], []
+    det = Fraction(1)
+    for row in rows:
+        lead = [Fraction(x) for x in row]
+        for e, p in zip(reduced, pivots):
+            c = lead[p]
+            if c:
+                lead = [x - c * y for x, y in zip(lead, e)]
+        p = next((j for j in range(width) if lead[j]), None)
+        if p is None:
+            continue
+        flips = sum(1 for q in pivots if q > p)
+        det *= -lead[p] if flips % 2 else lead[p]
+        unit = [x / lead[p] for x in lead]
+        for k, e in enumerate(reduced):
+            c = e[p]
+            if c:
+                reduced[k] = [x - c * y for x, y in zip(e, unit)]
+        reduced.append(unit)
+        pivots.append(p)
+        leads.append(lead)
+    return reduced, pivots, leads, det
+
+
+def _reference_primitive_vector(vec):
+    scale = math.lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(x * scale) for x in vec]
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints)
+
+
+def reference_inverse_unimodular(rows):
+    """Inverse of a determinant +-1 integer matrix, as integer columns."""
+    n = len(rows)
+    augmented = [tuple(v) + tuple(int(i == j) for j in range(n)) for i, v in enumerate(rows)]
+    reduced, pivots, _, det = reference_row_reduce(augmented, n)
+    assert len(pivots) == n and det in (-1, 1)
+    inverse = [e[n:] for _, e in sorted(zip(pivots, reduced), key=lambda pe: pe[0])]
+    return [tuple(int(x) for x in column) for column in zip(*inverse)]
+
+
+def reference_is_bounded(normals):
+    """No nonzero u with every <u, v_i> >= 0: the normals span and no kernel
+    direction of n - 1 independent normals satisfies every inequality."""
+    import itertools
+
+    n = len(normals[0])
+    if len(reference_row_reduce(normals, n)[1]) < n:
+        return False
+    for rows in itertools.combinations(normals, n - 1):
+        reduced, pivots, _, _ = reference_row_reduce(rows, n)
+        if len(pivots) < n - 1:
+            continue
+        free = next(c for c in range(n) if c not in pivots)
+        ray = [Fraction(0)] * n
+        ray[free] = Fraction(1)
+        for e, p in zip(reduced, pivots):
+            ray[p] = -e[free]
+        for sign in (1, -1):
+            if all(sign * sum(x * y for x, y in zip(ray, v)) >= 0 for v in normals):
+                return False
+    return True
+
+
+def reference_geometry(P):
+    """The fields of lattice.Geometry(P) (its vars) by Fraction elimination:
+    each facet system solved on Fraction rows, feasibility and slacks on the
+    Fraction point."""
+    import itertools
+
+    n = P.dim
+    solutions = []
+    for subset in itertools.combinations(range(P.facet_count), n):
+        rows = [P.normals[i] + (-P.offsets[i],) for i in subset]
+        reduced, pivots, _, det = reference_row_reduce(rows, n)
+        if len(pivots) < n:
+            continue
+        point = [None] * n
+        for e, p in zip(reduced, pivots):
+            point[p] = e[n]
+        point = tuple(point)
+        if all(s >= 0 for s in P.slacks(point)):
+            solutions.append((point, subset, int(det)))
+    problems = []
+    for point, subset, det in solutions:
+        if det not in (-1, 1):
+            problems.append(
+                "facets %r meet at a feasible point with determinant %d" % (list(subset), det)
+            )
+        if any(x.denominator != 1 for x in point):
+            problems.append(
+                "facets %r meet at the non-integral point %r"
+                % (list(subset), [str(x) for x in point])
+            )
+    points = sorted({p for p, _, _ in solutions})
+    box = None
+    if points:
+        coords = list(zip(*points))
+        box = ([math.ceil(min(c)) for c in coords], [math.floor(max(c)) for c in coords])
+    diffs = [[x - y for x, y in zip(p, points[0])] for p in points[1:]]
+    _, pivots, leads, _ = reference_row_reduce(diffs, n)
+    full_dimensional = len(pivots) == n
+    slack_rows = [P.slacks(p) for p in points]
+    if not problems and full_dimensional:
+        for p, slacks in zip(points, slack_rows):
+            tight = sum(1 for s in slacks if s == 0)
+            if tight != n:
+                problems.append("vertex %r lies on %d facets, expected %d" % (list(p), tight, n))
+    facet_slacks = list(zip(*slack_rows))
+    return {
+        "_normals": P.normals,
+        "solutions": solutions,
+        "points": points,
+        "box": box,
+        "full_dimensional": full_dimensional,
+        "support_basis": tuple(_reference_primitive_vector(lead) for lead in leads),
+        "smooth": not problems,
+        "problems": tuple(problems),
+        "all_facets_touch": all(min(col) == 0 for col in facet_slacks),
+        "active_facets": tuple(i for i, col in enumerate(facet_slacks) if any(col)),
+    }

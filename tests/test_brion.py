@@ -252,6 +252,32 @@ def test_truncated_rs_walk_matches_cut_multinomials(P, K):
         assert all(type(x) is int for x in c)
 
 
+def test_truncated_rs_walk_starts_rows_modulo_the_order(monkeypatch):
+    # a row's first list is built modulo q^(min(K, D) + 1), not at full
+    # degree D and then cut: each start asks multinomial_coeffs for that
+    # length and gets the cut full multinomial, for D < K and D > K alike
+    P, K = SLOPED, 70
+    m = P.offset_sum()
+    starts = []
+    multinomial = brion.multinomial_coeffs
+
+    def logged(total, parts, *length):
+        out = multinomial(total, parts, *length)
+        starts.append((tuple(parts), length, out))
+        return out
+
+    monkeypatch.setattr(brion, "multinomial_coeffs", logged)
+    brion._rs_weights(P, K)
+    monkeypatch.undo()
+    degrees = set()
+    for parts, length, out in starts:
+        D = (m * m - sum(t * t for t in parts)) // 2
+        degrees.add(D)
+        assert length == (min(K, D) + 1,), parts
+        assert out == list(q_multinomial(m, parts).coeffs)[: min(K, D) + 1], parts
+    assert min(degrees) < K < max(degrees)
+
+
 @pytest.mark.parametrize("name", ["hexagon", "trapezoid_f1", "simplex_p2"])
 def test_lhs_series_evaluates_to_lhs_value(polytopes, name):
     P = lattice.dilate(polytopes[name], 2)

@@ -214,13 +214,13 @@ def test_first_orthant_reuses_an_ordered_polytope(monkeypatch, simplex_p2):
     P = lattice.dilate(simplex_p2, 6)
     lattice.validate(P)
     solves = []
-    row_reduce = lattice.row_reduce
+    reduce = lattice.bareiss_reduce
 
     def counting(rows, width):
         solves.append(width)
-        return row_reduce(rows, width)
+        return reduce(rows, width)
 
-    monkeypatch.setattr(lattice, "row_reduce", counting)
+    monkeypatch.setattr(lattice, "bareiss_reduce", counting)
     D = FirstOrthantDivisor.from_polytope(P)
     assert D.polytope is P
     assert solves == []
@@ -473,6 +473,32 @@ def test_bare_product_agreement_set(polytopes):
     for name in ("segment_5", "square_p1xp1", "hexagon"):
         P = polytopes[name]
         assert leading_term_check(P).value != expected_literal(P), name
+
+
+def test_coordinate_sum_maximizer_reads_the_row_ends(polytopes):
+    # the best row end is the maximum of (coordinate sum, point) over every
+    # lattice point: on each fixture and dilation, and on the first-orthant
+    # polytope leading_term_check reads it from where that is accepted
+    accepted = 0
+    for name, P in polytopes.items():
+        for k in (1, 2, 3, 4):
+            Q = lattice.dilate(P, k)
+            cases = [Q]
+            try:
+                D = FirstOrthantDivisor.from_polytope(Q)
+            except PreconditionError:
+                pass
+            else:
+                if D.polytope.is_radially_symmetric():
+                    cases.append(D.polytope)
+                    accepted += 1
+            for R in cases:
+                points = lattice.lattice_points(R)
+                want = max(points, key=lambda u: (sum(u), u))
+                assert jackson.coordinate_sum_maximizer(R) == want, (name, k)
+    assert accepted >= 20
+    with pytest.raises(PreconditionError):
+        jackson.coordinate_sum_maximizer(Polytope(2, ((1, 0), (0, 1), (-1, -1)), (-1, -1, 1)))
 
 
 def test_leading_term_rejects_non_symmetric(trapezoid):

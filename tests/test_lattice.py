@@ -13,7 +13,16 @@ from qbrion import fixtures, lattice, measures
 from qbrion.errors import EmptyPolytopeError, InvalidInputError, SmoothnessError
 from qbrion.lattice import Polytope
 
-from conftest import segment, sheared, skewed, translate
+from conftest import (
+    reference_geometry,
+    reference_inverse_unimodular,
+    reference_is_bounded,
+    reference_row_reduce,
+    segment,
+    sheared,
+    skewed,
+    translate,
+)
 
 
 # ---------------------------------------------------------------- validation
@@ -153,21 +162,56 @@ def leibniz_det(m):
     ],
 )
 def test_row_reduce_solves_square_systems(m):
+    # the integer eliminator: every entry stays an int, each reduced row is
+    # d = |det| at its pivot and 0 at the other pivots, and its carried
+    # column is d times the solution
     n = len(m)
     rhs = [1, -2, 5][:n]
-    reduced, pivots, leads, det = lattice.row_reduce([row + [b] for row, b in zip(m, rhs)], n)
+    reduced, pivots, leads, det = lattice.bareiss_reduce([row + [b] for row, b in zip(m, rhs)], n)
+    assert type(det) is int
+    assert all(type(x) is int for row in reduced + leads for x in row)
     want = leibniz_det(m)
     if want == 0:
         assert len(pivots) < n
         return
     assert det == want
+    d = abs(det)
+    for e, p in zip(reduced, pivots):
+        assert e[p] == d and all(e[q] == 0 for q in pivots if q != p)
     x = {p: e[n] for e, p in zip(reduced, pivots)}
     for row, b in zip(m, rhs):
-        assert sum(row[j] * x[j] for j in range(n)) == b
+        assert sum(row[j] * x[j] for j in range(n)) == d * b
     # each lead starts at its pivot and vanishes at the earlier pivots
     for k, (lead, p) in enumerate(zip(leads, pivots)):
         assert lead[p] != 0 and not any(lead[:p])
         assert all(lead[q] == 0 for q in pivots[:k])
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda width: st.tuples(
+            st.just(width),
+            st.lists(
+                st.lists(st.integers(-4, 4), min_size=width + 2, max_size=width + 2),
+                max_size=5,
+            ),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_bareiss_reduce_scales_the_fraction_reduction(case):
+    # against the Fraction Gauss-Jordan reference: the same pivots and
+    # determinant, each reduced row |det| times the reference one, and each
+    # lead a positive multiple of the reference lead
+    width, rows = case
+    reduced, pivots, leads, det = lattice.bareiss_reduce(rows, width)
+    want_reduced, want_pivots, want_leads, want_det = reference_row_reduce(rows, width)
+    assert pivots == want_pivots and det == want_det
+    d = abs(det)
+    assert [[Fraction(x, d) for x in e] for e in reduced] == want_reduced
+    for lead, want, p in zip(leads, want_leads, pivots):
+        scale = lead[p] / want[p]
+        assert scale > 0 and [scale * x for x in want] == lead
 
 
 # ------------------------------------------------------------------ vertices
@@ -241,18 +285,96 @@ def test_degenerate_segment_has_one_cone_per_facet():
     assert {v.facet_set for v in vs} == {(0,), (1,)}
 
 
+def scan_cases(polytopes, solids):
+    """Every fixture at dilations 1-3 and translated, the 3-D solids, and
+    polytopes the smooth scan must flag or see as degenerate or empty."""
+    for name, P in polytopes.items():
+        for k in (1, 2, 3):
+            Q = Polytope(P.dim, P.normals, tuple(k * a for a in P.offsets))
+            yield "%s*%d" % (name, k), Q
+            yield "%s*%d+shift" % (name, k), translate(Q, (3, -5)[: P.dim])
+    for name, P in solids.items():
+        yield name, Polytope(P.dim, P.normals, P.offsets)
+    # the vertex (0, 1/2) is not integral
+    yield "non-integral", Polytope.from_facets(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), 1)])
+    # facets 0 and 2 meet at (0, 2) with determinant -2
+    yield "det -2", Polytope.from_facets(2, [((1, 0), 0), ((0, 1), 0), ((-1, -2), 4)])
+    # (2, 2) lies on three facets
+    yield "three facets", Polytope.from_facets(
+        2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), 2), ((0, -1), 2), ((-1, -1), 4)]
+    )
+    # degenerate offsets: the triangle and the cube shrunk to a point
+    yield "point triangle", Polytope(2, polytopes["simplex_p2"].normals, (0, 0, 0))
+    yield "point cube", Polytope(3, solids["cube"].normals, (0,) * 6)
+    yield "flat cube", Polytope(3, solids["cube"].normals, (0, 0, 0, 1, 1, 0))
+    yield "empty", Polytope(2, ((1, 0), (0, 1), (-1, -1)), (-1, -1, 1))
+    yield "empty segment", Polytope.from_facets(1, [((1,), -1), ((-1,), 0)])
+
+
+def test_integer_vertex_scan_matches_the_fraction_scan(polytopes, solids):
+    # every field of the scan, problem texts, determinants and the signs of
+    # the support basis included, equals the Fraction elimination's; the
+    # points stay Fraction tuples and the determinants ints
+    for label, P in scan_cases(polytopes, solids):
+        geo, want = vars(lattice.Geometry(P)), reference_geometry(P)
+        assert sorted(geo) == sorted(want), label
+        for field in want:
+            assert geo[field] == want[field], (label, field)
+        for (point, _, det), (want_point, _, _) in zip(geo["solutions"], want["solutions"]):
+            assert type(det) is int, label
+            assert all(type(x) is Fraction for x in point + want_point), label
+        if want["smooth"] and want["solutions"]:
+            assert lattice.Geometry(P).vertices == [
+                lattice.VertexData(
+                    point=tuple(int(x) for x in point),
+                    facet_set=subset,
+                    edge_dirs=tuple(reference_inverse_unimodular([P.normals[i] for i in subset])),
+                )
+                for point, subset, _ in sorted(want["solutions"])
+            ], label
+
+
+def test_scan_cases_cover_the_flagged_and_degenerate_polytopes(polytopes, solids):
+    # the cases above reach every branch of the scan the comparison is for
+    geos = {label: lattice.Geometry(P) for label, P in scan_cases(polytopes, solids)}
+    assert any("non-integral" in p for p in geos["non-integral"].problems)
+    assert any(det == -2 for _, _, det in geos["det -2"].solutions)
+    assert [p.endswith("lies on 3 facets, expected 2") for p in geos["three facets"].problems] == [True]
+    assert len(geos["point triangle"].solutions) == 3 and len(geos["point triangle"].points) == 1
+    assert not geos["flat cube"].full_dimensional
+    assert len(geos["flat cube"].support_basis) == 2
+    assert len(geos["segment_0*1"].solutions) == 2
+    assert geos["empty"].solutions == [] and geos["empty"].box is None
+    assert geos["empty segment"].box is None
+
+
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.tuples(*[st.integers(-3, 3)] * n).filter(lambda v: any(v) and math.gcd(*v) == 1),
+            min_size=1,
+            max_size=n + 3,
+            unique=True,
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_boundedness_matches_the_fraction_check(normals):
+    assert lattice._is_bounded(tuple(normals)) == reference_is_bounded(tuple(normals))
+
+
 def test_vertex_scan_runs_once_per_polytope(monkeypatch):
     P = lattice.dilate(fixtures.load("hexagon"), 2)  # a fresh object, not scanned yet
     solves = []
-    row_reduce = lattice.row_reduce
+    reduce = lattice.bareiss_reduce
 
     def counting(rows, width):
         rows = list(rows)
         if len(rows) == width and all(len(row) == width + 1 for row in rows):
             solves.append(rows)  # one facet system [A | -a]
-        return row_reduce(rows, width)
+        return reduce(rows, width)
 
-    monkeypatch.setattr(lattice, "row_reduce", counting)
+    monkeypatch.setattr(lattice, "bareiss_reduce", counting)
     lattice.validate(P)
     assert "vertices" not in vars(P.geometry)  # validate leaves the cones lazy
     lattice.enumerate_vertices(P)
@@ -296,6 +418,37 @@ def test_points_with_slacks_consistency(hexagon):
         assert all(s >= 0 for s in slacks)
 
 
+def brute_force_rows(P):
+    """(prefix, lo, hi, slacks at lo) for each row, by testing every point
+    of a box one unit wider than the brute-force vertices' in lexicographic
+    order; each row must come out as one run of consecutive points."""
+    vs = brute_force_vertices(P)
+    if not vs:
+        return []
+    ranges = [
+        range(math.floor(min(v[j] for v in vs)) - 1, math.ceil(max(v[j] for v in vs)) + 2)
+        for j in range(P.dim)
+    ]
+    runs = {}
+    for u in itertools.product(*ranges):
+        if P.contains(u):
+            prefix, t = u[:-1], u[-1]
+            lo, hi = runs.get(prefix, (t, t - 1))
+            assert t == hi + 1, u
+            runs[prefix] = (lo, t)
+    return [(prefix, lo, hi, P.slacks(prefix + (lo,))) for prefix, (lo, hi) in runs.items()]
+
+
+def triangle_prism(k):
+    """The triangle x, y >= 0, x + y <= 2k times the segment -1 <= z <= k:
+    its normal (-1, -1, 0) leaves the box corners x + y > 2k with no row."""
+    return Polytope(
+        3,
+        ((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)),
+        (0, 0, 2 * k, 1, k),
+    )
+
+
 def row_walk_cases(polytopes, solids):
     for name, P in polytopes.items():
         for k in (1, 2, 3, 4):
@@ -308,14 +461,21 @@ def row_walk_cases(polytopes, solids):
     for name, P in solids.items():
         for k in (1, 2, 3):
             yield "%s*%d" % (name, k), lattice.dilate(P, k)
+    for m in (0, 1, 4):
+        yield "segment %d" % m, segment(m)
+        yield "segment %d-3" % m, translate(segment(m), (-3,))
+    for k in (1, 2, 3):
+        yield "triangle_prism*%d" % k, triangle_prism(k)
 
 
 def test_points_with_slacks_flattens_rows_with_slacks(polytopes, solids):
     """Each row is the maximal run of lattice points over its prefix, with the
-    slacks at its low end; the rows in prefix order, flattened, are the
-    points_with_slacks sequence and the brute-force point list."""
+    slacks at its low end, exactly as a box scan finds it; the rows in prefix
+    order, flattened, are the points_with_slacks sequence and the brute-force
+    point list."""
     for label, P in row_walk_cases(polytopes, solids):
         rows = list(lattice.rows_with_slacks(P))
+        assert rows == brute_force_rows(P), label
         prefixes = [prefix for prefix, _, _, _ in rows]
         assert prefixes == sorted(set(prefixes)), label
         flat = []
@@ -330,9 +490,22 @@ def test_points_with_slacks_flattens_rows_with_slacks(polytopes, solids):
 
 
 def test_rows_with_slacks_of_an_empty_polytope():
-    P = Polytope(2, ((1, 0), (0, 1), (-1, -1)), (-1, -1, 1))  # x, y >= 1, x + y <= 1
-    assert list(lattice.rows_with_slacks(P)) == []
-    assert list(lattice.points_with_slacks(P)) == []
+    for P in (
+        Polytope(2, ((1, 0), (0, 1), (-1, -1)), (-1, -1, 1)),  # x, y >= 1, x + y <= 1
+        Polytope.from_facets(1, [((1,), -1), ((-1,), 0)]),  # 1 <= x <= 0
+    ):
+        assert brute_force_rows(P) == []
+        assert list(lattice.rows_with_slacks(P)) == []
+        assert list(lattice.points_with_slacks(P)) == []
+
+
+def test_a_flat_facet_leaves_heads_of_the_box_without_a_row():
+    # normal (-1, -1, 0) has last entry 0: it cuts the corners x + y > 4 off
+    # the (x, y) box, so 10 of its 25 heads have no row
+    P = triangle_prism(2)
+    lo, hi = P.geometry.box
+    heads = {prefix for prefix, _, _, _ in lattice.rows_with_slacks(P)}
+    assert len(heads) == 15 < (hi[0] - lo[0] + 1) * (hi[1] - lo[1] + 1) == 25
 
 
 @pytest.mark.parametrize("name", fixtures.NAMES)
@@ -376,13 +549,13 @@ def test_polytopes_on_known_normals_skip_the_boundedness_check(monkeypatch, poly
     # a derived divisor of a polytope already built does no row reduction
     built = {name: Polytope(P.dim, P.normals, P.offsets) for name, P in polytopes.items()}
     solves = []
-    row_reduce = lattice.row_reduce
+    reduce = lattice.bareiss_reduce
 
     def counting(rows, width):
         solves.append(width)
-        return row_reduce(rows, width)
+        return reduce(rows, width)
 
-    monkeypatch.setattr(lattice, "row_reduce", counting)
+    monkeypatch.setattr(lattice, "bareiss_reduce", counting)
     for name, P in built.items():
         for k in (1, 2, 5):
             lattice.dilate(P, k)
