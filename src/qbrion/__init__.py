@@ -21,7 +21,6 @@ from .errors import (
 from .qalg import (
     QPolynomial,
     TruncatedQSeries,
-    euler_inverse,
     gaussian_binomial,
     pochhammer_finite,
     pochhammer_infinite_inverse,
@@ -75,7 +74,6 @@ from .measures import (
     convergence_report,
     dilation_moments,
     gaussian_model,
-    max_face_points,
     minimize_potential,
     mu_limit_estimate,
     mu_measure,
@@ -101,7 +99,6 @@ __all__ = [
     "q_pochhammer",
     "pochhammer_finite",
     "pochhammer_infinite_inverse",
-    "euler_inverse",
     "Polytope",
     "VertexData",
     "ValidationReport",
@@ -137,7 +134,6 @@ __all__ = [
     "leading_term_expected",
     "DiscreteMeasure",
     "GaussianModel",
-    "max_face_points",
     "mu_measure",
     "mu_limit_estimate",
     "potential",

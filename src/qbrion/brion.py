@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import getitem
 
@@ -411,6 +411,14 @@ def _corner_plan(P, vertices, per_vertex, order):
     return plan
 
 
+def _corners(P, order):
+    """(vertices, per_vertex, plan): every vertex, its corner degree vectors
+    through q^order and their _corner_plan."""
+    vertices = lattice.enumerate_vertices(P)
+    per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
+    return vertices, per_vertex, _corner_plan(P, vertices, per_vertex, order)
+
+
 def _scaled_corners(plan, x0, edge_vals, order, euler):
     """Every vertex's corner terms over its kept degree vectors (plan from
     _corner_plan, edge_vals from _edge_pairs, both aligned with the
@@ -509,10 +517,7 @@ def rhs_series_at(P, x0, order):
     ring.  The result is divided by (q;q)_infinity^(facets - dim).
     """
     x0 = _require_point(x0, P.dim)
-    require_count(order, 0, "series order")
-    vertices = lattice.enumerate_vertices(P)
-    per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
-    plan = _corner_plan(P, vertices, per_vertex, order)
+    vertices, _, plan = _corners(P, require_count(order, 0, "series order"))
     return _unscaled(*_scaled_corners(plan, x0, _edge_pairs(x0, vertices), order, P.facet_count - P.dim))
 
 
@@ -581,18 +586,7 @@ class VerificationReport:
     elapsed_ms: float
 
     def to_dict(self):
-        return {
-            "polytope_hash": self.polytope_hash,
-            "order": self.order,
-            "trials": self.trials,
-            "seed": self.seed,
-            "finite_form": self.finite_form,
-            "points": self.points,
-            "equal": self.equal,
-            "first_mismatch": self.first_mismatch,
-            "degree_vectors_used": self.degree_vectors_used,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        return asdict(self)
 
 
 def _first_difference(lhs, rhs):
@@ -627,11 +621,9 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
     require_count(trials, 1, "trial count")
     if finite_form:
         lattice.require_radially_symmetric(P)
-    vertices = lattice.enumerate_vertices(P)
-    per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
-    used = {b for degs in per_vertex for b in degs}
     # everything that does not depend on the evaluation point, once
-    plan = _corner_plan(P, vertices, per_vertex, order)
+    vertices, per_vertex, plan = _corners(P, order)
+    used = {b for degs in per_vertex for b in degs}
     weights = _point_groups(*_g_weights(P, order))
     rs = _point_groups(*_rs_weights(P, order)) if finite_form else None
     rng = random.Random(seed)
@@ -644,12 +636,11 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
         points.append([str(c) for c in x0])
         lhs = _scaled_points(weights, x0, order)
         rhs = _scaled_corners(plan, x0, edge_vals, order, P.facet_count - P.dim)
+        pairs = [("corner_sum", lhs, rhs)]
         if finite_form:
             # both sides times (q;q)_{offset sum}, on the ints
             for acc, _, powers in (lhs, rhs):
                 pochhammer_mul_inplace(acc, powers, m)
-        pairs = [("corner_sum", lhs, rhs)]
-        if finite_form:
             pairs = [
                 ("corner_sum_finite", lhs, rhs),
                 ("symmetric_polynomial", lhs, _scaled_points(rs, x0, order)),

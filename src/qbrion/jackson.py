@@ -134,13 +134,6 @@ class FirstOrthantDivisor:
                 raise PreconditionError("polytope leaves the first orthant at %r" % (list(p),))
         return cls(reordered)
 
-    @property
-    def dim(self):
-        return self.polytope.dim
-
-    def offset_sum(self):
-        return self.polytope.offset_sum()
-
 
 def derived_divisor(D, axis):
     """Divisor after one Jackson derivative along the given 0-based axis.
@@ -323,6 +316,14 @@ def coordinate_sum_maximizer(P):
     return best[1]
 
 
+def _leading_setup(P):
+    """The first-orthant form Q of P, which must be radially symmetric, and
+    its coordinate-sum maximizer."""
+    Q = FirstOrthantDivisor.from_polytope(P).polytope
+    lattice.require_radially_symmetric(Q)
+    return Q, coordinate_sum_maximizer(Q)
+
+
 def leading_term_check(P):
     """Iterate the Jackson derivative up to a coordinate-sum maximizer.
 
@@ -332,10 +333,7 @@ def leading_term_check(P):
     below i), leaving an exact scalar in q.  Returns the maximizer and that
     scalar, which must be nonzero.
     """
-    D = FirstOrthantDivisor.from_polytope(P)
-    Q = D.polytope
-    lattice.require_radially_symmetric(Q)
-    maximizer = coordinate_sum_maximizer(Q)
+    Q, maximizer = _leading_setup(P)
     f = rs_polynomial(Q)
     for axis in range(Q.dim):
         f = iterated_jackson(f, axis, maximizer[axis])
@@ -354,10 +352,7 @@ def leading_term_expected(P):
     The q-multinomial is the coefficient of the surviving monomial and each
     axis contributes the q-factorial of its derivative count.
     """
-    D = FirstOrthantDivisor.from_polytope(P)
-    Q = D.polytope
-    lattice.require_radially_symmetric(Q)
-    maximizer = coordinate_sum_maximizer(Q)
+    Q, maximizer = _leading_setup(P)
     slacks = Q.slacks(maximizer)
     out = q_multinomial(sum(slacks), slacks)
     for i_k in maximizer:

@@ -25,7 +25,7 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -115,6 +115,11 @@ class Polytope:
     offsets: tuple
 
     def __post_init__(self):
+        try:  # tuples, so that one built from lists hashes and compares the same
+            object.__setattr__(self, "normals", tuple(map(tuple, self.normals)))
+            object.__setattr__(self, "offsets", tuple(self.offsets))
+        except TypeError as exc:
+            raise InvalidInputError("normals and offsets must be sequences") from exc
         n, r = self.dim, len(self.normals)
         if not _is_integer(n) or n < 1:
             raise InvalidInputError("dimension must be an integer of at least 1")
@@ -135,7 +140,7 @@ class Polytope:
             seen.add(v)
         if not all(_is_integer(a) for a in self.offsets):
             raise InvalidInputError("facet offsets must be integers")
-        if not _is_bounded(tuple(self.normals)):
+        if not _is_bounded(self.normals):
             raise InvalidInputError("the half-space intersection is unbounded")
 
     # -- construction helpers -------------------------------------------------
@@ -277,15 +282,7 @@ class ValidationReport:
     problems: tuple
 
     def to_dict(self):
-        return {
-            "smooth": self.smooth,
-            "radially_symmetric": self.radially_symmetric,
-            "all_facets_touch": self.all_facets_touch,
-            "full_dimensional": self.full_dimensional,
-            "vertex_count": self.vertex_count,
-            "lattice_point_count": self.lattice_point_count,
-            "problems": list(self.problems),
-        }
+        return {**asdict(self), "problems": list(self.problems)}
 
 
 class Geometry:
@@ -363,7 +360,8 @@ class Geometry:
                 tight = slacks.count(0)
                 if tight != n:
                     problems.append(
-                        "vertex %r lies on %d facets, expected %d" % (list(p), tight, n)
+                        "vertex %r lies on %d facets, expected %d"
+                        % ([str(x) for x in p], tight, n)
                     )
         self.smooth = not problems
         self.problems = tuple(problems)

@@ -33,6 +33,7 @@ from .errors import (
 
 
 _INT_ONLY = frozenset((int,))
+_NEWTON_STEPS = 200  # minimize_potential gives up after this many
 
 
 def _lattice_point(u):
@@ -207,17 +208,6 @@ def _face_rows(P):
         m, r = divmod(gap, sigma)
         if r == 0 and 0 <= m <= hi - lo:
             yield prefix, lo + m, lo + m, tuple(s + m * d for s, d in zip(slacks, deltas))
-
-
-def max_face_points(P):
-    """Lattice points whose slack sum is maximal, with their slacks."""
-    deltas = [v[-1] for v in P.normals]
-    out = []
-    for prefix, lo, hi, slacks in _face_rows(P):
-        for t in range(lo, hi + 1):
-            out.append((prefix + (t,), slacks))
-            slacks = tuple(map(operator.add, slacks, deltas))
-    return out
 
 
 def _nonempty(face_rows):
@@ -547,7 +537,7 @@ def potential(P, m):
     return math.exp(total)
 
 
-def minimize_potential(P, tol=1e-10, max_iter=200):
+def minimize_potential(P, tol=1e-10):
     """Interior minimizer of prod_i t_i(u)^{t_i(u)} by damped Newton steps.
 
     Needs a bounded, full-dimensional polytope with balanced normals; then
@@ -563,7 +553,7 @@ def minimize_potential(P, tol=1e-10, max_iter=200):
     a = np.array(P.offsets, dtype=float)
     verts = np.array(lattice.vertex_points(P), dtype=float)
     u = verts.mean(axis=0)
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_STEPS):
         t = vs @ u + a
         if np.any(t <= 0):
             raise ConvergenceError("iterate left the interior")

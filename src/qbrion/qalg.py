@@ -276,11 +276,7 @@ class TruncatedQSeries:
             out[k] = -inv0 * acc
         return TruncatedQSeries(self.order, out)
 
-    def evaluate(self, q):
-        acc = 0 if not isinstance(q, float) else 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
+    evaluate = QPolynomial.evaluate
 
     def __eq__(self, other):
         return (
@@ -421,18 +417,6 @@ def pochhammer_infinite_inverse(c, order):
     out = [1 / (1 - c)] + [_ZERO] * order
     pochhammer_div_inplace(out, c, order)
     return TruncatedQSeries(order, out)
-
-
-def euler_inverse(order):
-    """1 / (q; q)_infinity modulo q^(order+1).
-
-    Coefficient of q^j is the number of integer partitions of j: dividing by
-    each (1 - q^part) in turn is the classic partition-counting recurrence
-    over part sizes, so the work stays in integers.
-    """
-    counts = [1] + [0] * order
-    pochhammer_div_inplace(counts, 1, order)
-    return TruncatedQSeries(order, counts)
 
 
 def inverse_reversed_pochhammer(c, d, order):

@@ -387,7 +387,9 @@ def reference_geometry(P):
         for p, slacks in zip(points, slack_rows):
             tight = sum(1 for s in slacks if s == 0)
             if tight != n:
-                problems.append("vertex %r lies on %d facets, expected %d" % (list(p), tight, n))
+                problems.append(
+                    "vertex %r lies on %d facets, expected %d" % ([str(x) for x in p], tight, n)
+                )
     facet_slacks = list(zip(*slack_rows))
     return {
         "_normals": P.normals,

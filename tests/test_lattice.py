@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,6 +73,44 @@ def test_non_smooth_triangle_flagged():
     report = lattice.validate(P)
     assert not report.smooth
     assert report.problems
+
+
+def test_vertex_on_too_many_facets_problem_text():
+    # x, y >= 0, x <= 2, y <= 2, x + y <= 4: the vertex (2, 2) lies on three facets
+    P = Polytope.from_facets(2, [((1, 0), 0), ((0, 1), 0), ((-1, 0), 2), ((0, -1), 2), ((-1, -1), 4)])
+    assert lattice.validate(P).to_dict()["problems"] == [
+        "vertex ['2', '2'] lies on 3 facets, expected 2"
+    ]
+
+
+@pytest.mark.parametrize(
+    "normals, offsets",
+    [
+        ([[1, 0], [0, 1], [-1, -1]], [0, 0, 1]),
+        (((1, 0), (0, 1), (-1, -1)), [0, 0, 1]),
+        ([(1, 0), [0, 1], (-1, -1)], (0, 0, 1)),
+    ],
+)
+def test_polytope_built_from_lists_equals_the_tuple_built_one(normals, offsets):
+    P = Polytope(2, ((1, 0), (0, 1), (-1, -1)), (0, 0, 1))
+    Q = Polytope(2, normals, offsets)
+    assert Q == P and hash(Q) == hash(P)
+    assert type(Q.normals) is tuple and all(type(v) is tuple for v in Q.normals)
+    assert type(Q.offsets) is tuple
+
+
+@pytest.mark.parametrize(
+    "normals, offsets",
+    [
+        (5, (0, 0, 1)),
+        (((1, 0), 7, (-1, -1)), (0, 0, 1)),
+        (((1, 0), (0, 1), (-1, -1)), 1),
+        ([[1, 0], [0, 1], [-1, -1]], [0, 0, 1.0]),
+    ],
+)
+def test_polytope_rejects_non_sequences_and_non_int_entries(normals, offsets):
+    with pytest.raises(InvalidInputError):
+        Polytope(2, normals, offsets)
 
 
 def test_empty_intersection_raises():
@@ -620,16 +659,26 @@ def test_from_file(tmp_path, hexagon):
 # --------------------------------------------------------- degree enumeration
 
 
+def box_kernel_vectors(P, ranges):
+    """All integer kernel vectors b (sum_i b_i v_i = 0) with lo_i <= b_i <=
+    hi_i, ranges[i] = (lo_i, hi_i), in lexicographic order.  The box is
+    scanned one value of b_0 at a time, by one integer matrix product."""
+    normals = np.array(P.normals, dtype=np.int64)
+    rest = np.stack(
+        np.meshgrid(*(np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in ranges[1:]), indexing="ij"),
+        axis=-1,
+    ).reshape(-1, len(ranges) - 1)
+    base = rest @ normals[1:]
+    out = []
+    for b0 in range(ranges[0][0], ranges[0][1] + 1):
+        hits = rest[~(base + b0 * normals[0]).any(axis=1)]
+        out.extend((b0,) + tuple(map(int, b)) for b in hits)
+    return out
+
+
 def kernel_vectors_in_box(P, bound):
     """All nonnegative integer kernel vectors with every entry <= bound."""
-    n, r = P.dim, P.facet_count
-    out = []
-    for b in itertools.product(range(bound + 1), repeat=r):
-        if all(
-            sum(b[i] * P.normals[i][j] for i in range(r)) == 0 for j in range(n)
-        ):
-            out.append(b)
-    return out
+    return box_kernel_vectors(P, [(0, bound)] * P.facet_count)
 
 
 def nonnegative_valuation(P, b):
@@ -691,21 +740,12 @@ def test_degree_valuation_values(hexagon):
 def corner_vectors_brute_force(P, vd, order, bound):
     """Signed kernel vectors, nonnegative off the vertex facet set, with
     corner valuation <= order; entries scanned over [-bound, bound]."""
-    n, r = P.dim, P.facet_count
-    facet = set(vd.facet_set)
-    out = []
-    ranges = [
-        range(-bound, bound + 1) if i in facet else range(0, bound + 1)
-        for i in range(r)
+    ranges = [(-bound if i in vd.facet_set else 0, bound) for i in range(P.facet_count)]
+    return [
+        b
+        for b in box_kernel_vectors(P, ranges)
+        if lattice.corner_degree_valuation(P, vd, b) <= order
     ]
-    for b in itertools.product(*ranges):
-        if any(
-            sum(b[i] * P.normals[i][j] for i in range(r)) != 0 for j in range(n)
-        ):
-            continue
-        if lattice.corner_degree_valuation(P, vd, b) <= order:
-            out.append(b)
-    return sorted(out)
 
 
 @pytest.mark.parametrize("name", ["hexagon", "trapezoid_f1", "square_p1xp1", "simplex_p2"])

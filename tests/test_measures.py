@@ -17,7 +17,6 @@ from qbrion.measures import (
     dilation_moments,
     gaussian_model,
     log_weight_table,
-    max_face_points,
     max_face_value,
     minimize_potential,
     mu_limit_estimate,
@@ -198,7 +197,9 @@ def test_mu_measure_trapezoid(trapezoid):
 
 def test_max_face_trapezoid(trapezoid):
     assert max_face_value(trapezoid) == 3
-    assert {p for p, _ in max_face_points(trapezoid)} == {(0, 1), (1, 1), (2, 1)}
+    face = mu_measure(trapezoid).support()
+    assert face == [(0, 1), (1, 1), (2, 1)]
+    assert all(sum(trapezoid.slacks(u)) == 3 for u in face)
 
 
 def test_mu_measure_hexagon_symmetry(hexagon):
@@ -440,7 +441,7 @@ def test_potential_rejects_point_of_wrong_length(hexagon, m):
 
 def test_empty_polytope_raises_empty_error():
     P = Polytope(1, ((1,), (-1,)), (-3, 1))  # 3 <= u <= 1
-    for fn in (max_face_value, max_face_points, mu_measure):
+    for fn in (max_face_value, mu_measure):
         with pytest.raises(EmptyPolytopeError):
             fn(P)
     with pytest.raises(EmptyPolytopeError):
@@ -546,10 +547,11 @@ def assert_matches_reference(P, k):
     Q = lattice.dilate(P, k)
     weights, mean, cov = face_measure_reference(Q)
     assert dict(measures._face_weights(Q)) == weights
-    face = max_face_points(Q)
-    assert [u for u, _ in face] == sorted(weights)
-    assert all(t == Q.slacks(u) for u, t in face)
     mu = mu_measure(Q)
+    face = mu.support()
+    assert face == sorted(weights)
+    top = max_face_value(Q)
+    assert all(sum(Q.slacks(u)) == top for u in face)
     assert mu == DiscreteMeasure(weights)
     assert mu.mean() == mean
     assert mu.covariance() == cov

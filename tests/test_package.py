@@ -1,0 +1,25 @@
+"""The package's public names: what __init__ imports is what it exports."""
+
+import ast
+
+import qbrion
+
+
+def imported_names():
+    """Every name bound by a `from ... import` statement in qbrion/__init__.py."""
+    with open(qbrion.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def test_all_resolves_and_lists_every_import():
+    # a removed function cannot leave a stale export or a silent import behind
+    assert len(set(qbrion.__all__)) == len(qbrion.__all__)
+    for name in qbrion.__all__:
+        assert getattr(qbrion, name) is not None, name
+    assert sorted(qbrion.__all__) == sorted(imported_names())
