@@ -22,8 +22,6 @@ from .qalg import (
     QPolynomial,
     TruncatedQSeries,
     gaussian_binomial,
-    pochhammer_finite,
-    pochhammer_infinite_inverse,
     q_factorial,
     q_integer,
     q_multinomial,
@@ -97,8 +95,6 @@ __all__ = [
     "gaussian_binomial",
     "q_multinomial",
     "q_pochhammer",
-    "pochhammer_finite",
-    "pochhammer_infinite_inverse",
     "Polytope",
     "VertexData",
     "ValidationReport",

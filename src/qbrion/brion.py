@@ -189,9 +189,7 @@ def _g_coeffs(slacks, order):
     """Integer coefficients of q^0 .. q^order of prod_i 1/(q;q)_{slack_i}."""
     out = [1] + [0] * order
     for s in slacks:
-        if s < 0:
-            raise InvalidInputError("slacks must be nonnegative")
-        pochhammer_div_inplace(out, 1, s)
+        pochhammer_div_inplace(out, 1, require_count(s, 0, "slack"))
     return out
 
 

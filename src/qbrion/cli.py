@@ -1,10 +1,12 @@
 """Command line surface for the library.
 
-Subcommands load a polytope from a JSON facet file and emit deterministic
-reports: JSON for verification and operator checks, CSV for measures, TSV for
-asymptotics tables and heatmap weights.  Exit codes: 0 success, 1 verification
-mismatch, 2 invalid input, 3 precondition violation.  Identical invocations
-produce byte-identical output files; wall-clock timing goes to stderr only.
+main loads the polytope from a JSON facet file once and hands it to the
+subcommand, which emits a deterministic report: JSON for verification and
+operator checks, CSV for measures, TSV for asymptotics tables and heatmap
+weights.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input
+(an unreadable polytope file or an unwritable output path too), 3 precondition
+violation.  Identical invocations produce byte-identical output files;
+wall-clock timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -20,11 +22,16 @@ from .errors import ConvergenceError, InvalidInputError, PreconditionError
 
 
 def _write_text(path, text):
+    """text to stdout (path None or "-") or to the file at path; a failed
+    write is InvalidInputError, as a failed read of the polytope file is."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise InvalidInputError("cannot write %s: %s" % (path, exc)) from exc
 
 
 _encode = json.JSONEncoder().encode  # the C encoder, for keys and scalar leaves
@@ -103,8 +110,7 @@ def _int_list(text):
         raise argparse.ArgumentTypeError("expected a comma-separated integer list") from None
 
 
-def cmd_validate(args):
-    P = lattice.Polytope.from_file(args.polytope)
+def cmd_validate(P, args):
     report = lattice.validate(P)
     data = report.to_dict()
     data["content_hash"] = P.content_hash()
@@ -114,8 +120,7 @@ def cmd_validate(args):
     return 0
 
 
-def cmd_verify(args):
-    P = lattice.Polytope.from_file(args.polytope)
+def cmd_verify(P, args):
     report = brion.verify_identity(
         P,
         order=args.order,
@@ -124,15 +129,15 @@ def cmd_verify(args):
         finite_form=args.theorem1,
     )
     data = report.to_dict()
-    # timing to stderr so output files stay byte-identical across runs
+    # timing to stderr so output files stay byte-identical across runs, and
+    # after the report, so a failed write prints its error alone
     elapsed = data.pop("elapsed_ms")
-    print("elapsed_ms: %.3f" % elapsed, file=sys.stderr)
     _write_text(args.output, _json_text(data))
+    print("elapsed_ms: %.3f" % elapsed, file=sys.stderr)
     return 0 if report.equal else 1
 
 
-def cmd_rs(args):
-    P = lattice.Polytope.from_file(args.polytope)
+def cmd_rs(P, args):
     lattice.validate(P)
     poly = brion.rs_polynomial(P)
     data = {_exponent_key(u): term.coeffs for u, term in poly.terms.items()}
@@ -140,8 +145,7 @@ def cmd_rs(args):
     return 0
 
 
-def cmd_lhs(args):
-    P = lattice.Polytope.from_file(args.polytope)
+def cmd_lhs(P, args):
     lattice.validate(P)
     series_poly = brion.lhs_series(P, args.order)
     data = {
@@ -152,8 +156,7 @@ def cmd_lhs(args):
     return 0
 
 
-def cmd_measure(args):
-    P = lattice.Polytope.from_file(args.polytope)
+def cmd_measure(P, args):
     Q = lattice.dilate(P, args.dilate) if args.dilate != 1 else P
     lattice.validate(Q)
     measure = measures.mu_measure(Q)
@@ -168,13 +171,12 @@ def cmd_measure(args):
     return 0
 
 
-def cmd_asymptotics(args):
-    P = lattice.Polytope.from_file(args.polytope)
+def cmd_asymptotics(P, args):
     lattice.validate(P)
     ks = args.k
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] < 1:
         raise InvalidInputError("--k needs an ascending list of positive integers")
-    report = measures.convergence_report(P, ks, tol=args.tol)
+    report = measures.convergence_report(P, ks)
     model = report["model"]
     lines = []
     lines.append("# minimizer\t%s" % ",".join(repr(x) for x in model.minimizer))
@@ -208,8 +210,7 @@ def cmd_asymptotics(args):
     return 0
 
 
-def cmd_heatmap(args):
-    P = lattice.Polytope.from_file(args.polytope)
+def cmd_heatmap(P, args):
     lattice.validate(P)
     if P.dim != 2:
         raise PreconditionError("heatmap needs a 2-dimensional polytope")
@@ -239,16 +240,14 @@ def cmd_heatmap(args):
         weights = measures._multiset_weights(keys, q)
         text = {key: repr(w) + "\n" for key, w in weights.items()}
         path = "%s_q%s.tsv" % (args.output, tok)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header + "".join(map(str.__add__, columns, map(text.__getitem__, keys))))
+        _write_text(path, header + "".join(map(str.__add__, columns, map(text.__getitem__, keys))))
         written.append(path)
     for path in written:
         print(path)
     return 0
 
 
-def cmd_jackson(args):
-    P = lattice.Polytope.from_file(args.polytope)
+def cmd_jackson(P, args):
     if args.ladder is not None:
         pair = args.ladder
         if len(pair) != 2:
@@ -313,7 +312,6 @@ def build_parser():
     p = sub.add_parser("asymptotics", help="Gaussian model and scaled-moment errors as TSV")
     p.add_argument("polytope")
     p.add_argument("--k", type=_int_list, default=[25, 100, 400], help="ascending dilations")
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_asymptotics)
 
@@ -342,7 +340,7 @@ _parser = functools.cache(build_parser)
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(lattice.Polytope.from_file(args.polytope), args)
     except InvalidInputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -30,10 +30,12 @@ from .errors import (
     InvalidInputError,
     PreconditionError,
 )
+from .qalg import require_count
 
 
 _INT_ONLY = frozenset((int,))
 _NEWTON_STEPS = 200  # minimize_potential gives up after this many
+_NEWTON_TOL = 1e-10  # ... and stops once the gradient norm is at most this
 
 
 def _lattice_point(u):
@@ -537,7 +539,7 @@ def potential(P, m):
     return math.exp(total)
 
 
-def minimize_potential(P, tol=1e-10):
+def minimize_potential(P):
     """Interior minimizer of prod_i t_i(u)^{t_i(u)} by damped Newton steps.
 
     Needs a bounded, full-dimensional polytope with balanced normals; then
@@ -558,7 +560,7 @@ def minimize_potential(P, tol=1e-10):
         if np.any(t <= 0):
             raise ConvergenceError("iterate left the interior")
         g = vs.T @ (np.log(t) + 1.0)
-        if float(np.linalg.norm(g)) <= tol:
+        if float(np.linalg.norm(g)) <= _NEWTON_TOL:
             return tuple(float(x) for x in u)
         H = vs.T @ (vs / t[:, None])
         step = np.linalg.solve(H, -g)
@@ -579,7 +581,7 @@ def minimize_potential(P, tol=1e-10):
         else:
             raise ConvergenceError("line search stalled")
         u = u + alpha * step
-    raise ConvergenceError("Newton iteration did not reach tolerance %g" % tol)
+    raise ConvergenceError("Newton iteration did not reach tolerance %g" % _NEWTON_TOL)
 
 
 @dataclass(frozen=True)
@@ -608,8 +610,8 @@ class GaussianModel:
         return np.array(self.precision, dtype=float)
 
 
-def gaussian_model(P, tol=1e-10):
-    u = minimize_potential(P, tol=tol)
+def gaussian_model(P):
+    u = minimize_potential(P)
     active = active_facets(P)
     vs = np.array([P.normals[i] for i in active], dtype=float)
     a = np.array([P.offsets[i] for i in active], dtype=float)
@@ -625,7 +627,7 @@ def gaussian_model(P, tol=1e-10):
     )
 
 
-def convergence_report(P, k_values, tol=1e-10):
+def convergence_report(P, k_values):
     """Scaled-moment errors of the dilation measures against the Gaussian.
 
     For each k reports || mean/k - m ||_2 and || cov/k - Sigma ||_F together
@@ -633,14 +635,10 @@ def convergence_report(P, k_values, tol=1e-10):
     k_values must be an iterable of positive ints.
     """
     try:
-        k_values = list(k_values)
+        k_values = [require_count(k, 1, "dilation k") for k in k_values]
     except TypeError:
-        k_values = None
-    if k_values is None or not all(
-        isinstance(k, int) and not isinstance(k, bool) and k >= 1 for k in k_values
-    ):
-        raise InvalidInputError("k_values must be an iterable of positive integers")
-    model = gaussian_model(P, tol=tol)
+        raise InvalidInputError("k_values must be an iterable of positive integers") from None
+    model = gaussian_model(P)
     m = model.minimizer_array()
     sigma = model.covariance_array()
     sigma_norm = float(np.linalg.norm(sigma))

@@ -58,18 +58,11 @@ class QPolynomial:
 
     @classmethod
     def monomial(cls, degree, coefficient=1):
-        if degree < 0:
-            raise InvalidInputError("q-polynomial degrees are nonnegative")
-        return cls((0,) * degree + (coefficient,))
+        return cls((0,) * require_count(degree, 0, "q-polynomial degree") + (coefficient,))
 
     @property
     def is_zero(self):
         return not self.coeffs
-
-    @property
-    def degree(self):
-        # Degree of the zero polynomial is reported as -1.
-        return len(self.coeffs) - 1
 
     def coefficient(self, j):
         return self.coeffs[j] if 0 <= j < len(self.coeffs) else 0
@@ -110,8 +103,7 @@ class QPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, exponent):
-        if exponent < 0:
-            raise InvalidInputError("negative powers of a q-polynomial are not defined")
+        require_count(exponent, 0, "q-polynomial exponent")
         result = QPolynomial.one()
         base = self
         while exponent:
@@ -123,8 +115,7 @@ class QPolynomial:
 
     def shift(self, k):
         """Multiply by q^k (k >= 0)."""
-        if k < 0:
-            raise InvalidInputError("cannot shift a q-polynomial by a negative power")
+        require_count(k, 0, "q-polynomial shift")
         if self.is_zero:
             return self
         return QPolynomial((0,) * k + self.coeffs)
@@ -170,8 +161,7 @@ class TruncatedQSeries:
     __slots__ = ("order", "coeffs", "_hash")
 
     def __init__(self, order, coeffs=None):
-        if order < 0:
-            raise InvalidInputError("series order must be nonnegative")
+        require_count(order, 0, "series order")
         self.order, self._hash = order, None
         if coeffs is None:
             self.coeffs = (_ZERO,) * (order + 1)
@@ -201,7 +191,7 @@ class TruncatedQSeries:
         return self.coeffs[j]
 
     def truncate(self, order):
-        if order > self.order:
+        if require_count(order, 0, "series order") > self.order:
             raise InvalidInputError("cannot extend a truncated series (order %d -> %d)" % (self.order, order))
         return TruncatedQSeries(order, self.coeffs[: order + 1])
 
@@ -394,8 +384,7 @@ def q_pochhammer(m):
 
 def pochhammer_finite(c, d, order):
     """(c; q)_d = prod_{i=1..d} (1 - c q^(i-1)) as a truncated series."""
-    if d < 0:
-        raise InvalidInputError("finite Pochhammer length must be nonnegative")
+    require_count(d, 0, "finite Pochhammer length")
     c = _as_fraction(c)
     if d == 0:
         return TruncatedQSeries.one(order)
@@ -431,8 +420,7 @@ def inverse_reversed_pochhammer(c, d, order):
     inverts for every nonzero rational c, including c = 1 (where the series
     part is simply 1/(q;q)_d).
     """
-    if d < 0:
-        raise InvalidInputError("reversed Pochhammer length must be nonnegative")
+    require_count(d, 0, "reversed Pochhammer length")
     c = _as_fraction(c)
     if c == 0:
         raise InvalidInputError("reversed Pochhammer factorization needs c != 0")

@@ -1,8 +1,11 @@
 """End-to-end command line checks: formats, determinism, exit codes."""
 
+import argparse
 import csv
 import json
 import math
+import os
+import re
 import subprocess
 import sys
 
@@ -339,6 +342,46 @@ def test_jackson_ladder_report(fixture_files):
 def test_jackson_requires_exactly_one_mode(fixture_files):
     r = run_cli("jackson", fixture_files["hexagon"])
     assert r.returncode == 2
+
+
+# -------------------------------------------------------------- output paths
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["verify", "--order", "4"],
+        ["rs"],
+        ["lhs", "--order", "4"],
+        ["measure"],
+        ["asymptotics", "--k", "2"],
+        ["jackson", "--axis", "1"],
+        ["jackson", "--ladder", "2,1"],
+        ["heatmap", "--q", "0.5"],  # --output is the base path of the tables
+    ],
+)
+def test_unwritable_output_exit_2(fixture_files, tmp_path, command):
+    out = tmp_path / "missing" / "out"
+    r = run_cli(command[0], fixture_files["simplex_p2"], *command[1:], "--output", str(out))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: cannot write"), r.stderr
+    assert "Traceback" not in r.stderr
+
+
+def test_readme_cli_table_flags_exist():
+    # every --flag a row of README's subcommand table shows is an option of
+    # that subcommand, so a removed option cannot stay advertised
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        rows = re.findall(r"^\| `(\w+) P\.json([^`]*)` \|", fh.read(), re.M)
+    subparsers = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    assert {command for command, _ in rows} == set(subparsers)
+    for command, usage in rows:
+        options = subparsers[command]._option_string_actions
+        for flag in re.findall(r"--[\w-]+", usage):
+            assert flag in options, (command, flag)
 
 
 # --------------------------------------------------------------- JSON writer

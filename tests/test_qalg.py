@@ -149,6 +149,19 @@ def test_gaussian_binomial_matches_pascal_recursion(n, k):
         (q_multinomial, (True, (1, 0))),
         (q_multinomial, (3, (-1, 4))),
         (q_multinomial, (3, (1, 1))),
+        (QPolynomial.monomial, (True,)),
+        (QPolynomial.monomial, (2.5,)),
+        (QPolynomial((1, 1)).shift, (2.5,)),
+        (QPolynomial((1, 1)).shift, (True,)),
+        (QPolynomial((1, 1)).__pow__, (2.5,)),
+        (QPolynomial((1, 1)).__pow__, (True,)),
+        (TruncatedQSeries, (2.5,)),
+        (TruncatedQSeries, (True, [1, 2])),
+        (TruncatedQSeries(3, [1, 2]).truncate, (1.5,)),
+        (pochhammer_finite, (2, 1.5, 3)),
+        (inverse_reversed_pochhammer, (2, 1.5, 3)),
+        (g_weight, ((2.5,), 4)),
+        (g_weight, ((True,), 4)),
     ],
 )
 def test_counts_must_be_integers(func, args):
