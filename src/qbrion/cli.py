@@ -1,10 +1,11 @@
 """Command line surface for the library.
 
-main loads the polytope from a JSON facet file once and hands it to the
-subcommand, which emits a deterministic report: JSON for verification and
-operator checks, CSV for measures, TSV for asymptotics tables and heatmap
-weights.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input
-(an unreadable polytope file or an unwritable output path too), 3 precondition
+main loads the polytope from a JSON facet file once, rejects an empty one
+and hands it to the subcommand (jackson --ladder reads none), which emits a
+deterministic report: JSON for verification and operator checks, CSV for
+measures, TSV for asymptotics tables and heatmap weights.  Exit codes: 0
+success, 1 verification mismatch, 2 invalid input (an unreadable polytope
+file, an empty polytope or an unwritable output path too), 3 precondition
 violation.  Identical invocations produce byte-identical output files;
 wall-clock timing goes to stderr only.
 """
@@ -138,7 +139,6 @@ def cmd_verify(P, args):
 
 
 def cmd_rs(P, args):
-    lattice.validate(P)
     poly = brion.rs_polynomial(P)
     data = {_exponent_key(u): term.coeffs for u, term in poly.terms.items()}
     _write_text(args.output, _json_text(data))
@@ -146,7 +146,6 @@ def cmd_rs(P, args):
 
 
 def cmd_lhs(P, args):
-    lattice.validate(P)
     series_poly = brion.lhs_series(P, args.order)
     data = {
         _exponent_key(u): [_coeff_json(c) for c in term.coeffs]
@@ -158,7 +157,6 @@ def cmd_lhs(P, args):
 
 def cmd_measure(P, args):
     Q = lattice.dilate(P, args.dilate) if args.dilate != 1 else P
-    lattice.validate(Q)
     measure = measures.mu_measure(Q)
     n = Q.dim
     lines = [",".join(["u_%d" % (j + 1) for j in range(n)] + ["weight_num", "weight_den", "weight_float"])]
@@ -172,7 +170,6 @@ def cmd_measure(P, args):
 
 
 def cmd_asymptotics(P, args):
-    lattice.validate(P)
     ks = args.k
     if not ks or any(b <= a for a, b in zip(ks, ks[1:])) or ks[0] < 1:
         raise InvalidInputError("--k needs an ascending list of positive integers")
@@ -211,7 +208,6 @@ def cmd_asymptotics(P, args):
 
 
 def cmd_heatmap(P, args):
-    lattice.validate(P)
     if P.dim != 2:
         raise PreconditionError("heatmap needs a 2-dimensional polytope")
     lattice.require_radially_symmetric(P)
@@ -232,22 +228,20 @@ def cmd_heatmap(P, args):
     # are written once, each distinct weight's text once per q
     points, keys = lattice.sorted_slacks(Q)
     if not points:
-        raise PreconditionError("empty polytope has no weight table")
+        raise PreconditionError("polytope has no lattice points, so no weight table")
     header = "\t".join(["u_%d" % (j + 1) for j in range(Q.dim)] + ["weight"]) + "\n"
     columns = ["\t".join(map(str, point)) + "\t" for point in points]
-    written = []
     for tok, q in zip(q_tokens, qs):
         weights = measures._multiset_weights(keys, q)
         text = {key: repr(w) + "\n" for key, w in weights.items()}
         path = "%s_q%s.tsv" % (args.output, tok)
         _write_text(path, header + "".join(map(str.__add__, columns, map(text.__getitem__, keys))))
-        written.append(path)
-    for path in written:
-        print(path)
+        print(path)  # at once, so a later failed write leaves no table unreported
     return 0
 
 
 def cmd_jackson(P, args):
+    # P is None in --ladder mode, which reads no polytope
     if args.ladder is not None:
         pair = args.ladder
         if len(pair) != 2:
@@ -340,7 +334,10 @@ _parser = functools.cache(build_parser)
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(lattice.Polytope.from_file(args.polytope), args)
+        P = None
+        if getattr(args, "ladder", None) is None:
+            P = lattice.require_nonempty(lattice.Polytope.from_file(args.polytope))
+        return args.func(P, args)
     except InvalidInputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

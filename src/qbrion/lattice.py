@@ -408,9 +408,7 @@ def validate(P):
     everything else is reported as flags, not errors, so callers can decide
     which properties their operation actually needs.
     """
-    geo = P.geometry
-    if not geo.solutions:
-        raise EmptyPolytopeError("the half-space intersection is empty")
+    geo = require_nonempty(P).geometry
     return ValidationReport(
         smooth=geo.smooth,
         radially_symmetric=P.is_radially_symmetric(),
@@ -431,9 +429,7 @@ def enumerate_vertices(P):
     several vertex data at one geometric point; each carries its own facet
     subset and edge directions.
     """
-    geo = P.geometry
-    if not geo.solutions:
-        raise EmptyPolytopeError("the half-space intersection is empty")
+    geo = require_nonempty(P).geometry
     if not geo.smooth:
         raise SmoothnessError("; ".join(geo.problems))
     return list(geo.vertices)
@@ -640,6 +636,14 @@ def enumerate_corner_degrees(P, vd, order):
 
     walk(0, 0, [0] * P.dim)
     return sorted(out)
+
+
+def require_nonempty(P):
+    """P, unless its half-space intersection has no point: then
+    EmptyPolytopeError."""
+    if not P.geometry.solutions:
+        raise EmptyPolytopeError("the half-space intersection is empty")
+    return P
 
 
 def require_radially_symmetric(P):

@@ -26,7 +26,6 @@ import numpy as np
 from . import lattice
 from .errors import (
     ConvergenceError,
-    EmptyPolytopeError,
     InvalidInputError,
     PreconditionError,
 )
@@ -183,9 +182,7 @@ class DiscreteMeasure:
 
 def max_face_value(P):
     """Largest slack sum over the polytope; attained on a face."""
-    points = lattice.vertex_points(P)
-    if not points:
-        raise EmptyPolytopeError("the half-space intersection is empty")
+    points = lattice.vertex_points(lattice.require_nonempty(P))
     v_delta = P.normal_sum()
     return max(sum(a * b for a, b in zip(p, v_delta)) for p in points) + P.offset_sum()
 
@@ -324,7 +321,7 @@ def mu_limit_estimate(P, q):
 
     points, keys = lattice.sorted_slacks(P)
     if not points:
-        raise PreconditionError("empty polytope has no limit measure")
+        raise PreconditionError("polytope has no lattice points, so no limit measure")
     by_multiset = {}
     for key in set(keys):
         w = Fraction(1)
@@ -368,7 +365,7 @@ def log_weight_table(P, q):
     _require_q(q)
     points, keys = lattice.sorted_slacks(P)
     if not points:
-        raise PreconditionError("empty polytope has no weight table")
+        raise PreconditionError("polytope has no lattice points, so no weight table")
     weights = _multiset_weights(keys, q)
     return list(zip(points, map(weights.__getitem__, keys)))
 
@@ -505,38 +502,32 @@ def dilation_moments(P, k):
     return _moments(_row_sums(lattice.dilate(P, k)), P.dim)
 
 
-def active_facets(P):
-    """Facet indices whose slack is not identically zero on the polytope.
-
-    A slack vanishes identically iff it vanishes at every basic feasible
-    point, by convexity.
-    """
-    if not P.geometry.points:
-        raise PreconditionError("empty polytope has no active facets")
-    return P.geometry.active_facets
-
-
 def potential(P, m):
-    """prod_i t_i(m)^{t_i(m)} over the active facets, with 0^0 = 1.
+    """prod_i t_i(m)^{t_i(m)} over every facet, with 0^0 = 1.
 
-    m must have one coordinate per dimension and lie in the polytope (all
-    slacks nonnegative up to float noise).
+    P must be nonempty, and m must have one coordinate per dimension and lie
+    in P: every slack, including those of facets whose slack vanishes on all
+    of P, nonnegative up to float noise.  PreconditionError when the value
+    exceeds the float range.
     """
     if len(m) != P.dim:
         raise InvalidInputError(
             "point has %d coordinates, polytope has dimension %d" % (len(m), P.dim)
         )
-    active = set(active_facets(P))
+    lattice.require_nonempty(P)
     total = 0.0
-    for i, v in enumerate(P.normals):
-        if i not in active:
-            continue
-        t = float(sum(float(a) * b for a, b in zip(m, v)) + P.offsets[i])
+    for i, (v, a) in enumerate(zip(P.normals, P.offsets)):
+        t = float(sum(float(x) * b for x, b in zip(m, v)) + a)
         if t < -1e-9:
             raise InvalidInputError("point lies outside the polytope (slack %d = %g)" % (i, t))
         if t > 0:
             total += t * math.log(t)
-    return math.exp(total)
+    try:
+        return math.exp(total)
+    except OverflowError:
+        raise PreconditionError(
+            "the potential exceeds the float range (log-potential %r)" % total
+        ) from None
 
 
 def minimize_potential(P):
@@ -547,8 +538,7 @@ def minimize_potential(P):
     point.  Steps are clipped short of the boundary and backtracked until
     the Armijo condition holds.
     """
-    report = lattice.validate(P)
-    if not report.full_dimensional:
+    if not lattice.require_nonempty(P).geometry.full_dimensional:
         raise PreconditionError("potential minimization needs a full-dimensional polytope")
     lattice.require_radially_symmetric(P)
     vs = np.array(P.normals, dtype=float)
@@ -611,10 +601,9 @@ class GaussianModel:
 
 
 def gaussian_model(P):
-    u = minimize_potential(P)
-    active = active_facets(P)
-    vs = np.array([P.normals[i] for i in active], dtype=float)
-    a = np.array([P.offsets[i] for i in active], dtype=float)
+    u = minimize_potential(P)  # full-dimensional P: every facet is active
+    vs = np.array(P.normals, dtype=float)
+    a = np.array(P.offsets, dtype=float)
     t = vs @ u + a
     precision = vs.T @ (vs / t[:, None])
     covariance = np.linalg.inv(precision)
@@ -623,7 +612,7 @@ def gaussian_model(P):
         precision=tuple(tuple(float(x) for x in row) for row in precision),
         covariance=tuple(tuple(float(x) for x in row) for row in covariance),
         support_basis=P.geometry.support_basis,
-        active_set=active,
+        active_set=P.geometry.active_facets,
     )
 
 

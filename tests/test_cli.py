@@ -311,8 +311,19 @@ def test_heatmap_walks_the_points_once_for_all_q(fixture_files, tmp_path, monkey
     argv = ["heatmap", fixture_files["hexagon"], "--dilate", "4", "--q", "0.2,0.5,0.8"]
     assert cli.main(argv + ["--output", str(tmp_path / "h")]) == 0
     capsys.readouterr()
-    assert walks.count(Q) == 1  # validate walks the undilated polytope too
+    assert walks.count(Q) == 1
     assert len(exps) == 3 * len(multisets)
+
+
+def test_heatmap_reports_each_table_as_it_is_written(fixture_files, tmp_path):
+    base = tmp_path / "base"
+    (tmp_path / "base_q0.6.tsv").mkdir()  # the second table cannot be written
+    r = run_cli("heatmap", fixture_files["hexagon"], "--dilate", "2", "--q", "0.2,0.6",
+                "--output", str(base))
+    assert r.returncode == 2
+    assert r.stdout.split() == [str(base) + "_q0.2.tsv"]
+    assert (tmp_path / "base_q0.2.tsv").is_file()
+    assert r.stderr.startswith("error: cannot write"), r.stderr
 
 
 # -------------------------------------------------------------------- jackson
@@ -342,6 +353,68 @@ def test_jackson_ladder_report(fixture_files):
 def test_jackson_requires_exactly_one_mode(fixture_files):
     r = run_cli("jackson", fixture_files["hexagon"])
     assert r.returncode == 2
+
+
+def test_jackson_ladder_reads_no_polytope(fixture_files, tmp_path, capsys):
+    argv = ["jackson", "--ladder", "2,1"]
+    assert cli.main([argv[0], fixture_files["hexagon"]] + argv[1:]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main([argv[0], str(tmp_path / "nonexistent.json")] + argv[1:]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# -------------------------------------------------------------- input guards
+
+EMPTY_TRIANGLE = {  # x, y >= 0, x + y <= -1
+    "dim": 2,
+    "facets": [
+        {"normal": [1, 0], "offset": 0},
+        {"normal": [0, 1], "offset": 0},
+        {"normal": [-1, -1], "offset": -1},
+    ],
+}
+
+EVERY_COMMAND = [
+    ["validate"],
+    ["verify", "--order", "4"],
+    ["rs"],
+    ["lhs", "--order", "4"],
+    ["measure"],
+    ["asymptotics", "--k", "2"],
+    ["heatmap", "--q", "0.5"],
+    ["jackson", "--axis", "1"],
+    ["jackson", "--ladder", "2,1"],
+]
+
+
+@pytest.mark.parametrize(
+    "command", EVERY_COMMAND[:-1], ids=lambda c: "_".join(c).replace("-", "")
+)
+def test_every_command_that_reads_a_polytope_rejects_an_empty_one(tmp_path, command, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(EMPTY_TRIANGLE))
+    argv = [command[0], str(path)] + command[1:] + ["--output", str(tmp_path / "out")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "error: the half-space intersection is empty\n"
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_only_the_validate_command_builds_a_validation_report(
+    fixture_files, tmp_path, monkeypatch, capsys
+):
+    calls = []
+    validate = lattice.validate
+
+    def counting(P):
+        calls.append(command[0])
+        return validate(P)
+
+    monkeypatch.setattr(lattice, "validate", counting)
+    for i, command in enumerate(EVERY_COMMAND):
+        argv = [command[0], fixture_files["hexagon"]] + command[1:]
+        assert cli.main(argv + ["--output", str(tmp_path / str(i))]) in (0, 1), command
+    capsys.readouterr()
+    assert calls == ["validate"]
 
 
 # -------------------------------------------------------------- output paths

@@ -419,7 +419,7 @@ def test_vertex_scan_runs_once_per_polytope(monkeypatch):
     lattice.enumerate_vertices(P)
     lattice.vertex_points(P)
     lattice.basic_solutions(P)
-    measures.active_facets(P)
+    P.geometry.active_facets
     measures.max_face_value(P)
     for _ in range(100):
         measures.potential(P, (2.0, 2.0))

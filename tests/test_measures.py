@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrion import fixtures, lattice, measures
+from qbrion import brion, fixtures, lattice, measures
 from qbrion.errors import EmptyPolytopeError, InvalidInputError, PreconditionError
 from qbrion.lattice import Polytope
 from qbrion.measures import (
@@ -124,12 +124,17 @@ def test_measure_moments_computed_once(monkeypatch, hexagon):
 
 
 def test_empty_polytope_weight_tables_raise_their_own_errors():
-    P = Polytope(1, ((1,), (-1,)), (-3, 1))  # 3 <= u <= 1
-    assert lattice.sorted_slacks(P) == ([], [])
-    with pytest.raises(PreconditionError, match="no weight table"):
-        log_weight_table(P, 0.5)
-    with pytest.raises(PreconditionError, match="no limit measure"):
-        mu_limit_estimate(P, Fraction(1, 2))
+    for P in (
+        Polytope(1, ((1,), (-1,)), (-3, 1)),  # 3 <= u <= 1
+        # nonempty, with vertices (-4/5, -2/5), (-5/7, -4/7), (-1/2, -1/2),
+        # but no lattice point
+        Polytope(2, ((-1, -3), (-1, 3), (2, 1)), (-2, 1, 2)),
+    ):
+        assert lattice.sorted_slacks(P) == ([], [])
+        with pytest.raises(PreconditionError, match="no lattice points, so no weight table"):
+            log_weight_table(P, 0.5)
+        with pytest.raises(PreconditionError, match="no lattice points, so no limit measure"):
+            mu_limit_estimate(P, Fraction(1, 2))
 
 
 def _reference_normalization(weights):
@@ -388,7 +393,7 @@ def test_minimizer_stationarity(polytopes):
     for name in ("hexagon", "simplex_p2", "square_p1xp1"):
         P = polytopes[name]
         m = minimize_potential(P)
-        active = measures.active_facets(P)
+        active = P.geometry.active_facets
         for j in range(P.dim):
             s = sum(
                 P.normals[i][j]
@@ -433,6 +438,28 @@ def test_potential_outside_point_rejected(hexagon):
         potential(hexagon, (-1.0, 0.0))
 
 
+@pytest.mark.parametrize(
+    "P, m",
+    [
+        (fixtures.load("segment_0"), (7,)),  # P = {0}
+        # the segment [0, 2] x {0} in the plane: only the y-facets reject m
+        (Polytope(2, ((1, 0), (-1, 0), (0, 1), (0, -1)), (0, 2, 0, 0)), (1, 5)),
+    ],
+    ids=["point", "planar-segment"],
+)
+def test_potential_checks_facets_whose_slack_vanishes_on_P(P, m):
+    with pytest.raises(InvalidInputError, match="point lies outside"):
+        potential(P, m)
+
+
+def test_potential_beyond_the_float_range_is_a_precondition_error(hexagon):
+    P = lattice.dilate(hexagon, 40)
+    with pytest.raises(PreconditionError, match="exceeds the float range") as info:
+        potential(P, (40.0, 40.0))
+    assert "log-potential" in str(info.value)
+    assert potential(lattice.dilate(hexagon, 30), (30.0, 30.0)) == pytest.approx(7.6e265, rel=0.01)
+
+
 @pytest.mark.parametrize("m", [(1,), (1, 1, 5), ()])
 def test_potential_rejects_point_of_wrong_length(hexagon, m):
     with pytest.raises(InvalidInputError):
@@ -446,6 +473,31 @@ def test_empty_polytope_raises_empty_error():
             fn(P)
     with pytest.raises(EmptyPolytopeError):
         dilation_moments(P, 2)
+
+
+EMPTY_TRIANGLE = Polytope(2, ((1, 0), (0, 1), (-1, -1)), (0, 0, -1))  # x, y >= 0, x + y <= -1
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lattice.validate,
+        lattice.enumerate_vertices,
+        lambda P: brion.verify_identity(P, order=4),
+        mu_measure,
+        lambda P: dilation_moments(P, 2),
+        max_face_value,
+        gaussian_model,
+        lambda P: potential(P, (0.0, 0.0)),
+        minimize_potential,
+    ],
+    ids=["validate", "enumerate_vertices", "verify_identity", "mu_measure",
+         "dilation_moments", "max_face_value", "gaussian_model", "potential",
+         "minimize_potential"],
+)
+def test_every_entry_point_rejects_an_empty_polytope_alike(call):
+    with pytest.raises(EmptyPolytopeError, match="the half-space intersection is empty"):
+        call(EMPTY_TRIANGLE)
 
 
 # ------------------------------------------------------------ Gaussian model
