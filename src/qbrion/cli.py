@@ -16,7 +16,6 @@ import argparse
 import functools
 import json
 import sys
-from fractions import Fraction
 
 from . import brion, jackson, lattice, measures
 from .errors import ConvergenceError, InvalidInputError, PreconditionError
@@ -88,10 +87,14 @@ def _exponent_key(u):
     return "[%s]" % ", ".join(map(str, u))
 
 
-def _coeff_json(c):
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else str(c)
-    return int(c)
+def _tsv_vector(xs):
+    # the asymptotics TSV format: a vector's entries by repr, comma-separated
+    return ",".join(map(repr, xs))
+
+
+def _tsv_matrix(rows):
+    # ... and a matrix's rows, semicolon-separated
+    return ";".join(map(_tsv_vector, rows))
 
 
 def _positive_int(text):
@@ -146,11 +149,9 @@ def cmd_rs(P, args):
 
 
 def cmd_lhs(P, args):
+    # integral Fractions: lhs_series builds each from _g_coeffs' ints
     series_poly = brion.lhs_series(P, args.order)
-    data = {
-        _exponent_key(u): [_coeff_json(c) for c in term.coeffs]
-        for u, term in series_poly.terms.items()
-    }
+    data = {_exponent_key(u): list(map(int, term.coeffs)) for u, term in series_poly.terms.items()}
     _write_text(args.output, _json_text(data))
     return 0
 
@@ -175,34 +176,20 @@ def cmd_asymptotics(P, args):
         raise InvalidInputError("--k needs an ascending list of positive integers")
     report = measures.convergence_report(P, ks)
     model = report["model"]
-    lines = []
-    lines.append("# minimizer\t%s" % ",".join(repr(x) for x in model.minimizer))
-    lines.append(
-        "# precision\t%s" % ";".join(",".join(repr(x) for x in row) for row in model.precision)
-    )
-    lines.append(
-        "# covariance\t%s" % ";".join(",".join(repr(x) for x in row) for row in model.covariance)
-    )
-    lines.append(
-        "# support_basis\t%s"
-        % ";".join(",".join(str(x) for x in row) for row in model.support_basis)
-    )
-    lines.append("# active_set\t%s" % ",".join(str(i) for i in model.active_set))
-    lines.append("k\tpoints\tmean_scaled\tcov_scaled\tmean_err\tcov_err\tcov_rel_err")
+    lines = [
+        "# minimizer\t" + _tsv_vector(model.minimizer),
+        "# precision\t" + _tsv_matrix(model.precision),
+        "# covariance\t" + _tsv_matrix(model.covariance),
+        "# support_basis\t" + _tsv_matrix(model.support_basis),
+        "# active_set\t" + _tsv_vector(model.active_set),
+        "k\tpoints\tmean_scaled\tcov_scaled\tmean_err\tcov_err\tcov_rel_err",
+    ]
     for row in report["rows"]:
-        lines.append(
-            "\t".join(
-                [
-                    str(row["k"]),
-                    str(row["points"]),
-                    ",".join(repr(x) for x in row["mean_scaled"]),
-                    ";".join(",".join(repr(x) for x in r) for r in row["cov_scaled"]),
-                    repr(row["mean_err"]),
-                    repr(row["cov_err"]),
-                    repr(row["cov_rel_err"]),
-                ]
-            )
-        )
+        lines.append("\t".join([
+            str(row["k"]), str(row["points"]),
+            _tsv_vector(row["mean_scaled"]), _tsv_matrix(row["cov_scaled"]),
+            repr(row["mean_err"]), repr(row["cov_err"]), repr(row["cov_rel_err"]),
+        ]))
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -226,9 +213,7 @@ def cmd_heatmap(P, args):
         qs.append(q)
     # one walk over the points for every q: each point's coordinate columns
     # are written once, each distinct weight's text once per q
-    points, keys = lattice.sorted_slacks(Q)
-    if not points:
-        raise PreconditionError("polytope has no lattice points, so no weight table")
+    points, keys = measures._slack_keys(Q, "weight table")
     header = "\t".join(["u_%d" % (j + 1) for j in range(Q.dim)] + ["weight"]) + "\n"
     columns = ["\t".join(map(str, point)) + "\t" for point in points]
     for tok, q in zip(q_tokens, qs):
@@ -267,13 +252,15 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="structural report: smoothness, symmetry, counts")
-    p.add_argument("polytope", help="polytope facet JSON file")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
-    p.set_defaults(func=cmd_validate)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("polytope", help="polytope facet JSON file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("verify", help="randomized exact check of the corner decomposition")
-    p.add_argument("polytope")
+    command("validate", cmd_validate, "structural report: smoothness, symmetry, counts")
+
+    p = command("verify", cmd_verify, "randomized exact check of the corner decomposition")
     p.add_argument("--order", type=_positive_int, default=12, help="truncation order K")
     p.add_argument("--trials", type=_positive_int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -283,47 +270,33 @@ def build_parser():
         help="also multiply both sides into the finite form and cross-check the "
         "symmetric-weight polynomial (needs normals summing to zero)",
     )
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("rs", help="symmetric-weight polynomial as JSON")
-    p.add_argument("polytope")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_rs)
+    command("rs", cmd_rs, "symmetric-weight polynomial as JSON")
 
-    p = sub.add_parser("lhs", help="truncated weight series per lattice point as JSON")
-    p.add_argument("polytope")
+    p = command("lhs", cmd_lhs, "truncated weight series per lattice point as JSON")
     p.add_argument("--order", type=_positive_int, default=12)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_lhs)
 
-    p = sub.add_parser("measure", help="multinomial limit measure as CSV")
-    p.add_argument("polytope")
+    p = command("measure", cmd_measure, "multinomial limit measure as CSV")
     p.add_argument("--dilate", type=_positive_int, default=1)
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_measure)
 
-    p = sub.add_parser("asymptotics", help="Gaussian model and scaled-moment errors as TSV")
-    p.add_argument("polytope")
+    p = command("asymptotics", cmd_asymptotics, "Gaussian model and scaled-moment errors as TSV")
     p.add_argument("--k", type=_int_list, default=[25, 100, 400], help="ascending dilations")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_asymptotics)
 
-    p = sub.add_parser("heatmap", help="normalized q-weight tables, one TSV per q")
-    p.add_argument("polytope")
+    p = command("heatmap", cmd_heatmap, "normalized q-weight tables, one TSV per q")
     p.add_argument("--dilate", type=_positive_int, default=1)
     p.add_argument("--q", default="0.2,0.6,0.9", help="comma-separated q values in (0,1)")
-    p.add_argument("--output", default="heatmap", help="output base path")
-    p.set_defaults(func=cmd_heatmap)
 
-    p = sub.add_parser("jackson", help="derivative recursion or ladder identity checks")
-    p.add_argument("polytope")
+    p = command("jackson", cmd_jackson, "derivative recursion or ladder identity checks")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--axis", type=int, help="1-based axis for the derivative identity")
     group.add_argument("--ladder", type=_int_list, help="n,k for the ladder report")
-    p.add_argument("--output", default=None)
-    p.set_defaults(func=cmd_jackson)
 
+    # --output last, after each command's own options, as usage lists them
+    for name, p in sub.choices.items():
+        if name == "heatmap":
+            p.add_argument("--output", default="heatmap", help="output base path")
+        else:
+            p.add_argument("--output", default=None, help="output path (default stdout)")
     return parser
 
 

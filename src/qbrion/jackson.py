@@ -53,7 +53,8 @@ def _times_q_integer(c, e):
 
 
 def q_shift(f, axis):
-    """Substitute x_axis -> q x_axis: c(q) x^u becomes q^(u_axis) c(q) x^u."""
+    """Substitute x_axis -> q x_axis: c(q) x^u becomes q^(u_axis) c(q) x^u,
+    a series coefficient cut at its own order."""
     _check_axis(f, axis)
     terms = {}
     for u, c in f.terms.items():
@@ -94,17 +95,16 @@ def iterated_jackson(f, axis, times):
 class FirstOrthantDivisor:
     """A polytope whose first n facets are the coordinate half-spaces u_i >= 0.
 
-    Construction permutes the facets so the standard basis normals with zero
-    offset come first, and checks that the polytope sits inside the first
-    orthant.  Emptiness is allowed: derived divisors can be empty, and their
-    symmetric-weight polynomial is simply zero.
+    from_polytope permutes the facets so the standard basis normals with zero
+    offset come first and checks that P is nonempty and inside the first
+    orthant.  A derived divisor may be empty: its polynomial is then zero.
     """
 
     polytope: lattice.Polytope
 
     @classmethod
     def from_polytope(cls, P):
-        n = P.dim
+        n = lattice.require_nonempty(P).dim
         basis_pos = []
         for i in range(n):
             e_i = tuple(1 if j == i else 0 for j in range(n))
@@ -270,12 +270,12 @@ def verify_ladder(n, max_degree, convention=None):
     """
     if convention is None:
         convention = discriminate_convention()
-    rs = [rogers_szego(n, k) for k in range(require_count(max_degree, 0, "max degree") + 2)]
+    rs = [rogers_szego(n, k) for k in range(require_count(max_degree, 0, "max degree") + 1)]
     failures = []
     for axis in range(n):
         # R_i(RS_k) and L_i(RS_k) once each, for k = 0 .. max_degree
-        raised = [raising_operator(f, axis, n, convention) for f in rs[:-1]]
-        lowered = [jackson_derivative(f, axis) for f in rs[:-1]]
+        raised = [raising_operator(f, axis, n, convention) for f in rs]
+        lowered = [jackson_derivative(f, axis) for f in rs]
         for k in range(1, max_degree + 1):
             if raised[k - 1] != rs[k]:
                 failures.append(("raising", axis, k))

@@ -188,7 +188,8 @@ def max_face_value(P):
 
 
 def _face_rows(P):
-    """Yield (prefix, lo, hi, slacks at lo) for each row of the max face.
+    """Yield (prefix, lo, hi, slacks at lo) for each row of the max face;
+    PreconditionError after the last row when no lattice point lies on it.
 
     Read from lattice.rows_with_slacks: along a row the slack sum grows by
     sigma = sum_i d_i per unit step, d_i the last entry of normal i.  With
@@ -198,23 +199,19 @@ def _face_rows(P):
     target = max_face_value(P)
     deltas = [v[-1] for v in P.normals]
     sigma = sum(deltas)
+    empty = True
     for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
         gap = target - sum(slacks)
-        if sigma == 0:
-            if gap == 0:
-                yield prefix, lo, hi, slacks
+        if sigma:
+            m, r = divmod(gap, sigma)
+            if r or not 0 <= m <= hi - lo:
+                continue
+            lo = hi = lo + m
+            slacks = tuple(s + m * d for s, d in zip(slacks, deltas))
+        elif gap:
             continue
-        m, r = divmod(gap, sigma)
-        if r == 0 and 0 <= m <= hi - lo:
-            yield prefix, lo + m, lo + m, tuple(s + m * d for s, d in zip(slacks, deltas))
-
-
-def _nonempty(face_rows):
-    """The face rows as they come; PreconditionError when there are none."""
-    empty = True
-    for row in face_rows:
         empty = False
-        yield row
+        yield prefix, lo, hi, slacks
     if empty:
         raise PreconditionError("no lattice points on the maximal face")
 
@@ -261,7 +258,7 @@ def _weight_rows(P):
     deltas = [v[-1] for v in P.normals]
     moving = [(i, d) for i, d in enumerate(deltas) if d]
     first, args = 1, None
-    for prefix, lo, hi, slacks in _nonempty(_face_rows(P)):
+    for prefix, lo, hi, slacks in _face_rows(P):
         new = ((sum(slacks),), slacks, 0)
         first, args = _carried(first, args, new), new
         steps = hi - lo
@@ -302,6 +299,15 @@ def mu_measure(P):
     return DiscreteMeasure(dict(_face_weights(P)))
 
 
+def _slack_keys(P, what):
+    """lattice.sorted_slacks(P); PreconditionError, naming what cannot be
+    built, when P has no lattice point."""
+    points, keys = lattice.sorted_slacks(P)
+    if not points:
+        raise PreconditionError("polytope has no lattice points, so no %s" % what)
+    return points, keys
+
+
 def mu_limit_estimate(P, q):
     """Normalized q-weights w_q(u) proportional to prod_i 1 / (q;q)_{t_i(u)}.
 
@@ -319,9 +325,7 @@ def mu_limit_estimate(P, q):
             poch_cache.append(poch_cache[-1] * (1 - q ** j))
         return poch_cache[s]
 
-    points, keys = lattice.sorted_slacks(P)
-    if not points:
-        raise PreconditionError("polytope has no lattice points, so no limit measure")
+    points, keys = _slack_keys(P, "limit measure")
     by_multiset = {}
     for key in set(keys):
         w = Fraction(1)
@@ -363,9 +367,7 @@ def log_weight_table(P, q):
     bitwise identical weights.
     """
     _require_q(q)
-    points, keys = lattice.sorted_slacks(P)
-    if not points:
-        raise PreconditionError("polytope has no lattice points, so no weight table")
+    points, keys = _slack_keys(P, "weight table")
     weights = _multiset_weights(keys, q)
     return list(zip(points, map(weights.__getitem__, keys)))
 
@@ -433,7 +435,7 @@ def _row_sums(P):
             yield (prefix, lo, len(weights)) + _walk_sums(weights)
         return
     total, args = 1, None
-    for prefix, lo, hi, slacks in _nonempty(_face_rows(P)):
+    for prefix, lo, hi, slacks in _face_rows(P):
         a1, c1 = slacks[rising[0]], slacks[falling[0]]
         n1 = a1 + c1
         rest = tuple(slacks[i] for i in fixed)
@@ -590,15 +592,6 @@ class GaussianModel:
     support_basis: tuple
     active_set: tuple
 
-    def minimizer_array(self):
-        return np.array(self.minimizer, dtype=float)
-
-    def covariance_array(self):
-        return np.array(self.covariance, dtype=float)
-
-    def precision_array(self):
-        return np.array(self.precision, dtype=float)
-
 
 def gaussian_model(P):
     u = minimize_potential(P)  # full-dimensional P: every facet is active
@@ -628,8 +621,8 @@ def convergence_report(P, k_values):
     except TypeError:
         raise InvalidInputError("k_values must be an iterable of positive integers") from None
     model = gaussian_model(P)
-    m = model.minimizer_array()
-    sigma = model.covariance_array()
+    m = np.array(model.minimizer)
+    sigma = np.array(model.covariance)
     sigma_norm = float(np.linalg.norm(sigma))
     rows = []
     for k in k_values:

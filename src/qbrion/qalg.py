@@ -31,6 +31,18 @@ def _as_fraction(value):
     raise TypeError("exact arithmetic only accepts int or Fraction, got %r" % type(value))
 
 
+def _product(a, b, length):
+    """The first length coefficients of the product of the coefficient
+    sequences a and b, skipping zero entries; int data stays int."""
+    out = [0] * length
+    for i, x in enumerate(a[:length]):
+        if x:
+            for j, y in enumerate(b[: length - i], i):
+                if y:
+                    out[j] += x * y
+    return out
+
+
 class QPolynomial:
     """Dense polynomial in q with integer coefficients (not bools), lowest
     degree first."""
@@ -91,14 +103,8 @@ class QPolynomial:
             return QPolynomial(tuple(other * c for c in self.coeffs))
         if not isinstance(other, QPolynomial):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return QPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return QPolynomial(out)
+        a, b = self.coeffs, other.coeffs
+        return QPolynomial(_product(a, b, len(a) + len(b) - 1))
 
     __rmul__ = __mul__
 
@@ -233,18 +239,13 @@ class TruncatedQSeries:
         if not isinstance(other, TruncatedQSeries):
             return NotImplemented
         k = self._common_order(other)
-        out = [_ZERO] * (k + 1)
-        for i in range(k + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(k + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedQSeries(k, out)
+        return TruncatedQSeries(k, _product(self.coeffs, other.coeffs, k + 1))
 
     __rmul__ = __mul__
+
+    def shift(self, k):
+        """Multiply by q^k (k >= 0), trusted through the same order."""
+        return TruncatedQSeries(self.order, (_ZERO,) * require_count(k, 0, "series shift") + self.coeffs)
 
     def scale(self, value):
         value = _as_fraction(value)

@@ -25,7 +25,7 @@ from qbrion.jackson import (
 from qbrion.lattice import Polytope
 from qbrion.qalg import QPolynomial, q_factorial, q_integer, q_multinomial
 
-from conftest import segment
+from conftest import segment, times_q_power
 
 
 def lp(terms):
@@ -76,6 +76,14 @@ def test_q_shift_rejects_negative_exponent():
     f = lp({(-1,): [1]})
     with pytest.raises(PreconditionError):
         q_shift(f, 0)
+
+
+def test_q_shift_of_series_coefficients(hexagon):
+    # a truncated series coefficient takes q^(u_axis) and keeps its own order
+    f = lhs_series(hexagon, 5)
+    for axis in range(2):
+        want = LaurentQPoly({u: times_q_power(c, u[axis]) for u, c in f.terms.items()})
+        assert q_shift(f, axis) == want
 
 
 def test_jackson_derivative_monomial():
@@ -391,6 +399,15 @@ def test_ladder_raises_each_degree_twice_per_axis(monkeypatch, n, max_degree, co
     monkeypatch.undo()
     assert report["failures"] == _ladder_reference(n, max_degree, convention)
     assert report["all_ok"] == (convention == "vars_with_one")
+
+
+def test_ladder_builds_only_the_degrees_it_checks(monkeypatch):
+    # RS_0 .. RS_max_degree, one rogers_szego call each
+    calls = []
+    build = jackson.rogers_szego
+    monkeypatch.setattr(jackson, "rogers_szego", lambda n, k: calls.append(k) or build(n, k))
+    assert verify_ladder(2, 4, "vars_with_one")["all_ok"]
+    assert calls == [0, 1, 2, 3, 4]
 
 
 def test_discriminate_convention_is_computed_once(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrion import brion, fixtures, lattice, measures
+from qbrion import brion, fixtures, jackson, lattice, measures
 from qbrion.errors import EmptyPolytopeError, InvalidInputError, PreconditionError
 from qbrion.lattice import Polytope
 from qbrion.measures import (
@@ -433,6 +433,29 @@ def test_minimize_potential_needs_balanced_normals(trapezoid):
         minimize_potential(trapezoid)
 
 
+def test_newton_steps_reach_the_minimizer_off_the_vertex_mean(monkeypatch, hexagon):
+    # on every fixture the vertex mean is already the minimizer; with these
+    # offsets the gradient there is (-0.0561, 0), so the damped steps run,
+    # and they end at the exact mean of the undilated measure
+    import numpy as np
+
+    P = Polytope(2, hexagon.normals, (0, 0, 1, 3, 4, 3))
+    steps = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *args: steps.append(1) or solve(*args))
+    m = minimize_potential(P)
+    monkeypatch.undo()
+    assert steps
+    vs, a = np.array(P.normals, dtype=float), np.array(P.offsets, dtype=float)
+    assert np.linalg.norm(vs.T @ (np.log(vs @ m + a) + 1.0)) <= 1e-10
+    mean = dilation_moments(P, 1).mean
+    assert mean == (Fraction(15, 11), Fraction(24, 11))
+    assert max(abs(x - float(y)) for x, y in zip(m, mean)) <= 1e-12
+    # the scaled covariance error decays like 1/k: a quarter per fourfold k
+    errs = [row["cov_err"] for row in convergence_report(P, [50, 200, 800])["rows"]]
+    assert all(3.5 <= e / f <= 4.5 for e, f in zip(errs, errs[1:])), errs
+
+
 def test_potential_outside_point_rejected(hexagon):
     with pytest.raises(InvalidInputError):
         potential(hexagon, (-1.0, 0.0))
@@ -490,10 +513,14 @@ EMPTY_TRIANGLE = Polytope(2, ((1, 0), (0, 1), (-1, -1)), (0, 0, -1))  # x, y >= 
         gaussian_model,
         lambda P: potential(P, (0.0, 0.0)),
         minimize_potential,
+        jackson.FirstOrthantDivisor.from_polytope,
+        jackson.leading_term_check,
+        jackson.leading_term_expected,
     ],
     ids=["validate", "enumerate_vertices", "verify_identity", "mu_measure",
          "dilation_moments", "max_face_value", "gaussian_model", "potential",
-         "minimize_potential"],
+         "minimize_potential", "first_orthant_divisor", "leading_term_check",
+         "leading_term_expected"],
 )
 def test_every_entry_point_rejects_an_empty_polytope_alike(call):
     with pytest.raises(EmptyPolytopeError, match="the half-space intersection is empty"):
@@ -508,9 +535,9 @@ def test_gaussian_model_hexagon(hexagon):
 
     model = gaussian_model(hexagon)
     assert model.minimizer == pytest.approx((1.0, 1.0))
-    assert np.allclose(model.precision_array(), [[4.0, -2.0], [-2.0, 4.0]], atol=1e-9)
+    assert np.allclose(np.array(model.precision), [[4.0, -2.0], [-2.0, 4.0]], atol=1e-9)
     assert np.allclose(
-        model.covariance_array(), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-10
+        np.array(model.covariance), [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-10
     )
     assert model.support_basis == ((0, 1), (1, 0))
     assert model.active_set == tuple(range(6))
@@ -539,7 +566,7 @@ def test_gaussian_precision_symmetric_psd(polytopes):
 
     for name in ("hexagon", "simplex_p2", "square_p1xp1"):
         model = gaussian_model(polytopes[name])
-        A = model.precision_array()
+        A = np.array(model.precision)
         assert abs(A - A.T).max() <= 1e-9
         eigs = np.linalg.eigvalsh(A)
         assert (eigs > 0).all(), name
