@@ -198,19 +198,22 @@ def g_weight(slacks, order):
     return TruncatedQSeries(order, _g_coeffs(slacks, require_count(order, 0, "series order")))
 
 
-def _row_weights(P, start, length):
+def _row_weights(P, start, length, degree=None):
     """(points, keys, table): the lattice points in lexicographic order, the
     sorted slack tuple (key) of each, and one coefficient list per distinct
     key, built by a walk along the rows of lattice.rows_with_slacks.  A key
     already in the table takes no kernel pass.
 
     A new key at a row's first point starts from start(key).  At a later
-    point it copies the previous point's list, cut or padded with zeros to
+    point it copies the previous point's list, cut or padded to
     length(key), and takes the unit step: slack i moves from t_i to
     t_i + d_i (d_i the last entry of normal i), which multiplies by
     (q;q)_{t_i} / (q;q)_{t_i + d_i}, one kernel pass per factor.  That is
     exact modulo q^length(key): the previous weight is a polynomial or a
     series already truncated at that order, and the step is a power series.
+    The padding is zeros; with degree given, each list holds the first
+    length(key) coefficients of a palindrome of degree degree(key), and
+    the previous key's padding is its mirror c_(D' - j), zero past D'.
     Callers must not mutate the lists."""
     moving = [(i, v[-1]) for i, v in enumerate(P.normals) if v[-1]]
     points, keys, table = [], [], {}
@@ -225,12 +228,17 @@ def _row_weights(P, start, length):
         for t in range(lo + 1, hi + 1):
             for i, d in moving:
                 slacks[i] += d
-            key = tuple(sorted(slacks))
+            prev_key, key = key, tuple(sorted(slacks))
             prev, coeffs = coeffs, table.get(key)
             if coeffs is None:
                 n = length(key)
                 coeffs = prev[:n]
-                coeffs += [0] * (n - len(coeffs))
+                if degree is None:
+                    coeffs += [0] * (n - len(coeffs))
+                elif n > len(coeffs):
+                    top = degree(prev_key)
+                    coeffs += prev[max(top - n + 1, 0) : top - len(prev) + 1][::-1]
+                    coeffs += [0] * (n - len(coeffs))
                 for i, d in moving:
                     b = slacks[i]
                     if d < 0:
@@ -250,17 +258,32 @@ def _g_weights(P, order):
 
 
 def _rs_weights(P, order=None):
-    """The row walk of the q-multinomials [m; key]_q, m the offset sum: all
-    D + 1 coefficients, D = (m^2 - sum t_i^2) / 2, or those through q^order
-    when order is given, a row's first list built modulo q^(order + 1)."""
+    """The row walk of the q-multinomials [m; key]_q, m the offset sum.
+
+    With order given, the coefficients through q^order, a row's first list
+    built modulo q^(order + 1).  Without, all D + 1 coefficients,
+    D = (m^2 - sum t_i^2) / 2: [m; key]_q is a palindrome, so the walk
+    carries only the first D // 2 + 1 of them, and each distinct key's list
+    is mirrored once at the end."""
     lattice.require_radially_symmetric(P)
     m = P.offset_sum()
 
-    def length(s):
-        n = (m * m - sum(t * t for t in s)) // 2 + 1
-        return n if order is None else min(n, order + 1)
+    def degree(s):
+        return (m * m - sum(t * t for t in s)) // 2
 
-    return _row_weights(P, lambda s: multinomial_coeffs(m, s, length(s)), length)
+    if order is not None:
+        def length(s):
+            return min(degree(s), order) + 1
+
+        return _row_weights(P, lambda s: multinomial_coeffs(m, s, length(s)), length)
+
+    def half(s):
+        return degree(s) // 2 + 1
+
+    points, keys, table = _row_weights(P, lambda s: multinomial_coeffs(m, s, half(s)), half, degree)
+    for key, coeffs in table.items():
+        coeffs += coeffs[: degree(key) + 1 - len(coeffs)][::-1]
+    return points, keys, table
 
 
 def _shared_terms(points, keys, table, make):

@@ -22,16 +22,31 @@ from .errors import ConvergenceError, InvalidInputError, PreconditionError
 
 
 def _write_text(path, text):
-    """text to stdout (path None or "-") or to the file at path; a failed
-    write is InvalidInputError, as a failed read of the polytope file is."""
+    """text, a str or an iterable of str pieces, to stdout (path None or
+    "-") or to the file at path, the pieces joined into writes of about
+    64 KiB; a failed write is InvalidInputError, as a failed read of the
+    polytope file is."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        _write_pieces(sys.stdout, text)
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            _write_pieces(fh, text)
     except OSError as exc:
         raise InvalidInputError("cannot write %s: %s" % (path, exc)) from exc
+
+
+def _write_pieces(fh, text):
+    if isinstance(text, str):
+        text = (text,)
+    batch, size = [], 0
+    for piece in text:
+        batch.append(piece)
+        size += len(piece)
+        if size >= 1 << 16:
+            fh.write("".join(batch))
+            batch, size = [], 0
+    fh.write("".join(batch))
 
 
 _encode = json.JSONEncoder().encode  # the C encoder, for keys and scalar leaves
@@ -39,32 +54,67 @@ _INT_ONLY = frozenset((int,))  # exact ints: bool, a subclass, is left out
 
 
 def _json_text(obj):
-    """obj as JSON with sorted keys and a two-space indent, plus a newline:
-    byte for byte what json.dumps writes with those settings.
+    """The pieces of obj as JSON with sorted keys and a two-space indent,
+    plus a newline: joined, byte for byte what json.dumps writes with those
+    settings.  A top-level object comes one entry at a time, so the whole
+    document is never held in memory.
 
     json runs its C encoder only without an indent, so the layout is written
     here and only keys and scalar leaves go through the encoder.  A list of
     exact ints is one "%d" template.  A list or tuple object that occurs more
     than once (such as the coefficient tuple that rs shares between points
     with the same slack multiset) is rendered once per indent.  Object keys
-    must be str (TypeError otherwise).
+    must be str: TypeError otherwise, raised by this call, before any piece.
     """
-    return _json_render(obj, "\n", {}) + "\n"
+    lists = {}
+    _check_keys((obj,), lists)
+    return _json_pieces(obj, lists)
 
 
-def _json_render(obj, pad, memo):
-    # pad is the newline plus the indent of the line that holds obj; memo maps
-    # (id, pad) of a list or tuple inside obj, alive for the whole call, to
-    # its text
+def _check_keys(obj, lists):
+    # obj is a dict, a list or a tuple; lists maps the id of each list or
+    # tuple inside it to [whether it holds only exact ints, how often it
+    # occurs], and each is searched once
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         for key in obj:
             if not isinstance(key, str):
                 raise TypeError("JSON object keys must be str, not %s" % type(key).__name__)
+        obj = obj.values()
+    for x in obj:
+        if isinstance(x, (list, tuple)):
+            entry = lists.get(id(x))
+            if entry is not None:
+                entry[1] += 1
+                continue
+            ints = _INT_ONLY.issuperset(map(type, x))
+            lists[id(x)] = [ints, 1]
+            if not ints:
+                _check_keys(x, lists)
+        elif isinstance(x, dict):
+            _check_keys(x, lists)
+
+
+def _json_pieces(obj, lists):
+    memo = {}
+    if not isinstance(obj, dict) or not obj:
+        yield _json_render(obj, "\n", lists, memo) + "\n"
+        return
+    sep = "{\n  "
+    for key in sorted(obj):
+        yield sep + _encode(key) + ": " + _json_render(obj[key], "\n  ", lists, memo)
+        sep = ",\n  "
+    yield "\n}\n"
+
+
+def _json_render(obj, pad, lists, memo):
+    # pad is the newline plus the indent of the line that holds obj; memo maps
+    # (id, pad) of each list or tuple that occurs more than once to its text
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
         inner = pad + "  "
         body = ("," + inner).join(
-            _encode(key) + ": " + _json_render(obj[key], inner, memo) for key in sorted(obj)
+            _encode(key) + ": " + _json_render(obj[key], inner, lists, memo) for key in sorted(obj)
         )
         return "{" + inner + body + pad + "}"
     if isinstance(obj, (list, tuple)):
@@ -72,12 +122,15 @@ def _json_render(obj, pad, memo):
             return "[]"
         text = memo.get((id(obj), pad))
         if text is None:
+            ints, count = lists[id(obj)]
             inner = pad + "  "
-            if _INT_ONLY.issuperset(map(type, obj)):
+            if ints:
                 body = ("%d" + ("," + inner + "%d") * (len(obj) - 1)) % tuple(obj)
             else:
-                body = ("," + inner).join(_json_render(x, inner, memo) for x in obj)
-            text = memo[(id(obj), pad)] = "[" + inner + body + pad + "]"
+                body = ("," + inner).join(_json_render(x, inner, lists, memo) for x in obj)
+            text = "[" + inner + body + pad + "]"
+            if count > 1:
+                memo[id(obj), pad] = text
         return text
     return _encode(obj)
 

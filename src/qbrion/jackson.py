@@ -12,8 +12,10 @@ symmetric polynomials it forms a raising/lowering ladder.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 
 from . import lattice
@@ -21,10 +23,9 @@ from .brion import LaurentQPoly, rs_polynomial
 from .errors import InvalidInputError, PreconditionError
 from .qalg import (
     QPolynomial,
-    pochhammer_div_inplace,
+    TruncatedQSeries,
     pochhammer_mul_inplace,
     q_factorial,
-    q_integer,
     q_multinomial,
     require_count,
 )
@@ -38,18 +39,34 @@ def _check_axis(f, axis):
         raise InvalidInputError("axis %d outside 0..%d" % (axis, len(u) - 1))
 
 
-def _times_q_integer(c, e):
-    """c [e]_q for e >= 1.  A QPolynomial takes c (1 - q^e) / (1 - q): one
-    pass of each kernel over its coefficients padded to the product's
-    length; a truncated series keeps its own product."""
-    if e == 1:
+def _falling(c, e, t):
+    """c [e]_q [e-1]_q .. [e-t+1]_q for e >= t >= 1: one pass of (1 - q^i)
+    per factor, then as many passes of 1 / (1 - q), a running sum, on c's
+    list padded to the product's length (a truncated series keeps its own);
+    the factor [1]_q = 1 takes none."""
+    lo = max(e - t + 1, 2)
+    if lo > e:
         return c
-    if not isinstance(c, QPolynomial):
-        return c * q_integer(e)
-    out = list(c.coeffs) + [0] * (e - 1)
-    pochhammer_mul_inplace(out, 1, e, e)
-    pochhammer_div_inplace(out, 1, 1)
-    return QPolynomial(out)
+    out = list(c.coeffs)
+    if isinstance(c, QPolynomial):
+        out += [0] * ((e + lo - 2) * (e - lo + 1) // 2)
+    pochhammer_mul_inplace(out, 1, e, lo)
+    for _ in range(lo, e + 1):
+        out = list(itertools.accumulate(out))
+    return QPolynomial(out) if isinstance(c, QPolynomial) else TruncatedQSeries(c.order, out)
+
+
+def _termwise(f, make):
+    """f with each coefficient c replaced by make(c), made once per distinct
+    coefficient object."""
+    made = {}
+    terms = {}
+    for u, c in f.terms.items():
+        d = made.get(id(c))
+        if d is None:
+            d = made[id(c)] = make(c)
+        terms[u] = d
+    return LaurentQPoly(terms)
 
 
 def q_shift(f, axis):
@@ -71,24 +88,31 @@ def jackson_derivative(f, axis):
     terms vanish.  Equivalent to (f - q_shift(f, axis)) / ((1-q) x_axis),
     but computed without division.
     """
-    _check_axis(f, axis)
-    terms = {}
-    for u, c in f.terms.items():
-        e = u[axis]
-        if e < 0:
-            raise PreconditionError("Jackson derivative needs nonnegative exponents")
-        if e == 0:
-            continue
-        # u -> u - e_axis is injective, so no two terms share a key
-        terms[u[:axis] + (e - 1,) + u[axis + 1 :]] = _times_q_integer(c, e)
-    return LaurentQPoly(terms)
+    return iterated_jackson(f, axis, 1)
 
 
 def iterated_jackson(f, axis, times):
+    """The Jackson derivative applied `times` times along the axis, in
+    closed form: c(q) x^u -> c(q) [e]_q [e-1]_q .. [e-times+1]_q
+    x^(u - times e_axis), e = u_axis.  Terms with e < times vanish; terms
+    that share a coefficient object and e share the result."""
     _check_axis(f, axis)
-    for _ in range(require_count(times, 0, "derivative count")):
-        f = jackson_derivative(f, axis)
-    return f
+    t = require_count(times, 0, "derivative count")
+    if not t:
+        return f
+    terms, made = {}, {}
+    for u, c in f.terms.items():
+        e = u[axis]
+        if e < t:
+            if e < 0:
+                raise PreconditionError("Jackson derivative needs nonnegative exponents")
+            continue
+        d = made.get((id(c), e))
+        if d is None:
+            d = made[id(c), e] = _falling(c, e, t)
+        # u -> u - t e_axis is injective, so no two terms share a key
+        terms[u[:axis] + (e - t,) + u[axis + 1 :]] = d
+    return LaurentQPoly(terms)
 
 
 @dataclass(frozen=True)
@@ -167,7 +191,7 @@ def verify_derivative_identity(D, axis):
     derived = derived_divisor(D, axis)
     derived_rs = rs_polynomial(derived.polytope)
     if a_sum >= 1:
-        rhs = LaurentQPoly({u: _times_q_integer(c, a_sum) for u, c in derived_rs.terms.items()})
+        rhs = _termwise(derived_rs, lambda c: _falling(c, a_sum, 1))
     else:
         rhs = LaurentQPoly.zero()
     return {
@@ -197,27 +221,39 @@ def rogers_szego(n, k):
 CONVENTIONS = ("vars_with_one", "vars_without_one")
 
 
+def _require_family(n, convention):
+    require_count(n, 1, "variable count")
+    if convention not in CONVENTIONS:
+        raise InvalidInputError("unknown convention %r" % (convention,))
+
+
+@functools.cache
+def _elementary_exponents(n, convention):
+    """Entry d: the exponent tuples of the monomials of e_d over the
+    convention's variable family, for d = 0 .. n + 1 (none beyond the
+    family size)."""
+    zero_vec = (0,) * n
+    variables = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    if convention == "vars_with_one":
+        variables = [zero_vec] + variables
+    return tuple(
+        tuple(tuple(map(sum, zip(*subset))) if subset else zero_vec
+              for subset in itertools.combinations(variables, d))
+        for d in range(n + 2)
+    )
+
+
 def elementary_symmetric(n, degree, convention):
     """e_degree of the chosen variable family, as a Laurent polynomial.
 
     vars_with_one uses the n+1 variables (1, x_1, .., x_n); vars_without_one
     uses (x_1, .., x_n).  Degrees beyond the family size give zero.
     """
-    require_count(n, 1, "variable count")
+    _require_family(n, convention)
     require_count(degree, None, "degree")
-    if convention not in CONVENTIONS:
-        raise InvalidInputError("unknown convention %r" % (convention,))
-    zero_vec = tuple(0 for _ in range(n))
-    variables = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    if convention == "vars_with_one":
-        variables = [zero_vec] + variables
-    if degree < 0 or degree > len(variables):
-        return LaurentQPoly.zero()
-    terms = {}
-    for subset in itertools.combinations(variables, degree):
-        key = tuple(sum(col) for col in zip(*subset)) if subset else zero_vec
-        terms[key] = QPolynomial.one()
-    return LaurentQPoly(terms)
+    family = _elementary_exponents(n, convention)
+    monomials = family[degree] if 0 <= degree < len(family) else ()
+    return LaurentQPoly(dict.fromkeys(monomials, QPolynomial.one()))
 
 
 def raising_operator(f, axis, n, convention="vars_with_one"):
@@ -227,18 +263,41 @@ def raising_operator(f, axis, n, convention="vars_with_one"):
 
     The variable family for the elementary symmetric factors is fixed by the
     convention; see discriminate_convention for the data-driven choice.
+
+    In closed form (q-1)^l (d/dx_i)_q^l sends c x^u to
+    (-1)^l c (q^(e-l+1); q)_l x^(u - l e_i), e = u_i: one pass of
+    (1 - q^(e-l+1)) per level, made once per coefficient object and e.  The
+    lists that reach one output monomial are summed once, at the end.
     """
-    q_minus_one = QPolynomial((-1, 1))
-    out = LaurentQPoly.zero()
-    d = f
-    for level in range(n + 1):
-        e_poly = elementary_symmetric(n, level + 1, convention)
-        if not e_poly.is_zero and not d.is_zero:
-            term = e_poly * d
-            out = out + (term.scale(q_minus_one ** level) if level else term)
-        if level < n:
-            d = jackson_derivative(d, axis)
-    return out
+    _require_family(n, convention)
+    _check_axis(f, axis)
+    family = _elementary_exponents(n, convention)
+    series = not all(isinstance(c, QPolynomial) for c in f.terms.values())
+    parts, made = collections.defaultdict(list), {}
+    for u, c in f.terms.items():
+        e = u[axis]
+        if e < 0:
+            raise PreconditionError("Jackson derivative needs nonnegative exponents")
+        levels = made.get((id(c), e))
+        if levels is None:
+            w = list(c.coeffs)
+            levels = made[id(c), e] = [w]
+            for level in range(1, min(n, e) + 1):
+                k = e - level + 1
+                w = list(map(operator.neg, w)) + [0] * (0 if series else k)
+                pochhammer_mul_inplace(w, 1, k, k)
+                levels.append(w)
+        for level, w in enumerate(levels):
+            base = u[:axis] + (e - level,) + u[axis + 1 :]
+            for s in family[level + 1]:
+                parts[tuple(map(operator.add, base, s))].append(w)
+    terms = {}
+    for key, ws in parts.items():
+        out = ws[0] if len(ws) == 1 else list(map(sum, itertools.zip_longest(*ws, fillvalue=0)))
+        # a series list is as long as its order + 1, so the sum is trusted
+        # through the shortest
+        terms[key] = TruncatedQSeries(min(map(len, ws)) - 1, out) if series else QPolynomial(out)
+    return LaurentQPoly(terms)
 
 
 @functools.cache
@@ -271,6 +330,9 @@ def verify_ladder(n, max_degree, convention=None):
     if convention is None:
         convention = discriminate_convention()
     rs = [rogers_szego(n, k) for k in range(require_count(max_degree, 0, "max degree") + 1)]
+    # [k]_q RS_{k-1} and q^k RS_k, the same on every axis
+    scaled = [_termwise(f, lambda c, k=k: _falling(c, k, 1)) for k, f in enumerate(rs[:-1], 1)]
+    shifted = [_termwise(f, lambda c, k=k: c.shift(k)) for k, f in enumerate(rs)]
     failures = []
     for axis in range(n):
         # R_i(RS_k) and L_i(RS_k) once each, for k = 0 .. max_degree
@@ -279,12 +341,12 @@ def verify_ladder(n, max_degree, convention=None):
         for k in range(1, max_degree + 1):
             if raised[k - 1] != rs[k]:
                 failures.append(("raising", axis, k))
-            if lowered[k] != rs[k - 1].scale(q_integer(k)):
+            if lowered[k] != scaled[k - 1]:
                 failures.append(("lowering", axis, k))
         for k in range(max_degree + 1):
             lr = jackson_derivative(raised[k], axis)
             rl = raising_operator(lowered[k], axis, n, convention)
-            if lr - rl != rs[k].scale(QPolynomial.monomial(k)):
+            if lr != rl + shifted[k]:
                 failures.append(("commutator", axis, k))
     report = {
         "n": n,

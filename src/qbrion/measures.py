@@ -33,6 +33,7 @@ from .qalg import require_count
 
 
 _INT_ONLY = frozenset((int,))
+_TUPLE_ONLY = frozenset((tuple,))
 _NEWTON_STEPS = 200  # minimize_potential gives up after this many
 _NEWTON_TOL = 1e-10  # ... and stops once the gradient norm is at most this
 
@@ -91,24 +92,37 @@ class DiscreteMeasure:
     """
 
     def __init__(self, weights):
-        cleaned = {}
-        dims = set()
-        for u, w in weights.items():
-            key = _lattice_point(u)
-            if key is None:
-                raise InvalidInputError("%r is not a lattice point" % (u,))
-            dims.add(len(key))
-            w = _exact_weight(w, u)
-            if w.numerator < 0:
-                raise InvalidInputError("negative weight at %r" % (u,))
-            if not w.numerator:
-                continue
-            if key in cleaned:
-                cleaned[key] += w
-            else:
-                cleaned[key] = w
-        if len(dims) > 1:
-            raise InvalidInputError("points of different dimensions %s" % sorted(dims))
+        keys, values = weights.keys(), weights.values()
+        if (
+            _TUPLE_ONLY.issuperset(map(type, keys))
+            and len(set(map(len, keys))) == 1
+            and _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(keys)))
+            and _INT_ONLY.issuperset(map(type, values))
+            and min(values) >= 0
+            and () not in weights
+        ):
+            # every key a nonempty int tuple of one length, every weight a
+            # nonnegative int: the per-atom checks below would pass each atom
+            # as it is
+            cleaned = dict(filter(operator.itemgetter(1), weights.items()))
+        else:
+            cleaned, dims = {}, set()
+            for u, w in weights.items():
+                key = _lattice_point(u)
+                if key is None:
+                    raise InvalidInputError("%r is not a lattice point" % (u,))
+                dims.add(len(key))
+                w = _exact_weight(w, u)
+                if w.numerator < 0:
+                    raise InvalidInputError("negative weight at %r" % (u,))
+                if not w.numerator:
+                    continue
+                if key in cleaned:
+                    cleaned[key] += w
+                else:
+                    cleaned[key] = w
+            if len(dims) > 1:
+                raise InvalidInputError("points of different dimensions %s" % sorted(dims))
         if not cleaned:
             raise InvalidInputError("measure needs positive total mass")
         # Over the lcm of the denominators every weight is an int n; equal
@@ -262,6 +276,9 @@ def _weight_rows(P):
         new = ((sum(slacks),), slacks, 0)
         first, args = _carried(first, args, new), new
         steps = hi - lo
+        if not steps:
+            yield prefix, lo, [first]
+            continue
         nums, dens = [1] * steps, [1] * steps
         for i, d in moving:
             s = slacks[i]

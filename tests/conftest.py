@@ -127,6 +127,66 @@ def dense_factors(c, powers, order):
     return prod
 
 
+# The Jackson operators by object algebra, one derivative at a time: the
+# references the closed forms in qbrion.jackson are checked against.
+
+
+def reference_jackson_derivative(f, axis):
+    """c x^u -> c [u_axis]_q x^(u - e_axis) by the dense product c * [e]_q;
+    PreconditionError on a negative exponent along the axis."""
+    from qbrion.brion import LaurentQPoly
+    from qbrion.errors import PreconditionError
+    from qbrion.qalg import q_integer
+
+    terms = {}
+    for u, c in f.terms.items():
+        e = u[axis]
+        if e < 0:
+            raise PreconditionError("Jackson derivative needs nonnegative exponents")
+        if e:
+            terms[u[:axis] + (e - 1,) + u[axis + 1 :]] = c * q_integer(e)
+    return LaurentQPoly(terms)
+
+
+def reference_iterated_jackson(f, axis, times):
+    for _ in range(times):
+        f = reference_jackson_derivative(f, axis)
+    return f
+
+
+def reference_elementary_symmetric(n, degree, convention):
+    """e_degree over (1, x_1, .., x_n) or (x_1, .., x_n), from the subsets."""
+    import itertools
+
+    from qbrion.brion import LaurentQPoly
+    from qbrion.qalg import QPolynomial
+
+    variables = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    if convention == "vars_with_one":
+        variables = [(0,) * n] + variables
+    terms = {}
+    for subset in itertools.combinations(variables, degree):
+        terms[tuple(map(sum, zip(*subset))) if subset else (0,) * n] = QPolynomial.one()
+    return LaurentQPoly(terms)
+
+
+def reference_raising_operator(f, axis, n, convention="vars_with_one"):
+    """sum_{l=0}^{n} e_{l+1}(vars) (q-1)^l (d/dx_axis)_q^l f, each term a
+    product of LaurentQPoly objects."""
+    from qbrion.brion import LaurentQPoly
+    from qbrion.qalg import QPolynomial
+
+    q_minus_one = QPolynomial((-1, 1))
+    out = LaurentQPoly.zero()
+    d = f
+    for level in range(n + 1):
+        e_poly = reference_elementary_symmetric(n, level + 1, convention)
+        out = out + (e_poly * d).scale(q_minus_one ** level)
+        if level < n:
+            d = reference_jackson_derivative(d, axis)
+    return out
+
+
 # The corner sum on Fraction coefficients, term by term, with no q -> Bq
 # substitution and no common denominator: the reference the integer corner
 # sum and lattice-point side of qbrion.brion are checked against.

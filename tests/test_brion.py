@@ -68,6 +68,10 @@ def _assert_palindromes(P, rs):
 SLOPED = lattice.Polytope.from_facets(
     2, [((1, 0), 3), ((-1, 2), 4), ((1, -1), 2), ((-1, -1), 7)]
 )
+# Radially symmetric, with row steps that move two slacks by 3: a step can
+# lead from a slack multiset of degree D' to one of degree above 2 D' + 1,
+# so the half-length walk pads a list past the previous key's degree.
+STEEP = lattice.Polytope.from_facets(2, [((-3, 2), 1), ((2, -3), 3), ((1, 1), 4)])
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -94,8 +98,10 @@ def test_rs_polynomial_matches_dense_multinomials_3d(solids, name):
         lattice.Polytope.from_facets(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 0)]),
         SLOPED,
         lattice.dilate(SLOPED, 3),
+        STEEP,
+        lattice.dilate(STEEP, 4),
     ],
-    ids=["point", "sloped", "sloped*3"],
+    ids=["point", "sloped", "sloped*3", "steep", "steep*4"],
 )
 def test_rs_polynomial_matches_dense_multinomials_edge_cases(P):
     rs = brion.rs_polynomial(P)
@@ -161,7 +167,7 @@ def test_rs_walk_steps_only_into_new_multisets(monkeypatch, P):
     monkeypatch.setattr(lattice, "rows_with_slacks", logged_rows)
     walk = brion._row_weights
 
-    def checked(P, start, length):
+    def checked(P, start, length, degree=None):
         # the walk asks for start(key) (a row's first point) or length(key)
         # (a step) only for a key it has not seen, before the passes that
         # build that key's list
@@ -173,7 +179,7 @@ def test_rs_walk_steps_only_into_new_multisets(monkeypatch, P):
             events.append(("step", key))
             return length(key)
 
-        return walk(P, start_new, length_new)
+        return walk(P, start_new, length_new, degree)
 
     monkeypatch.setattr(brion, "_row_weights", checked)
     rs = brion.rs_polynomial(P)

@@ -8,12 +8,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrion import cli, fixtures, lattice, measures
+from qbrion import brion, cli, fixtures, lattice, measures
 
 
 def run_cli(*args):
@@ -528,7 +529,7 @@ _json_values = st.recursive(
 @settings(max_examples=200, deadline=None)
 @given(_json_values)
 def test_json_writer_matches_json_dumps(obj):
-    assert cli._json_text(obj) == _json_oracle(obj)
+    assert "".join(cli._json_text(obj)) == _json_oracle(obj)
 
 
 _SHARED = (3, 1, 4, 1, 5)
@@ -550,13 +551,73 @@ _SHARED_LIST = [True, None, 2.5, "x", [7, 8]]
     ids=["two-depths", "two-depths-list", "one-depth", "one-depth-list", "value-and-element"],
 )
 def test_json_writer_renders_shared_objects_like_json_dumps(obj):
-    assert cli._json_text(obj) == _json_oracle(obj)
+    assert "".join(cli._json_text(obj)) == _json_oracle(obj)
 
 
 @pytest.mark.parametrize("obj", [{1: 2}, {None: 1}, {(1, 2): 3}, {"a": [{2.5: 1}]}])
 def test_json_writer_rejects_keys_that_are_not_str(obj):
     with pytest.raises(TypeError):
         cli._json_text(obj)
+
+
+_RADIAL = [name for name in fixtures.NAMES if fixtures.load(name).is_radially_symmetric()]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", _RADIAL)
+def test_rs_and_lhs_write_what_json_dumps_writes(tmp_path, capsys, name, k):
+    # the streamed writer against json.dumps of data built from the library,
+    # to stdout and to --output
+    P = lattice.dilate(fixtures.load(name), k)
+    path = tmp_path / "P.json"
+    path.write_text(P.to_json())
+    rs = {json.dumps(list(u)): list(c.coeffs) for u, c in brion.rs_polynomial(P).terms.items()}
+    lhs = {json.dumps(list(u)): [int(x) for x in c.coeffs] for u, c in brion.lhs_series(P, 12).terms.items()}
+    for command, data in (("rs", rs), ("lhs", lhs)):
+        want = _json_oracle(data)
+        capsys.readouterr()
+        assert cli.main([command, str(path)]) == 0
+        assert capsys.readouterr().out == want, command
+        out = tmp_path / (command + ".json")
+        assert cli.main([command, str(path), "--output", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == want, command
+
+
+def test_rs_output_is_streamed(tmp_path, capsys):
+    # the traced peak of a whole rs call stays below the size of the file it
+    # writes: no full document is built in memory
+    path, out = tmp_path / "P.json", tmp_path / "rs.json"
+    path.write_text(lattice.dilate(fixtures.load("hexagon"), 8).to_json())
+    cli.main(["rs", str(path), "--output", str(out)])  # warm the caches first
+    tracemalloc.start()
+    try:
+        assert cli.main(["rs", str(path), "--output", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 5 * 10**6
+    assert peak < size, (peak, size)
+
+
+def test_json_writer_checks_keys_before_the_first_piece(tmp_path):
+    # a bad key deep in a later entry raises before any piece is written
+    # and before the output file is opened
+    obj = {"a": [1, 2], "b": [{"c": 1}, {2: 3}]}
+    with pytest.raises(TypeError):
+        cli._json_text(obj)
+    out = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        cli._write_text(str(out), cli._json_text(obj))
+    assert not out.exists()
+
+
+def test_json_writer_yields_one_top_level_entry_at_a_time():
+    shared = (1, 2, 3)
+    obj = {"b": shared, "a": shared, "c": {"d": [shared]}}
+    pieces = list(cli._json_text(obj))
+    assert len(pieces) == len(obj) + 1
+    assert "".join(pieces) == _json_oracle(obj)
 
 
 # ------------------------------------------------------------ repeated calls

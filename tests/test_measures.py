@@ -172,6 +172,69 @@ def test_measure_normalization_matches_per_atom_reference(values):
     assert list(mu.atoms.items()) == list(_reference_normalization(weights).items())
 
 
+def _per_atom(monkeypatch, weights):
+    """DiscreteMeasure(weights) with the int fast path turned off, so every
+    atom goes through the per-atom checks: the measure, or the error."""
+    with monkeypatch.context() as m:
+        m.setattr(measures, "_TUPLE_ONLY", frozenset())
+        try:
+            return DiscreteMeasure(weights)
+        except InvalidInputError as exc:
+            return str(exc)
+
+
+def _fast(weights):
+    try:
+        return DiscreteMeasure(weights)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(lambda dim: st.dictionaries(
+        st.tuples(*[st.integers(-5, 5)] * dim), st.integers(0, 10**30), max_size=12)),
+)
+def test_int_measure_fast_path_matches_the_per_atom_path(weights):
+    # int tuples of one length weighted by nonnegative ints skip the
+    # per-atom checks; the atoms, their order and their sharing are those of
+    # the per-atom path, and so is the error of a massless measure
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        want = _per_atom(monkeypatch, weights)
+    got = _fast(weights)
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert list(got.atoms.items()) == list(want.atoms.items())
+    assert len({id(w) for w in got.atoms.values()}) == len({id(w) for w in want.atoms.values()})
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [
+        {(0, 1): 2, (1, 0): -1},  # a negative weight
+        {(0, 1): 2, (1,): 1},  # two dimensions
+        {(): 1},  # an empty point
+        {(0, 1): True},  # a bool weight
+        {(0, True): 1},  # a bool coordinate
+        {(0, 1): 0, (1, 0): 0},  # no mass
+        {},
+        {(0, 1): 2, (1, 0): 3},  # the fast path itself
+        {(0, 1): 2.0, (1, 0): 3},  # a float weight
+    ],
+)
+def test_int_measure_fast_path_keeps_every_error(monkeypatch, weights):
+    want, got = _per_atom(monkeypatch, weights), _fast(weights)
+    assert got == want if isinstance(want, str) else got.atoms == want.atoms
+
+
+def test_int_measure_fast_path_takes_no_per_atom_check(monkeypatch, hexagon):
+    weights = dict(measures._face_weights(lattice.dilate(hexagon, 6)))
+    monkeypatch.setattr(measures, "_lattice_point", None)
+    monkeypatch.setattr(measures, "_exact_weight", None)
+    assert DiscreteMeasure(weights).atoms == _reference_normalization(weights)
+
+
 def test_total_variation_basics():
     a = DiscreteMeasure({(0,): 1})
     b = DiscreteMeasure({(1,): 1})
@@ -683,6 +746,19 @@ def test_q1_layer_inexact_face_crossings_match_reference(trapezoid, k):
     P = skewed(transpose(trapezoid), -2)
     assert sum(v[-1] for v in P.normals) == 2
     assert_matches_reference(P, k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 9])
+def test_one_point_face_rows_match_the_per_point_weights(trapezoid, k):
+    # the trapezoid's face meets each row in one point, and transposed it
+    # lies along rows: each row's weights against the multinomial of each
+    # point's slacks
+    for P in (trapezoid, transpose(trapezoid)):
+        Q = lattice.dilate(P, k)
+        rows = list(measures._weight_rows(Q))
+        assert all(len(w) == 1 for _, _, w in rows) == (P is trapezoid)
+        got = {prefix + (lo + m,): x for prefix, lo, w in rows for m, x in enumerate(w)}
+        assert got == face_measure_reference(Q)[0]
 
 
 def test_q1_layer_needs_a_lattice_point_on_the_max_face():
