@@ -29,10 +29,9 @@ for axis in (0, 1):
           % (axis, r["holds"], r["derived_offsets"]))
 
 # ladder: raising and lowering operators move between degrees
-convention = jackson.discriminate_convention()
-print("\nelementary-symmetric family:", convention)
+print("\nelementary-symmetric family: (1, x_1, .., x_n)")
 for n in (1, 2):
-    rep = jackson.verify_ladder(n, 4, convention)
+    rep = jackson.verify_ladder(n, 4)
     print("ladder n=%d through degree 4: all_ok=%s failures=%s"
           % (n, rep["all_ok"], rep["failures"]))
 

@@ -55,7 +55,6 @@ from .jackson import (
     FirstOrthantDivisor,
     LeadingTermResult,
     derived_divisor,
-    discriminate_convention,
     elementary_symmetric,
     jackson_derivative,
     leading_term_check,
@@ -124,7 +123,6 @@ __all__ = [
     "rogers_szego",
     "elementary_symmetric",
     "raising_operator",
-    "discriminate_convention",
     "verify_ladder",
     "leading_term_check",
     "leading_term_expected",

@@ -1,13 +1,13 @@
 """Command line surface for the library.
 
 main loads the polytope from a JSON facet file once, rejects an empty one
-and hands it to the subcommand (jackson --ladder reads none), which emits a
-deterministic report: JSON for verification and operator checks, CSV for
-measures, TSV for asymptotics tables and heatmap weights.  Exit codes: 0
-success, 1 verification mismatch, 2 invalid input (an unreadable polytope
-file, an empty polytope or an unwritable output path too), 3 precondition
-violation.  Identical invocations produce byte-identical output files;
-wall-clock timing goes to stderr only.
+and hands it to the subcommand (ladder, which needs only n and k, reads
+none), which emits a deterministic report: JSON for verification and
+operator checks, CSV for measures, TSV for asymptotics tables and heatmap
+weights.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input
+(an unreadable polytope file, an empty polytope or an unwritable output
+path too), 3 precondition violation.  Identical invocations produce
+byte-identical output files; wall-clock timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -279,15 +279,6 @@ def cmd_heatmap(P, args):
 
 
 def cmd_jackson(P, args):
-    # P is None in --ladder mode, which reads no polytope
-    if args.ladder is not None:
-        pair = args.ladder
-        if len(pair) != 2:
-            raise InvalidInputError("--ladder needs n,k")
-        report = jackson.verify_ladder(*pair)
-        report["failures"] = [list(f) for f in report["failures"]]
-        _write_text(args.output, _json_text(report))
-        return 0 if report["all_ok"] else 1
     axis = args.axis
     if axis < 1 or axis > P.dim:
         raise InvalidInputError("--axis must lie in 1..%d" % P.dim)
@@ -296,6 +287,15 @@ def cmd_jackson(P, args):
     result["axis"] = axis
     _write_text(args.output, _json_text(result))
     return 0 if result["holds"] else 1
+
+
+def cmd_ladder(args):
+    if len(args.degrees) != 2:
+        raise InvalidInputError("ladder needs n,k")
+    report = jackson.verify_ladder(*args.degrees)
+    report["failures"] = [list(f) for f in report["failures"]]
+    _write_text(args.output, _json_text(report))
+    return 0 if report["all_ok"] else 1
 
 
 def build_parser():
@@ -339,10 +339,12 @@ def build_parser():
     p.add_argument("--dilate", type=_positive_int, default=1)
     p.add_argument("--q", default="0.2,0.6,0.9", help="comma-separated q values in (0,1)")
 
-    p = command("jackson", cmd_jackson, "derivative recursion or ladder identity checks")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--axis", type=int, help="1-based axis for the derivative identity")
-    group.add_argument("--ladder", type=_int_list, help="n,k for the ladder report")
+    p = command("jackson", cmd_jackson, "derivative recursion check along one axis")
+    p.add_argument("--axis", type=int, required=True, help="1-based axis for the derivative identity")
+
+    p = sub.add_parser("ladder", help="ladder identity report, no polytope")
+    p.add_argument("degrees", type=_int_list, metavar="n,k",
+                   help="variable count n and top degree k")
 
     # --output last, after each command's own options, as usage lists them
     for name, p in sub.choices.items():
@@ -360,9 +362,9 @@ _parser = functools.cache(build_parser)
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        P = None
-        if getattr(args, "ladder", None) is None:
-            P = lattice.require_nonempty(lattice.Polytope.from_file(args.polytope))
+        if args.command == "ladder":  # the one command that reads no polytope
+            return cmd_ladder(args)
+        P = lattice.require_nonempty(lattice.Polytope.from_file(args.polytope))
         return args.func(P, args)
     except InvalidInputError as exc:
         print("error: %s" % exc, file=sys.stderr)

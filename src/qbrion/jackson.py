@@ -32,11 +32,13 @@ from .qalg import (
 
 
 def _check_axis(f, axis):
-    """InvalidInputError unless axis is an int in 0..dim-1; the zero
-    polynomial, which has no dimension, takes any axis >= 0."""
-    u = next(iter(f.terms), ())
-    if require_count(axis, 0, "axis") >= len(u) > 0:
-        raise InvalidInputError("axis %d outside 0..%d" % (axis, len(u) - 1))
+    """f's variable count, 0 for the zero polynomial; InvalidInputError
+    unless axis is an int in 0..dim-1 (any axis >= 0 for the zero
+    polynomial, which has no dimension)."""
+    n = len(next(iter(f.terms), ()))
+    if require_count(axis, 0, "axis") >= n > 0:
+        raise InvalidInputError("axis %d outside 0..%d" % (axis, n - 1))
+    return n
 
 
 def _falling(c, e, t):
@@ -218,24 +220,13 @@ def rogers_szego(n, k):
     return rs_polynomial(P)
 
 
-CONVENTIONS = ("vars_with_one", "vars_without_one")
-
-
-def _require_family(n, convention):
-    require_count(n, 1, "variable count")
-    if convention not in CONVENTIONS:
-        raise InvalidInputError("unknown convention %r" % (convention,))
-
-
 @functools.cache
-def _elementary_exponents(n, convention):
-    """Entry d: the exponent tuples of the monomials of e_d over the
-    convention's variable family, for d = 0 .. n + 1 (none beyond the
+def _elementary_exponents(n):
+    """Entry d: the exponent tuples of the monomials of e_d over the ladder's
+    variable family (1, x_1, .., x_n), for d = 0 .. n + 1 (none beyond the
     family size)."""
     zero_vec = (0,) * n
-    variables = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    if convention == "vars_with_one":
-        variables = [zero_vec] + variables
+    variables = [zero_vec] + [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     return tuple(
         tuple(tuple(map(sum, zip(*subset))) if subset else zero_vec
               for subset in itertools.combinations(variables, d))
@@ -243,35 +234,31 @@ def _elementary_exponents(n, convention):
     )
 
 
-def elementary_symmetric(n, degree, convention):
-    """e_degree of the chosen variable family, as a Laurent polynomial.
-
-    vars_with_one uses the n+1 variables (1, x_1, .., x_n); vars_without_one
-    uses (x_1, .., x_n).  Degrees beyond the family size give zero.
-    """
-    _require_family(n, convention)
+def elementary_symmetric(n, degree):
+    """e_degree of the n+1 variables (1, x_1, .., x_n), as a Laurent
+    polynomial.  Degrees beyond the family size give zero."""
+    require_count(n, 1, "variable count")
     require_count(degree, None, "degree")
-    family = _elementary_exponents(n, convention)
+    family = _elementary_exponents(n)
     monomials = family[degree] if 0 <= degree < len(family) else ()
     return LaurentQPoly(dict.fromkeys(monomials, QPolynomial.one()))
 
 
-def raising_operator(f, axis, n, convention="vars_with_one"):
+def raising_operator(f, axis):
     """Ladder raising operator along an axis:
 
-        R_i f = sum_{l=0}^{n} e_{l+1}(vars) (q-1)^l (d/dx_i)_q^l f.
+        R_i f = sum_{l=0}^{n} e_{l+1}(1, x_1, .., x_n) (q-1)^l (d/dx_i)_q^l f,
 
-    The variable family for the elementary symmetric factors is fixed by the
-    convention; see discriminate_convention for the data-driven choice.
+    with n the number of variables of f (the zero polynomial gives zero).
+    The family (1, x_1, .., x_n) is the one that gives R(RS_0) = RS_1.
 
     In closed form (q-1)^l (d/dx_i)_q^l sends c x^u to
     (-1)^l c (q^(e-l+1); q)_l x^(u - l e_i), e = u_i: one pass of
     (1 - q^(e-l+1)) per level, made once per coefficient object and e.  The
     lists that reach one output monomial are summed once, at the end.
     """
-    _require_family(n, convention)
-    _check_axis(f, axis)
-    family = _elementary_exponents(n, convention)
+    n = _check_axis(f, axis)
+    family = _elementary_exponents(n)
     series = not all(isinstance(c, QPolynomial) for c in f.terms.values())
     parts, made = collections.defaultdict(list), {}
     for u, c in f.terms.items():
@@ -300,25 +287,7 @@ def raising_operator(f, axis, n, convention="vars_with_one"):
     return LaurentQPoly(terms)
 
 
-@functools.cache
-def discriminate_convention():
-    """Pick the elementary-symmetric variable family from the n=1 ladder data.
-
-    Exactly one convention satisfies R(RS_0) = RS_1 in one variable; that one
-    is returned.  (1, x) gives 1 + x which matches, (x) gives x which does not.
-    The data are fixed, so the choice is made once per process.
-    """
-    base = rogers_szego(1, 0)
-    target = rogers_szego(1, 1)
-    winners = [
-        conv for conv in CONVENTIONS if raising_operator(base, 0, 1, conv) == target
-    ]
-    if len(winners) != 1:
-        raise PreconditionError("ladder data does not single out one convention")
-    return winners[0]
-
-
-def verify_ladder(n, max_degree, convention=None):
+def verify_ladder(n, max_degree):
     """Exact ladder check for the degree family RS_0 .. RS_max_degree.
 
     Verifies, for every axis: raising R_i(RS_{k-1}) = RS_k, lowering by the
@@ -327,8 +296,6 @@ def verify_ladder(n, max_degree, convention=None):
     per-identity booleans and a list of any failing (identity, axis, degree)
     triples.
     """
-    if convention is None:
-        convention = discriminate_convention()
     rs = [rogers_szego(n, k) for k in range(require_count(max_degree, 0, "max degree") + 1)]
     # [k]_q RS_{k-1} and q^k RS_k, the same on every axis
     scaled = [_termwise(f, lambda c, k=k: _falling(c, k, 1)) for k, f in enumerate(rs[:-1], 1)]
@@ -336,7 +303,7 @@ def verify_ladder(n, max_degree, convention=None):
     failures = []
     for axis in range(n):
         # R_i(RS_k) and L_i(RS_k) once each, for k = 0 .. max_degree
-        raised = [raising_operator(f, axis, n, convention) for f in rs]
+        raised = [raising_operator(f, axis) for f in rs]
         lowered = [jackson_derivative(f, axis) for f in rs]
         for k in range(1, max_degree + 1):
             if raised[k - 1] != rs[k]:
@@ -345,13 +312,15 @@ def verify_ladder(n, max_degree, convention=None):
                 failures.append(("lowering", axis, k))
         for k in range(max_degree + 1):
             lr = jackson_derivative(raised[k], axis)
-            rl = raising_operator(lowered[k], axis, n, convention)
+            rl = raising_operator(lowered[k], axis)
             if lr != rl + shifted[k]:
                 failures.append(("commutator", axis, k))
     report = {
         "n": n,
         "max_degree": max_degree,
-        "convention": convention,
+        # a constant now that the family is fixed; it stays because the
+        # benchmark's ladder jobs hash the whole report
+        "convention": "vars_with_one",
         "raising_ok": not any(f[0] == "raising" for f in failures),
         "lowering_ok": not any(f[0] == "lowering" for f in failures),
         "commutator_ok": not any(f[0] == "commutator" for f in failures),

@@ -154,15 +154,16 @@ def reference_iterated_jackson(f, axis, times):
     return f
 
 
-def reference_elementary_symmetric(n, degree, convention):
-    """e_degree over (1, x_1, .., x_n) or (x_1, .., x_n), from the subsets."""
+def reference_elementary_symmetric(n, degree, with_one=True):
+    """e_degree over (1, x_1, .., x_n), from the subsets; with_one=False
+    drops the constant variable, a wrong family for mutation tests."""
     import itertools
 
     from qbrion.brion import LaurentQPoly
     from qbrion.qalg import QPolynomial
 
     variables = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    if convention == "vars_with_one":
+    if with_one:
         variables = [(0,) * n] + variables
     terms = {}
     for subset in itertools.combinations(variables, degree):
@@ -170,7 +171,7 @@ def reference_elementary_symmetric(n, degree, convention):
     return LaurentQPoly(terms)
 
 
-def reference_raising_operator(f, axis, n, convention="vars_with_one"):
+def reference_raising_operator(f, axis, n, with_one=True):
     """sum_{l=0}^{n} e_{l+1}(vars) (q-1)^l (d/dx_axis)_q^l f, each term a
     product of LaurentQPoly objects."""
     from qbrion.brion import LaurentQPoly
@@ -180,7 +181,7 @@ def reference_raising_operator(f, axis, n, convention="vars_with_one"):
     out = LaurentQPoly.zero()
     d = f
     for level in range(n + 1):
-        e_poly = reference_elementary_symmetric(n, level + 1, convention)
+        e_poly = reference_elementary_symmetric(n, level + 1, with_one)
         out = out + (e_poly * d).scale(q_minus_one ** level)
         if level < n:
             d = reference_jackson_derivative(d, axis)

@@ -121,11 +121,10 @@ def test_criterion_05():
 
 @criterion(6, "ladder identities: n=1 through degree 6 exact; n=2 determination report")
 def test_criterion_06():
-    convention = jackson.discriminate_convention()
-    assert convention == "vars_with_one"
-    one = jackson.verify_ladder(1, 6, convention)
+    one = jackson.verify_ladder(1, 6)
+    assert one["convention"] == "vars_with_one"
     assert one["all_ok"], one["failures"]
-    two = jackson.verify_ladder(2, 3, convention)
+    two = jackson.verify_ladder(2, 3)
     # determination report for two variables: emitted and, as it turns out,
     # fully confirming all three identities
     assert set(two) >= {"raising_ok", "lowering_ok", "commutator_ok", "failures"}

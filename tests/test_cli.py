@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbrion import brion, cli, fixtures, lattice, measures
+from qbrion import brion, cli, fixtures, jackson, lattice, measures
 
 
 def run_cli(*args):
@@ -343,8 +343,8 @@ def test_jackson_axis_needs_first_orthant_symmetric(fixture_files):
     assert r.returncode == 3
 
 
-def test_jackson_ladder_report(fixture_files):
-    r = run_cli("jackson", fixture_files["hexagon"], "--ladder", "1,4")
+def test_jackson_ladder_report():
+    r = run_cli("ladder", "1,4")
     assert r.returncode == 0
     payload = json.loads(r.stdout)
     assert payload["all_ok"] is True
@@ -352,16 +352,25 @@ def test_jackson_ladder_report(fixture_files):
 
 
 def test_jackson_requires_exactly_one_mode(fixture_files):
+    # --axis is required, and the ladder is its own command, `ladder n,k`
     r = run_cli("jackson", fixture_files["hexagon"])
     assert r.returncode == 2
+    for extra in ([], ["--axis", "1"]):
+        r = run_cli("jackson", fixture_files["hexagon"], *extra, "--ladder", "2,1")
+        assert r.returncode == 2
+        assert r.stdout == ""
 
 
-def test_jackson_ladder_reads_no_polytope(fixture_files, tmp_path, capsys):
-    argv = ["jackson", "--ladder", "2,1"]
-    assert cli.main([argv[0], fixture_files["hexagon"]] + argv[1:]) == 0
-    expected = capsys.readouterr().out
-    assert cli.main([argv[0], str(tmp_path / "nonexistent.json")] + argv[1:]) == 0
-    assert capsys.readouterr().out == expected
+def test_jackson_ladder_reads_no_polytope(monkeypatch, capsys):
+    # the report depends on n and k alone
+    def no_file(path):
+        raise AssertionError("ladder read %s" % path)
+
+    monkeypatch.setattr(lattice.Polytope, "from_file", no_file)
+    assert cli.main(["ladder", "2,1"]) == 0
+    report = jackson.verify_ladder(2, 1)
+    report["failures"] = [list(f) for f in report["failures"]]
+    assert capsys.readouterr().out == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # -------------------------------------------------------------- input guards
@@ -384,8 +393,13 @@ EVERY_COMMAND = [
     ["asymptotics", "--k", "2"],
     ["heatmap", "--q", "0.5"],
     ["jackson", "--axis", "1"],
-    ["jackson", "--ladder", "2,1"],
+    ["ladder", "2,1"],
 ]
+
+
+def _argv(command, path):
+    """command with the polytope path after its name; ladder takes none."""
+    return command if command[0] == "ladder" else [command[0], path, *command[1:]]
 
 
 @pytest.mark.parametrize(
@@ -412,7 +426,7 @@ def test_only_the_validate_command_builds_a_validation_report(
 
     monkeypatch.setattr(lattice, "validate", counting)
     for i, command in enumerate(EVERY_COMMAND):
-        argv = [command[0], fixture_files["hexagon"]] + command[1:]
+        argv = _argv(command, fixture_files["hexagon"])
         assert cli.main(argv + ["--output", str(tmp_path / str(i))]) in (0, 1), command
     capsys.readouterr()
     assert calls == ["validate"]
@@ -431,13 +445,13 @@ def test_only_the_validate_command_builds_a_validation_report(
         ["measure"],
         ["asymptotics", "--k", "2"],
         ["jackson", "--axis", "1"],
-        ["jackson", "--ladder", "2,1"],
+        ["ladder", "2,1"],
         ["heatmap", "--q", "0.5"],  # --output is the base path of the tables
     ],
 )
 def test_unwritable_output_exit_2(fixture_files, tmp_path, command):
     out = tmp_path / "missing" / "out"
-    r = run_cli(command[0], fixture_files["simplex_p2"], *command[1:], "--output", str(out))
+    r = run_cli(*_argv(command, fixture_files["simplex_p2"]), "--output", str(out))
     assert r.returncode == 2, r.stderr
     assert r.stderr.startswith("error: cannot write"), r.stderr
     assert "Traceback" not in r.stderr
@@ -447,7 +461,7 @@ def test_readme_cli_table_flags_exist():
     # every --flag a row of README's subcommand table shows is an option of
     # that subcommand, so a removed option cannot stay advertised
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
-        rows = re.findall(r"^\| `(\w+) P\.json([^`]*)` \|", fh.read(), re.M)
+        rows = re.findall(r"^\| `(\w+)(?: P\.json)?([^`]*)` \|", fh.read(), re.M)
     subparsers = next(
         a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ).choices
@@ -472,7 +486,7 @@ JSON_COMMANDS = [
     ["rs"],
     ["lhs"],
     ["jackson", "--axis", "1"],
-    ["jackson", "--ladder", "2,1"],
+    ["ladder", "2,1"],
 ]
 
 
@@ -495,7 +509,7 @@ def test_json_writer_matches_json_dumps_on_cli_outputs(tmp_path, monkeypatch, ca
         if out.exists():
             out.unlink()
         seen.clear()
-        code = cli.main([command[0], str(path), *command[1:], "--output", str(out)])
+        code = cli.main(_argv(command, str(path)) + ["--output", str(out)])
         assert len(seen) == (1 if code in (0, 1) else 0), (command, code)
         if seen:
             assert out.read_text(encoding="utf-8") == _json_oracle(seen[0]), command
@@ -644,7 +658,7 @@ def test_repeated_main_calls_write_what_fresh_calls_write(fixture_files, tmp_pat
         ["heatmap", hexagon, "--dilate", "2"],
         ["verify", hexagon],  # the defaults again, after other values
         ["measure", trapezoid, "--dilate", "2"],
-        ["jackson", hexagon, "--ladder", "2,2"],
+        ["ladder", "2,2"],
         ["heatmap", hexagon, "--q", "0.5"],
         ["jackson", hexagon, "--axis", "1"],
         ["rs", hexagon],

@@ -1,5 +1,7 @@
 """q-difference calculus: shift, derivative, ladder operators, leading terms."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from qbrion.errors import InvalidInputError, PreconditionError
 from qbrion.jackson import (
     FirstOrthantDivisor,
     derived_divisor,
-    discriminate_convention,
     elementary_symmetric,
     iterated_jackson,
     jackson_derivative,
@@ -37,6 +38,26 @@ from conftest import (
 
 def lp(terms):
     return LaurentQPoly({u: QPolynomial(c) for u, c in terms.items()})
+
+
+# The ladder's family (1, x_1, .., x_n) and, as a negative control, the wrong
+# family (x_1, .., x_n), patched in where the library reads its family.
+FAMILIES = ("vars_with_one", "vars_without_one")
+
+
+def _exponents_without_one(n):
+    """_elementary_exponents over (x_1, .., x_n), without the constant
+    variable, built from the unit vectors and not from the reference."""
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    return tuple(
+        tuple(tuple(map(sum, zip(*subset))) if subset else (0,) * n for subset in itertools.combinations(units, d))
+        for d in range(n + 2)
+    )
+
+
+def _use_family(monkeypatch, family):
+    if family == "vars_without_one":
+        monkeypatch.setattr(jackson, "_elementary_exponents", _exponents_without_one)
 
 
 def p1_divisor(m):
@@ -249,19 +270,18 @@ def test_closed_forms_match_the_step_by_step_references(f, data):
     # there the two agree through the lowest order in f
     orders = {c.order for c in f.terms.values() if isinstance(c, TruncatedQSeries)}
     cut = min(orders) if len(orders) > 1 else None
-    for convention in jackson.CONVENTIONS:
-        got = raising_operator(f, axis, dim, convention)
-        want = reference_raising_operator(f, axis, dim, convention)
-        if cut is not None:
-            got, want = (LaurentQPoly({u: c.truncate(cut) for u, c in g.terms.items()}) for g in (got, want))
-        assert got == want, convention
+    got = raising_operator(f, axis)
+    want = reference_raising_operator(f, axis, dim)
+    if cut is not None:
+        got, want = (LaurentQPoly({u: c.truncate(cut) for u, c in g.terms.items()}) for g in (got, want))
+    assert got == want
     # a term with a negative exponent on the axis: every operator that
     # differentiates refuses it, and no derivative at all returns f
     bad = f + LaurentQPoly({tuple(-1 if j == axis else 0 for j in range(dim)): QPolynomial((1,))})
     assert iterated_jackson(bad, axis, 0) is bad
     for call in (lambda: iterated_jackson(bad, axis, data.draw(st.integers(1, 4))),
                  lambda: jackson_derivative(bad, axis),
-                 lambda: raising_operator(bad, axis, dim)):
+                 lambda: raising_operator(bad, axis)):
         with pytest.raises(PreconditionError):
             call()
     with pytest.raises(PreconditionError):
@@ -274,16 +294,29 @@ def test_raising_operator_trusts_a_sum_only_through_its_lowest_order():
     # two terms to a zero series, drops it with its order, and reports
     # 1 - q + O(q^2), which claims a q coefficient the data do not fix.
     f = LaurentQPoly({(0,): TruncatedQSeries(0, [1]), (1,): TruncatedQSeries(1, [-1])})
-    assert raising_operator(f, 0, 1).terms[(1,)] == TruncatedQSeries(0, [1])
+    assert raising_operator(f, 0).terms[(1,)] == TruncatedQSeries(0, [1])
     assert reference_raising_operator(f, 0, 1).terms[(1,)] == TruncatedQSeries(1, [1, -1])
 
 
-@pytest.mark.parametrize("convention", jackson.CONVENTIONS)
-def test_closed_forms_on_the_zero_polynomial(convention):
+@pytest.mark.parametrize("family", FAMILIES)
+def test_closed_forms_on_the_zero_polynomial(monkeypatch, family):
+    _use_family(monkeypatch, family)
     zero = LaurentQPoly.zero()
     for t in range(4):
         assert iterated_jackson(zero, 2, t).is_zero
-    assert raising_operator(zero, 1, 3, convention).is_zero
+    assert raising_operator(zero, 1).is_zero
+
+
+def test_raising_operator_reads_the_variable_count_from_its_input():
+    # n is the exponent length of f, so no separate count can disagree with
+    # it (a count below it once gave keys of that shorter length)
+    for n in (1, 2, 3):
+        for k in range(4):
+            f = rogers_szego(n, k)
+            for axis in range(n):
+                assert raising_operator(f, axis) == reference_raising_operator(f, axis, n), (n, k, axis)
+    for axis in range(3):
+        assert raising_operator(LaurentQPoly.zero(), axis) == LaurentQPoly.zero()
 
 
 def test_closed_forms_share_results_between_shared_coefficients(hexagon):
@@ -300,12 +333,15 @@ def test_closed_forms_share_results_between_shared_coefficients(hexagon):
         assert len({id(d) for d in got.terms.values()}) == len(made)
 
 
-@pytest.mark.parametrize("convention", jackson.CONVENTIONS)
+@pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_elementary_symmetric_matches_the_subsets(n, convention):
+def test_elementary_symmetric_matches_the_subsets(monkeypatch, n, family):
+    # the wrong family's table, patched in, is e_d over (x_1, .., x_n) too
+    _use_family(monkeypatch, family)
+    with_one = family == "vars_with_one"
     for degree in range(-1, n + 3):
-        want = reference_elementary_symmetric(n, degree, convention) if degree >= 0 else LaurentQPoly.zero()
-        assert elementary_symmetric(n, degree, convention) == want, degree
+        want = reference_elementary_symmetric(n, degree, with_one) if degree >= 0 else LaurentQPoly.zero()
+        assert elementary_symmetric(n, degree) == want, degree
 
 
 # ------------------------------------------------------------------ divisors
@@ -393,27 +429,18 @@ def test_rogers_szego_frozen():
 
 
 def test_elementary_symmetric_families():
-    e1_with = elementary_symmetric(1, 1, "vars_with_one")
-    assert e1_with == lp({(0,): [1], (1,): [1]})
-    e1_without = elementary_symmetric(1, 1, "vars_without_one")
-    assert e1_without == lp({(1,): [1]})
-    assert elementary_symmetric(2, 3, "vars_with_one") == lp({(1, 1): [1]})
+    # over (1, x_1, .., x_n): e_1 of one variable is 1 + x
+    assert elementary_symmetric(1, 1) == lp({(0,): [1], (1,): [1]})
+    assert elementary_symmetric(2, 3) == lp({(1, 1): [1]})
 
 
 def test_raising_operator_base_step():
     one = rogers_szego(1, 0)
-    assert raising_operator(one, 0, 1, "vars_with_one") == rogers_szego(1, 1)
-    assert raising_operator(one, 0, 1, "vars_without_one") == lp({(1,): [1]})
+    assert raising_operator(one, 0) == rogers_szego(1, 1)
 
 
 def test_raising_operator_second_step():
-    assert raising_operator(rogers_szego(1, 1), 0, 1, "vars_with_one") == rogers_szego(
-        1, 2
-    )
-
-
-def test_discriminate_convention():
-    assert discriminate_convention() == "vars_with_one"
+    assert raising_operator(rogers_szego(1, 1), 0) == rogers_szego(1, 2)
 
 
 def test_lowering_is_derivative():
@@ -446,10 +473,10 @@ BAD_LADDER_CALLS = [
     (rogers_szego, (2, -1)),
     (rogers_szego, (0, 2)),
     (rogers_szego, (2, 1.0)),
-    (elementary_symmetric, (2, 1.5, "vars_with_one")),
-    (elementary_symmetric, (2, True, "vars_with_one")),
-    (elementary_symmetric, (1.5, 1, "vars_with_one")),
-    (elementary_symmetric, (0, 1, "vars_with_one")),
+    (elementary_symmetric, (2, 1.5)),
+    (elementary_symmetric, (2, True)),
+    (elementary_symmetric, (1.5, 1)),
+    (elementary_symmetric, (0, 1)),
 ]
 
 
@@ -462,43 +489,59 @@ def test_ladder_inputs_are_checked(fn, args):
         fn(*args)
 
 
-def _ladder_reference(n, max_degree, convention):
+def _ladder_reference(n, max_degree, with_one=True):
     """The ladder checks with every operator applied afresh, one identity at
-    a time, by the one-derivative-at-a-time references."""
+    a time, by the one-derivative-at-a-time references; with_one=False
+    raises over the wrong family (x_1, .., x_n)."""
     rs = [rogers_szego(n, k) for k in range(max_degree + 1)]
     failures = []
     for axis in range(n):
         for k in range(1, max_degree + 1):
-            if reference_raising_operator(rs[k - 1], axis, n, convention) != rs[k]:
+            if reference_raising_operator(rs[k - 1], axis, n, with_one) != rs[k]:
                 failures.append(("raising", axis, k))
             if reference_jackson_derivative(rs[k], axis) != rs[k - 1].scale(q_integer(k)):
                 failures.append(("lowering", axis, k))
         for k in range(max_degree + 1):
-            lr = reference_jackson_derivative(reference_raising_operator(rs[k], axis, n, convention), axis)
-            rl = reference_raising_operator(reference_jackson_derivative(rs[k], axis), axis, n, convention)
+            lr = reference_jackson_derivative(reference_raising_operator(rs[k], axis, n, with_one), axis)
+            rl = reference_raising_operator(reference_jackson_derivative(rs[k], axis), axis, n, with_one)
             if lr - rl != rs[k].scale(QPolynomial.monomial(k)):
                 failures.append(("commutator", axis, k))
     return failures
 
 
-@pytest.mark.parametrize("n, max_degree", [(1, 4), (2, 3), (3, 2)])
-@pytest.mark.parametrize("convention", jackson.CONVENTIONS)
-def test_ladder_raises_each_degree_twice_per_axis(monkeypatch, n, max_degree, convention):
+LADDER_SIZES = [(1, 4), (2, 3), (3, 2)]
+
+
+@pytest.mark.parametrize("n, max_degree", LADDER_SIZES)
+def test_ladder_raises_each_degree_twice_per_axis(monkeypatch, n, max_degree):
     # R_i(RS_k) and R_i(L_i(RS_k)) for k = 0 .. max_degree: 2 max_degree + 2
     # raising calls per axis, shared by the raising and commutator checks
     calls = []
     raising = jackson.raising_operator
 
-    def counting(f, axis, n_vars, conv="vars_with_one"):
+    def counting(f, axis):
         calls.append(axis)
-        return raising(f, axis, n_vars, conv)
+        return raising(f, axis)
 
     monkeypatch.setattr(jackson, "raising_operator", counting)
-    report = verify_ladder(n, max_degree, convention)
+    report = verify_ladder(n, max_degree)
     assert len(calls) == n * (2 * max_degree + 2)
     monkeypatch.undo()
-    assert report["failures"] == _ladder_reference(n, max_degree, convention)
-    assert report["all_ok"] == (convention == "vars_with_one")
+    assert report["failures"] == _ladder_reference(n, max_degree) == []
+    assert report["all_ok"]
+
+
+@pytest.mark.parametrize("n, max_degree", LADDER_SIZES)
+def test_ladder_reports_every_failure_of_a_wrong_family(monkeypatch, n, max_degree):
+    # negative control: raising over (x_1, .., x_n), without the constant
+    # variable, breaks the ladder, and the report names exactly the failing
+    # (identity, axis, degree) triples the references find
+    _use_family(monkeypatch, "vars_without_one")
+    report = verify_ladder(n, max_degree)
+    monkeypatch.undo()
+    want = _ladder_reference(n, max_degree, with_one=False)
+    assert want and report["failures"] == want
+    assert not report["all_ok"] and not report["raising_ok"]
 
 
 def test_ladder_builds_only_the_degrees_it_checks(monkeypatch):
@@ -506,31 +549,16 @@ def test_ladder_builds_only_the_degrees_it_checks(monkeypatch):
     calls = []
     build = jackson.rogers_szego
     monkeypatch.setattr(jackson, "rogers_szego", lambda n, k: calls.append(k) or build(n, k))
-    assert verify_ladder(2, 4, "vars_with_one")["all_ok"]
+    assert verify_ladder(2, 4)["all_ok"]
     assert calls == [0, 1, 2, 3, 4]
 
 
-def test_discriminate_convention_is_computed_once(monkeypatch):
-    first = discriminate_convention()
-    calls = []
-    raising = jackson.raising_operator
-
-    def counting(*args):
-        calls.append(args)
-        return raising(*args)
-
-    monkeypatch.setattr(jackson, "raising_operator", counting)
-    assert discriminate_convention() == first
-    assert calls == []
-
-
-def test_unit_coefficient_passes_the_other_factor_through():
+def test_laurent_product_with_unit_coefficients():
     f = lp({(0, 1): [1, 2, 1], (2, 0): [0, 3]})
     e = lp({(1, 0): [1], (0, 0): [1]})
     expected = lp({(1, 1): [1, 2, 1], (3, 0): [0, 3], (0, 1): [1, 2, 1], (2, 0): [0, 3]})
     for prod in (e * f, f * e):
         assert prod == expected
-        assert prod.terms[(3, 0)] is f.terms[(2, 0)]
     g = lp({(1, 1): [2, 1]})
     assert (f * g).terms[(1, 2)] == QPolynomial([2, 5, 4, 1])
     assert (e * e) == lp({(2, 0): [1], (1, 0): [2], (0, 0): [1]})
