@@ -44,7 +44,6 @@ from .qalg import (
     TruncatedQSeries,
     pochhammer_div_inplace,
     pochhammer_mul_inplace,
-    multinomial_coeffs,
     require_count,
 )
 
@@ -194,89 +193,70 @@ def g_weight(slacks, order):
     return TruncatedQSeries(order, _g_coeffs(slacks, require_count(order, 0, "series order")))
 
 
-def _row_weights(P, start, length, degree=None):
-    """(points, keys, table): the lattice points in lexicographic order, the
-    sorted slack tuple (key) of each, and one coefficient list per distinct
-    key, built by a walk along the rows of lattice.rows_with_slacks.  A key
-    already in the table takes no kernel pass.
+def _weights(P, base, length, degree=None):
+    """(points, keys, table): lattice.sorted_slacks(P) and one coefficient
+    list per distinct key, base the key whose weight is 1.  A key already in
+    the table takes no kernel pass.
 
-    A new key at a row's first point starts from start(key).  At a later
-    point it copies the previous point's list, cut or padded to
-    length(key), and takes the unit step: slack i moves from t_i to
-    t_i + d_i (d_i the last entry of normal i), which multiplies by
-    (q;q)_{t_i} / (q;q)_{t_i + d_i}, one kernel pass per factor.  That is
-    exact modulo q^length(key): the previous weight is a polynomial or a
-    series already truncated at that order, and the step is a power series.
+    A new key's list is the previous point's list (base's, [1], for the
+    first), cut or padded to length(key), times the ratio of the two
+    weights.  Each weight is a constant over prod_i (q;q)_(key_i), so the
+    ratio is prod_i (q;q)_(p_i) / (q;q)_(c_i) over the previous key p and
+    the new key c, paired in sorted order: one kernel pass per factor
+    between c_i and p_i.  That is exact modulo q^length(key): the previous
+    weight is a polynomial or a series already truncated at that order, and
+    the ratio is a power series.
     The padding is zeros; with degree given, each list holds the first
     length(key) coefficients of a palindrome of degree degree(key), and
     the previous key's padding is its mirror c_(D' - j), zero past D'.
     Callers must not mutate the lists."""
-    moving = [(i, v[-1]) for i, v in enumerate(P.normals) if v[-1]]
-    points, keys, table = [], [], {}
-    for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
-        key = tuple(sorted(slacks))
+    points, keys = lattice.sorted_slacks(P)
+    table = {}
+    prev_key, prev = base, [1]
+    for key in keys:
         coeffs = table.get(key)
         if coeffs is None:
-            coeffs = table[key] = start(key)
-        points.append(prefix + (lo,))
-        keys.append(key)
-        slacks = list(slacks)
-        for t in range(lo + 1, hi + 1):
-            for i, d in moving:
-                slacks[i] += d
-            prev_key, key = key, tuple(sorted(slacks))
-            prev, coeffs = coeffs, table.get(key)
-            if coeffs is None:
-                n = length(key)
-                coeffs = prev[:n]
-                if degree is None:
-                    coeffs += [0] * (n - len(coeffs))
-                elif n > len(coeffs):
-                    top = degree(prev_key)
-                    coeffs += prev[max(top - n + 1, 0) : top - len(prev) + 1][::-1]
-                    coeffs += [0] * (n - len(coeffs))
-                for i, d in moving:
-                    b = slacks[i]
-                    if d < 0:
-                        pochhammer_mul_inplace(coeffs, 1, b - d, b + 1)
-                    else:
-                        pochhammer_div_inplace(coeffs, 1, b, b - d + 1)
-                table[key] = coeffs
-            points.append(prefix + (t,))
-            keys.append(key)
+            n = length(key)
+            coeffs = prev[:n]
+            if degree is not None and n > len(coeffs):
+                top = degree(prev_key)
+                coeffs += prev[max(top - n + 1, 0) : top - len(prev) + 1][::-1]
+            coeffs += [0] * (n - len(coeffs))
+            for p, c in zip(prev_key, key):
+                if p > c:
+                    pochhammer_mul_inplace(coeffs, 1, p, c + 1)
+                elif c > p:
+                    pochhammer_div_inplace(coeffs, 1, c, p + 1)
+            table[key] = coeffs
+        prev_key, prev = key, coeffs
     return points, keys, table
 
 
 def _g_weights(P, order):
-    """The row walk of the int coefficients of g_weight(key) through q^order;
-    they do not depend on the evaluation point."""
-    return _row_weights(P, lambda s: _g_coeffs(s, order), lambda s: order + 1)
+    """The int coefficients of g_weight(key) through q^order, walked by
+    _weights from the all-zero key; they do not depend on the evaluation
+    point."""
+    return _weights(P, (0,) * P.facet_count, lambda s: order + 1)
 
 
 def _rs_weights(P, order=None):
-    """The row walk of the q-multinomials [m; key]_q, m the offset sum.
+    """The q-multinomials [m; key]_q, m the offset sum, walked by _weights
+    from the key (0, .., 0, m), whose multinomial is 1.
 
-    With order given, the coefficients through q^order, a row's first list
-    built modulo q^(order + 1).  Without, all D + 1 coefficients,
-    D = (m^2 - sum t_i^2) / 2: [m; key]_q is a palindrome, so the walk
-    carries only the first D // 2 + 1 of them, and each distinct key's list
-    is mirrored once at the end."""
+    With order given, the coefficients through q^order.  Without, all D + 1
+    coefficients, D = (m^2 - sum t_i^2) / 2: [m; key]_q is a palindrome, so
+    the walk carries only the first D // 2 + 1 of them, and each distinct
+    key's list is mirrored once at the end."""
     lattice.require_radially_symmetric(P)
     m = P.offset_sum()
+    base = (0,) * (P.facet_count - 1) + (m,)
 
     def degree(s):
         return (m * m - sum(t * t for t in s)) // 2
 
     if order is not None:
-        def length(s):
-            return min(degree(s), order) + 1
-
-        return _row_weights(P, lambda s: multinomial_coeffs(m, s, length(s)), length)
-
-    def half(s):
-        return degree(s) // 2 + 1
-
-    points, keys, table = _row_weights(P, lambda s: multinomial_coeffs(m, s, half(s)), half, degree)
+        return _weights(P, base, lambda s: min(degree(s), order) + 1)
+    points, keys, table = _weights(P, base, lambda s: degree(s) // 2 + 1, degree)
     for key, coeffs in table.items():
         coeffs += coeffs[: degree(key) + 1 - len(coeffs)][::-1]
     return points, keys, table
@@ -302,9 +282,9 @@ def rs_polynomial(P):
     Needs radially symmetric normals, which make the slack sum the same
     constant m (the offset sum) at every lattice point, so each coefficient is
     an exact q-multinomial of degree D = (m^2 - sum t_i^2) / 2.  An empty
-    polytope gives the zero polynomial.  The coefficients come from the row
-    walk (_rs_weights); every point with the same slack multiset holds the
-    same QPolynomial object.
+    polytope gives the zero polynomial.  The coefficients come from the
+    multiset walk (_rs_weights); every point with the same slack multiset
+    holds the same QPolynomial object.
     """
     return _shared_terms(*_rs_weights(P), QPolynomial)
 
@@ -539,7 +519,7 @@ def rhs_series_at(P, x0, order):
 
 
 def _point_groups(points, keys, table):
-    """What _scaled_points needs of (points, keys, table), as _row_weights
+    """What _scaled_points needs of (points, keys, table), as _weights
     returns them, that does not depend on the evaluation point: (groups,
     spans, origin).  groups holds one (table[key], exponents) pair per key,
     with the shifted exponent u - L of each of its points, L_j = min(0,

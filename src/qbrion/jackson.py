@@ -221,16 +221,15 @@ def rogers_szego(n, k):
 
 
 @functools.cache
-def _elementary_exponents(n):
-    """Entry d: the exponent tuples of the monomials of e_d over the ladder's
-    variable family (1, x_1, .., x_n), for d = 0 .. n + 1 (none beyond the
-    family size)."""
+def _elementary_exponents(n, d):
+    """The exponent tuples of the monomials of e_d over the ladder's
+    variable family (1, x_1, .., x_n); none for d > n + 1.  Each (n, d) is
+    built on first read, so only the degrees read are ever held."""
     zero_vec = (0,) * n
     variables = [zero_vec] + [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
     return tuple(
-        tuple(tuple(map(sum, zip(*subset))) if subset else zero_vec
-              for subset in itertools.combinations(variables, d))
-        for d in range(n + 2)
+        tuple(map(sum, zip(*subset))) if subset else zero_vec
+        for subset in itertools.combinations(variables, d)
     )
 
 
@@ -239,8 +238,7 @@ def elementary_symmetric(n, degree):
     polynomial.  Degrees beyond the family size give zero."""
     require_count(n, 1, "variable count")
     require_count(degree, None, "degree")
-    family = _elementary_exponents(n)
-    monomials = family[degree] if 0 <= degree < len(family) else ()
+    monomials = _elementary_exponents(n, degree) if 0 <= degree <= n + 1 else ()
     return LaurentQPoly(dict.fromkeys(monomials, QPolynomial.one()))
 
 
@@ -258,7 +256,6 @@ def raising_operator(f, axis):
     lists that reach one output monomial are summed once, at the end.
     """
     n = _check_axis(f, axis)
-    family = _elementary_exponents(n)
     series = not all(isinstance(c, QPolynomial) for c in f.terms.values())
     parts, made = collections.defaultdict(list), {}
     for u, c in f.terms.items():
@@ -276,7 +273,7 @@ def raising_operator(f, axis):
                 levels.append(w)
         for level, w in enumerate(levels):
             base = u[:axis] + (e - level,) + u[axis + 1 :]
-            for s in family[level + 1]:
+            for s in _elementary_exponents(n, level + 1):
                 parts[tuple(map(operator.add, base, s))].append(w)
     terms = {}
     for key, ws in parts.items():

@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import operator
+import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -177,7 +178,7 @@ class Polytope:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_json(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInputError("cannot read %s: %s" % (path, exc)) from exc
 
     def to_dict(self):
@@ -465,12 +466,21 @@ def rows_with_slacks(P):
     pipelines that run below the Python loop.  A bounded polytope has at
     least one rising and one falling facet: otherwise the last unit vector,
     or its negative, is a recession direction.
+
+    A coordinate before the last that spans more than sys.maxsize values
+    cannot be stepped through: PreconditionError.
     """
     box = P.geometry.box
     if box is None:
         return
     lo, hi = box
     n = P.dim
+    for j in range(n - 1):
+        span = hi[j] - lo[j] + 1
+        if span > sys.maxsize:
+            raise PreconditionError(
+                "coordinate u_%d spans %d values, more than %d can be walked" % (j + 1, span, sys.maxsize)
+            )
     normals, offsets = P.normals, P.offsets
     steps = [v[-1] for v in normals]
     if n == 1:
@@ -542,11 +552,17 @@ def points_with_slacks(P):
 def sorted_slacks(P):
     """The lattice points of P in lexicographic order and the sorted slack
     tuple of each, as two lists: every weight that depends only on the
-    multiset of a point's slacks is keyed by that tuple."""
+    multiset of a point's slacks is keyed by that tuple.  Along a row only
+    the slacks of facets whose normal has a nonzero last entry move."""
+    moving = [(i, v[-1]) for i, v in enumerate(P.normals) if v[-1]]
     points, keys = [], []
-    for point, slacks in points_with_slacks(P):
-        points.append(point)
-        keys.append(tuple(sorted(slacks)))
+    for prefix, lo, hi, slacks in rows_with_slacks(P):
+        slacks = list(slacks)
+        for t in range(lo, hi + 1):
+            points.append(prefix + (t,))
+            keys.append(tuple(sorted(slacks)))
+            for i, d in moving:
+                slacks[i] += d
     return points, keys
 
 

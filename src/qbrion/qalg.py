@@ -31,13 +31,13 @@ def _as_fraction(value):
     raise TypeError("exact arithmetic only accepts int or Fraction, got %r" % type(value))
 
 
-def _product(a, b, length):
-    """The first length coefficients of the product of the coefficient
-    sequences a and b, skipping zero entries; int data stays int."""
-    out = [0] * length
-    for i, x in enumerate(a[:length]):
+def _product(a, b, n):
+    """The first n coefficients of the product of the coefficient sequences
+    a and b, skipping zero entries; int data stays int."""
+    out = [0] * n
+    for i, x in enumerate(a[:n]):
         if x:
-            for j, y in enumerate(b[: length - i], i):
+            for j, y in enumerate(b[: n - i], i):
                 if y:
                     out[j] += x * y
     return out
@@ -311,28 +311,21 @@ def gaussian_binomial(n, k):
     return q_multinomial(n, (k, n - k))
 
 
-def multinomial_coeffs(m, parts, length=None):
-    """[m; parts]_q = (q;q)_m / prod_i (q;q)_(parts_i) as its D + 1 integer
-    coefficients, D = (m^2 - sum parts_i^2) / 2, or its first `length` ones:
-    one largest part t cancels into (q^(t+1);q)_(m-t), the others divide
-    out, each pass exact modulo q^length (default D + 1)."""
-    *rest, top = sorted(parts) or [0]
-    if length is None:
-        length = (m * m - sum(p * p for p in parts)) // 2 + 1
-    out = [1] + [0] * (length - 1)
-    pochhammer_mul_inplace(out, 1, m, top + 1)
-    for p in rest:
-        pochhammer_div_inplace(out, 1, p)
-    return out
-
-
 def q_multinomial(m, parts):
-    """q-multinomial [m; parts]_q as an exact integer polynomial; parts must
-    be nonnegative integers summing to m."""
+    """q-multinomial [m; parts]_q = (q;q)_m / prod_i (q;q)_(parts_i) as an
+    exact integer polynomial of degree D = (m^2 - sum parts_i^2) / 2; parts
+    must be nonnegative integers summing to m.  One largest part t cancels
+    into (q^(t+1);q)_(m-t), the others divide out, each pass exact modulo
+    q^(D + 1)."""
     parts = [require_count(p, 0, "multinomial part") for p in parts]
     if sum(parts) != require_count(m, 0, "multinomial total"):
         raise InvalidInputError("multinomial parts %r do not sum to %d" % (parts, m))
-    return QPolynomial(multinomial_coeffs(m, parts))
+    *rest, top = sorted(parts) or [0]
+    out = [1] + [0] * ((m * m - sum(p * p for p in parts)) // 2)
+    pochhammer_mul_inplace(out, 1, m, top + 1)
+    for p in rest:
+        pochhammer_div_inplace(out, 1, p)
+    return QPolynomial(out)
 
 
 def pochhammer_mul_inplace(out, c, m, first=1):

@@ -129,85 +129,90 @@ def test_rs_polynomial_on_a_large_sloped_dilation():
         assert rs.coefficient(u) == q_multinomial(sum(s), s), u
 
 
+def _logged_walk(monkeypatch):
+    """A list that records, while brion's walk runs, ("build", key) when a
+    new key's list is sized and (kernel, m, first, list length) for each
+    kernel call."""
+    events = []
+    for kind in ("mul", "div"):
+        name = "pochhammer_%s_inplace" % kind
+        kernel = getattr(brion, name)
+
+        def logged(out, c, m, first=1, kernel=kernel, kind=kind):
+            events.append((kind, m, first, len(out)))
+            return kernel(out, c, m, first)
+
+        monkeypatch.setattr(brion, name, logged)
+    walk = brion._weights
+
+    def sized(P, base, length, degree=None):
+        def length_new(key):
+            events.append(("build", key))
+            return length(key)
+
+        return walk(P, base, length_new, degree)
+
+    monkeypatch.setattr(brion, "_weights", sized)
+    return events
+
+
 @pytest.mark.parametrize(
     "P",
     [fixtures.load("hexagon"), lattice.dilate(fixtures.load("simplex_p2"), 3), SLOPED, lattice.dilate(SLOPED, 3)],
     ids=["hexagon", "simplex_p2*3", "sloped", "sloped*3"],
 )
 def test_rs_walk_steps_only_into_new_multisets(monkeypatch, P):
-    # kernel passes run only on a step into a slack multiset the walk has not
-    # seen, one per facet whose slack moves along the row; a row starts from
-    # at most one multinomial, and every point with the same multiset holds
+    # kernel passes run only while a slack multiset the walk has not seen is
+    # built: from the previous point's key (the base key (0, .., 0, m) for
+    # the first), one kernel call per pair of unequal slacks, the two keys
+    # paired in sorted order; and every point with the same multiset holds
     # the same coefficient object
-    keys = {u: tuple(sorted(s)) for u, s in lattice.points_with_slacks(P)}
-    moving = sum(1 for v in P.normals if v[-1])
-    events = []
-    for name in ("pochhammer_mul_inplace", "pochhammer_div_inplace"):
-        kernel = getattr(brion, name)
-
-        def counted(out, *args, kernel=kernel, **kwargs):
-            events.append("pass")
-            return kernel(out, *args, **kwargs)
-
-        monkeypatch.setattr(brion, name, counted)
-    multinomial = brion.multinomial_coeffs
-
-    def started(*args):
-        events.append("multinomial")
-        return multinomial(*args)
-
-    monkeypatch.setattr(brion, "multinomial_coeffs", started)
-    rows = lattice.rows_with_slacks
-
-    def logged_rows(P):
-        for row in rows(P):
-            events.append("row")
-            yield row
-
-    monkeypatch.setattr(lattice, "rows_with_slacks", logged_rows)
-    walk = brion._row_weights
-
-    def checked(P, start, length, degree=None):
-        # the walk asks for start(key) (a row's first point) or length(key)
-        # (a step) only for a key it has not seen, before the passes that
-        # build that key's list
-        def start_new(key):
-            events.append(("start", key))
-            return start(key)
-
-        def length_new(key):
-            events.append(("step", key))
-            return length(key)
-
-        return walk(P, start_new, length_new, degree)
-
-    monkeypatch.setattr(brion, "_row_weights", checked)
+    events = _logged_walk(monkeypatch)
     rs = brion.rs_polynomial(P)
     monkeypatch.undo()
     assert rs == _dense_rs(P)
-    builds, starts = [], []
-    for event in events:
-        if event == "row":
-            starts.append(0)
-        elif event == "multinomial":
-            starts[-1] += 1
-        elif event == "pass":
-            # a pass belongs to the latest build; one on a seen key would
-            # push that build's count past its expected value
-            assert builds
-            builds[-1][2] += 1
-        else:
-            builds.append([*event, 0])
-    for kind, key, passes in builds:
-        assert passes == (moving if kind == "step" else 0), (kind, key)
-    built = [key for _, key, _ in builds]
-    assert len(built) == len(set(built)) == len(set(keys.values()))
-    assert max(starts) <= 1
-    assert any(kind == "step" for kind, _, _ in builds)
+    points, keys = lattice.sorted_slacks(P)
+    base = (0,) * (P.facet_count - 1) + (P.offset_sum(),)
+    want, built = [], []
+    for prev, key in zip([base] + keys, keys):
+        if key not in built:
+            built.append(key)
+            want.append(("build", key))
+            for p, c in zip(prev, key):
+                if p > c:
+                    want.append(("mul", p, c + 1))
+                elif c > p:
+                    want.append(("div", c, p + 1))
+    assert [e[:3] for e in events] == want
+    assert any(e[0] == "mul" for e in events) and any(e[0] == "div" for e in events)
     shared = {}
-    for u, c in rs.terms.items():
-        assert shared.setdefault(keys[u], c) is c, u
-    assert len({id(c) for c in rs.terms.values()}) == len(shared)
+    for u, key in zip(points, keys):
+        assert shared.setdefault(key, rs.terms[u]) is rs.terms[u], u
+    assert len({id(c) for c in rs.terms.values()}) == len(shared) == len(built)
+
+
+def test_rs_walk_on_the_hexagon_prism_takes_few_passes(monkeypatch, solids):
+    # each new multiset is reached from the previous point's, in sorted
+    # pairs: at most 108 factor passes on the prism dilated 4 times
+    P = lattice.dilate(solids["hexagon_prism"], 4)
+    events = _logged_walk(monkeypatch)
+    rs = brion.rs_polynomial(P)
+    monkeypatch.undo()
+    calls = [e for e in events if e[0] != "build"]
+    assert sum(max(0, min(m, n - 1) - first + 1) for _, m, first, n in calls) <= 108
+    for u, s in lattice.points_with_slacks(P):
+        assert rs.coefficient(u) == q_multinomial(sum(s), s), u
+
+
+# The solids of conftest, dilated: radially symmetric, with facets whose
+# slack stays put along a row.
+SOLIDS = ["cube*2", "simplex3*2", "hexagon_prism*2"]
+
+
+def _solid(solids, spec):
+    """The k-fold dilation of solids[name], spec "name*k"."""
+    name, k = spec.split("*")
+    return lattice.dilate(solids[name], int(k))
 
 
 # Not radially symmetric, with row steps that move a slack by 2 or 3.
@@ -223,14 +228,19 @@ SLOPED_OPEN = lattice.Polytope.from_facets(
         skewed(fixtures.load("trapezoid_f1")),
         lattice.dilate(skewed(fixtures.load("trapezoid_f1")), 3),
         SLOPED_OPEN,
+        *SOLIDS,
     ],
-    ids=["skewed-trapezoid", "skewed-trapezoid*3", "sloped-open"],
+    ids=["skewed-trapezoid", "skewed-trapezoid*3", "sloped-open", *SOLIDS],
 )
-def test_g_weight_row_walk_matches_per_point_weights(P, K):
+def test_g_weight_row_walk_matches_per_point_weights(solids, P, K):
     # the walk's truncated steps agree with g_weight rebuilt at every point;
-    # on the dilated and sloped polytopes slacks pass the truncation order
-    assert not P.is_radially_symmetric()
-    assert max(abs(v[-1]) for v in P.normals) >= 2
+    # on the dilated and sloped polytopes slacks pass the truncation order,
+    # and on the solids most facets keep their slack along a row
+    if isinstance(P, str):
+        P = _solid(solids, P)
+    else:
+        assert not P.is_radially_symmetric()
+        assert max(abs(v[-1]) for v in P.normals) >= 2
     want = {u: list(brion.g_weight(slacks, K).coeffs) for u, slacks in lattice.points_with_slacks(P)}
     points, keys, table = brion._g_weights(P, K)
     assert (points, keys) == lattice.sorted_slacks(P)
@@ -239,13 +249,22 @@ def test_g_weight_row_walk_matches_per_point_weights(P, K):
 
 @pytest.mark.parametrize(
     "P, K",
-    [(fixtures.load("hexagon"), 14), (lattice.dilate(fixtures.load("simplex_p2"), 3), 6), (SLOPED, 70)],
-    ids=["hexagon-K14", "simplex_p2*3-K6", "sloped-K70"],
+    [
+        (fixtures.load("hexagon"), 14),
+        (lattice.dilate(fixtures.load("simplex_p2"), 3), 6),
+        (SLOPED, 70),
+        ("cube*2", 13),
+        ("simplex3*2", 4),
+        ("hexagon_prism*2", 80),
+    ],
+    ids=["hexagon-K14", "simplex_p2*3-K6", "sloped-K70", "cube*2-K13", "simplex3*2-K4", "hexagon_prism*2-K80"],
 )
-def test_truncated_rs_walk_matches_cut_multinomials(P, K):
+def test_truncated_rs_walk_matches_cut_multinomials(solids, P, K):
     # the finite-form side's walk, cut at q^K: some multisets have degree
     # D < K (full polynomial, so a longer list is padded from it), others
     # D > K (cut); each list is the q-multinomial cut to min(K + 1, D + 1)
+    if isinstance(P, str):
+        P = _solid(solids, P)
     m = P.offset_sum()
     points, keys, table = brion._rs_weights(P, K)
     assert (points, keys) == lattice.sorted_slacks(P)
@@ -259,29 +278,23 @@ def test_truncated_rs_walk_matches_cut_multinomials(P, K):
 
 
 def test_truncated_rs_walk_starts_rows_modulo_the_order(monkeypatch):
-    # a row's first list is built modulo q^(min(K, D) + 1), not at full
-    # degree D and then cut: each start asks multinomial_coeffs for that
-    # length and gets the cut full multinomial, for D < K and D > K alike
+    # every list is built modulo q^(min(K, D) + 1), D the degree of the key
+    # being built, not at full degree and then cut: no kernel pass runs on a
+    # longer list, for D < K and D > K alike
     P, K = SLOPED, 70
     m = P.offset_sum()
-    starts = []
-    multinomial = brion.multinomial_coeffs
-
-    def logged(total, parts, *length):
-        out = multinomial(total, parts, *length)
-        starts.append((tuple(parts), length, out))
-        return out
-
-    monkeypatch.setattr(brion, "multinomial_coeffs", logged)
+    events = _logged_walk(monkeypatch)
     brion._rs_weights(P, K)
     monkeypatch.undo()
-    degrees = set()
-    for parts, length, out in starts:
-        D = (m * m - sum(t * t for t in parts)) // 2
-        degrees.add(D)
-        assert length == (min(K, D) + 1,), parts
-        assert out == list(q_multinomial(m, parts).coeffs)[: min(K, D) + 1], parts
+    degrees, D = set(), None
+    for event in events:
+        if event[0] == "build":
+            D = (m * m - sum(t * t for t in event[1])) // 2
+            degrees.add(D)
+        else:
+            assert event[3] <= min(K, D) + 1, event
     assert min(degrees) < K < max(degrees)
+    assert any(event[0] != "build" for event in events)
 
 
 @pytest.mark.parametrize("name", ["hexagon", "trapezoid_f1", "simplex_p2"])

@@ -55,6 +55,18 @@ def test_validate_missing_file_exit_2(tmp_path):
     assert "error:" in r.stderr
 
 
+def test_validate_non_utf8_file_exit_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    # a valid segment but for its encoding
+    text = '{"dim": 1, "facets": [{"normal": [1], "offset": 0}, {"normal": [-1], "offset": 2}], "name": "\u00e9"}'
+    path.write_bytes(text.encode("latin-1"))
+    r = run_cli("validate", str(path))
+    assert r.returncode == 2
+    assert r.stdout == ""
+    assert r.stderr.startswith("error: cannot read %s: " % path), r.stderr
+    assert "Traceback" not in r.stderr
+
+
 def test_validate_malformed_json_exit_2(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -297,7 +309,7 @@ def test_heatmap_walks_the_points_once_for_all_q(fixture_files, tmp_path, monkey
     Q = lattice.dilate(fixtures.load("hexagon"), 4)
     multisets = {tuple(sorted(t)) for _, t in lattice.points_with_slacks(Q)}
     walks, exps = [], []
-    walk, exp = lattice.points_with_slacks, math.exp
+    walk, exp = lattice.sorted_slacks, math.exp
 
     def counting_walk(P):
         walks.append(P)
@@ -307,7 +319,7 @@ def test_heatmap_walks_the_points_once_for_all_q(fixture_files, tmp_path, monkey
         exps.append(x)
         return exp(x)
 
-    monkeypatch.setattr(lattice, "points_with_slacks", counting_walk)
+    monkeypatch.setattr(lattice, "sorted_slacks", counting_walk)
     monkeypatch.setattr(math, "exp", counting_exp)
     argv = ["heatmap", fixture_files["hexagon"], "--dilate", "4", "--q", "0.2,0.5,0.8"]
     assert cli.main(argv + ["--output", str(tmp_path / "h")]) == 0

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbrion import fixtures, lattice, measures
-from qbrion.errors import EmptyPolytopeError, InvalidInputError, SmoothnessError
+from qbrion.errors import EmptyPolytopeError, InvalidInputError, PreconditionError, SmoothnessError
 from qbrion.lattice import Polytope
 
 from conftest import (
@@ -55,6 +55,18 @@ def test_fixture_validation_flags(polytopes):
 def test_validate_counts_points_by_row_lengths(polytopes, name, k):
     P = lattice.dilate(polytopes[name], k)
     assert lattice.validate(P).lattice_point_count == len(lattice.lattice_points(P))
+
+
+def test_a_coordinate_range_too_wide_to_walk_is_a_precondition_error():
+    # a coordinate before the last that spans more than sys.maxsize values
+    # cannot be stepped through; the last coordinate's row is counted, not
+    # stepped, so a 1-D segment of any length validates
+    P = Polytope.from_facets(2, [((1, 0), 0), ((0, 1), 0), ((-1, -1), 10**20)])
+    with pytest.raises(PreconditionError, match=r"coordinate u_1 spans 100000000000000000001 values"):
+        lattice.validate(P)
+    with pytest.raises(PreconditionError, match="coordinate u_1"):
+        lattice.sorted_slacks(P)
+    assert lattice.validate(segment(10**30)).lattice_point_count == 10**30 + 1
 
 
 def test_degenerate_segment_is_flagged_lower_dimensional():

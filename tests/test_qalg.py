@@ -15,7 +15,6 @@ from qbrion.qalg import (
     TruncatedQSeries,
     gaussian_binomial,
     inverse_reversed_pochhammer,
-    multinomial_coeffs,
     pochhammer_finite,
     pochhammer_div_inplace,
     pochhammer_infinite_inverse,
@@ -104,22 +103,8 @@ def test_q_multinomial_matches_pascal_products(parts):
     m = sum(parts)
     assert q_multinomial(m, parts) == dense_multinomial(m, parts)
     assert q_multinomial(m, tuple(reversed(parts))) == dense_multinomial(m, parts)
-    assert multinomial_coeffs(m, parts) == list(dense_multinomial(m, parts).coeffs)
-
-
-@given(st.lists(st.integers(0, 6), min_size=1, max_size=5), st.integers(0, 40))
-@example([3, 3], 2)
-@example([3, 3], 30)
-@example([0], 0)
-@settings(max_examples=150, deadline=None)
-def test_multinomial_coeffs_to_a_length_cut_the_full_list(parts, K):
-    # the passes are exact modulo the list length: the first min(K, D) + 1
-    # coefficients, for degree D below and above K, and zeros past D
-    m = sum(parts)
-    full = multinomial_coeffs(m, parts)
-    D = len(full) - 1
-    assert multinomial_coeffs(m, parts, min(K, D) + 1) == full[: min(K, D) + 1]
-    assert multinomial_coeffs(m, parts, K + 1) == (full + [0] * (K + 1))[: K + 1]
+    # degree (m^2 - sum parts_i^2) / 2, with leading coefficient 1
+    assert len(q_multinomial(m, parts).coeffs) == (m * m - sum(p * p for p in parts)) // 2 + 1
 
 
 @given(st.integers(-2, 12), st.integers(-3, 14))
