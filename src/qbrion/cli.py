@@ -2,8 +2,9 @@
 
 main loads the polytope from a JSON facet file once, rejects an empty one
 and hands it to the subcommand (ladder, which needs only n and k, reads
-none), which emits a deterministic report: JSON for verification and
-operator checks, CSV for measures, TSV for asymptotics tables and heatmap
+none), which emits a deterministic report: JSON by json.dumps for
+verification and operator checks, JSON tables streamed one entry at a time
+for rs and lhs, CSV for measures, TSV for asymptotics tables and heatmap
 weights.  Exit codes: 0 success, 1 verification mismatch, 2 invalid input
 (an unreadable polytope file, an empty polytope or an unwritable output
 path too), 3 precondition violation.  Identical invocations produce
@@ -13,6 +14,7 @@ byte-identical output files; wall-clock timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import collections
 import functools
 import json
 import sys
@@ -49,90 +51,37 @@ def _write_pieces(fh, text):
     fh.write("".join(batch))
 
 
-_encode = json.JSONEncoder().encode  # the C encoder, for keys and scalar leaves
-_INT_ONLY = frozenset((int,))  # exact ints: bool, a subclass, is left out
+def _json_report(obj):
+    # the small reports: validate, verify, jackson and ladder
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _json_text(obj):
-    """The pieces of obj as JSON with sorted keys and a two-space indent,
-    plus a newline: joined, byte for byte what json.dumps writes with those
-    settings.  A top-level object comes one entry at a time, so the whole
-    document is never held in memory.
+def _table_text(poly, ints):
+    """The pieces of the JSON object that maps each term u -> c of the
+    LaurentQPoly poly to the int list ints(c) under the key _exponent_key(u):
+    joined, byte for byte what _json_report writes for that object.
 
-    json runs its C encoder only without an indent, so the layout is written
-    here and only keys and scalar leaves go through the encoder.  A list of
-    exact ints is one "%d" template.  A list or tuple object that occurs more
-    than once (such as the coefficient tuple that rs shares between points
-    with the same slack multiset) is rendered once per indent.  Object keys
-    must be str: TypeError otherwise, raised by this call, before any piece.
+    One piece per entry, in json's key order, so the whole document is never
+    held in memory.  json runs its C encoder only without an indent, so each
+    int list is one "%d" template.  A coefficient object that several terms
+    share (rs and lhs give every point with the same slack multiset the same
+    one) is turned into ints and rendered once, and only such texts are kept.
     """
-    lists = {}
-    _check_keys((obj,), lists)
-    return _json_pieces(obj, lists)
-
-
-def _check_keys(obj, lists):
-    # obj is a dict, a list or a tuple; lists maps the id of each list or
-    # tuple inside it to [whether it holds only exact ints, how often it
-    # occurs], and each is searched once
-    if isinstance(obj, dict):
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError("JSON object keys must be str, not %s" % type(key).__name__)
-        obj = obj.values()
-    for x in obj:
-        if isinstance(x, (list, tuple)):
-            entry = lists.get(id(x))
-            if entry is not None:
-                entry[1] += 1
-                continue
-            ints = _INT_ONLY.issuperset(map(type, x))
-            lists[id(x)] = [ints, 1]
-            if not ints:
-                _check_keys(x, lists)
-        elif isinstance(x, dict):
-            _check_keys(x, lists)
-
-
-def _json_pieces(obj, lists):
-    memo = {}
-    if not isinstance(obj, dict) or not obj:
-        yield _json_render(obj, "\n", lists, memo) + "\n"
-        return
+    entries = {_exponent_key(u): c for u, c in poly.terms.items()}
+    counts = collections.Counter(map(id, entries.values()))
+    texts = {}
     sep = "{\n  "
-    for key in sorted(obj):
-        yield sep + _encode(key) + ": " + _json_render(obj[key], "\n  ", lists, memo)
-        sep = ",\n  "
-    yield "\n}\n"
-
-
-def _json_render(obj, pad, lists, memo):
-    # pad is the newline plus the indent of the line that holds obj; memo maps
-    # (id, pad) of each list or tuple that occurs more than once to its text
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = pad + "  "
-        body = ("," + inner).join(
-            _encode(key) + ": " + _json_render(obj[key], inner, lists, memo) for key in sorted(obj)
-        )
-        return "{" + inner + body + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        text = memo.get((id(obj), pad))
+    for key in sorted(entries):
+        c = entries[key]
+        text = texts.get(id(c))
         if text is None:
-            ints, count = lists[id(obj)]
-            inner = pad + "  "
-            if ints:
-                body = ("%d" + ("," + inner + "%d") * (len(obj) - 1)) % tuple(obj)
-            else:
-                body = ("," + inner).join(_json_render(x, inner, lists, memo) for x in obj)
-            text = "[" + inner + body + pad + "]"
-            if count > 1:
-                memo[id(obj), pad] = text
-        return text
-    return _encode(obj)
+            xs = tuple(ints(c))
+            text = "[\n    " + ("%d" + ",\n    %d" * (len(xs) - 1)) % xs + "\n  ]"
+            if counts[id(c)] > 1:
+                texts[id(c)] = text
+        yield sep + '"' + key + '": ' + text
+        sep = ",\n  "
+    yield "\n}\n" if entries else "{}\n"
 
 
 def _exponent_key(u):
@@ -173,7 +122,7 @@ def cmd_validate(P, args):
     data["content_hash"] = P.content_hash()
     data["facet_count"] = P.facet_count
     data["dim"] = P.dim
-    _write_text(args.output, _json_text(data))
+    _write_text(args.output, _json_report(data))
     return 0
 
 
@@ -189,23 +138,20 @@ def cmd_verify(P, args):
     # timing to stderr so output files stay byte-identical across runs, and
     # after the report, so a failed write prints its error alone
     elapsed = data.pop("elapsed_ms")
-    _write_text(args.output, _json_text(data))
+    _write_text(args.output, _json_report(data))
     print("elapsed_ms: %.3f" % elapsed, file=sys.stderr)
     return 0 if report.equal else 1
 
 
 def cmd_rs(P, args):
-    poly = brion.rs_polynomial(P)
-    data = {_exponent_key(u): term.coeffs for u, term in poly.terms.items()}
-    _write_text(args.output, _json_text(data))
+    _write_text(args.output, _table_text(brion.rs_polynomial(P), lambda c: c.coeffs))
     return 0
 
 
 def cmd_lhs(P, args):
     # integral Fractions: lhs_series builds each from _g_coeffs' ints
     series_poly = brion.lhs_series(P, args.order)
-    data = {_exponent_key(u): list(map(int, term.coeffs)) for u, term in series_poly.terms.items()}
-    _write_text(args.output, _json_text(data))
+    _write_text(args.output, _table_text(series_poly, lambda c: map(int, c.coeffs)))
     return 0
 
 
@@ -285,7 +231,7 @@ def cmd_jackson(P, args):
     D = jackson.FirstOrthantDivisor.from_polytope(P)
     result = jackson.verify_derivative_identity(D, axis - 1)
     result["axis"] = axis
-    _write_text(args.output, _json_text(result))
+    _write_text(args.output, _json_report(result))
     return 0 if result["holds"] else 1
 
 
@@ -293,8 +239,7 @@ def cmd_ladder(args):
     if len(args.degrees) != 2:
         raise InvalidInputError("ladder needs n,k")
     report = jackson.verify_ladder(*args.degrees)
-    report["failures"] = [list(f) for f in report["failures"]]
-    _write_text(args.output, _json_text(report))
+    _write_text(args.output, _json_report(report))
     return 0 if report["all_ok"] else 1
 
 

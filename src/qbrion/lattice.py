@@ -203,6 +203,8 @@ class Polytope:
         return len(self.normals)
 
     def slacks(self, u):
+        if len(u) != self.dim:
+            raise InvalidInputError("point %r has %d coordinates, not %d" % (u, len(u), self.dim))
         return tuple(
             sum(x * y for x, y in zip(u, v)) + a
             for v, a in zip(self.normals, self.offsets)

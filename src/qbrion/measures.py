@@ -163,6 +163,8 @@ class DiscreteMeasure:
         return self._moment_data.covariance
 
     def convolve(self, other):
+        if other.dim() != self.dim():
+            raise InvalidInputError("cannot convolve dimensions %d and %d" % (self.dim(), other.dim()))
         out = {}
         for u, w in self.atoms.items():
             for v, z in other.atoms.items():
@@ -172,6 +174,8 @@ class DiscreteMeasure:
 
     def characteristic_function(self, x):
         """E[exp(i <x, u>)] at a real vector x."""
+        if len(x) != self.dim():
+            raise InvalidInputError("x has %d coordinates, the measure %d" % (len(x), self.dim()))
         out = 0j
         for u in sorted(self.atoms):
             phase = sum(float(a) * b for a, b in zip(x, u))

@@ -1,6 +1,7 @@
 """End-to-end command line checks: formats, determinism, exit codes."""
 
 import argparse
+import collections
 import csv
 import json
 import math
@@ -11,10 +12,11 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qbrion import brion, cli, fixtures, jackson, lattice, measures
+from qbrion.qalg import QPolynomial, TruncatedQSeries
 
 
 def run_cli(*args):
@@ -484,11 +486,15 @@ def test_readme_cli_table_flags_exist():
             assert flag in options, (command, flag)
 
 
-# --------------------------------------------------------------- JSON writer
+# -------------------------------------------------------------- JSON writers
 
 
 def _json_oracle(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _table_oracle(poly, ints):
+    return _json_oracle({json.dumps(list(u)): list(ints(c)) for u, c in poly.terms.items()})
 
 
 JSON_COMMANDS = [
@@ -505,16 +511,23 @@ JSON_COMMANDS = [
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("name", fixtures.NAMES)
 def test_json_writer_matches_json_dumps_on_cli_outputs(tmp_path, monkeypatch, capsys, name, k):
+    # each JSON command hands one object to one of the two writers, and its
+    # output is json.dumps of that object (for a table, of its int lists)
     path = tmp_path / "P.json"
     path.write_text(lattice.dilate(fixtures.load(name), k).to_json())
     seen = []
-    writer = cli._json_text
+    report, table = cli._json_report, cli._table_text
 
-    def spy(obj):
-        seen.append(obj)
-        return writer(obj)
+    def report_spy(obj):
+        seen.append(_json_oracle(obj))
+        return report(obj)
 
-    monkeypatch.setattr(cli, "_json_text", spy)
+    def table_spy(poly, ints):
+        seen.append(_table_oracle(poly, ints))
+        return table(poly, ints)
+
+    monkeypatch.setattr(cli, "_json_report", report_spy)
+    monkeypatch.setattr(cli, "_table_text", table_spy)
     written = 0
     for command in JSON_COMMANDS:
         out = tmp_path / "out.json"
@@ -524,66 +537,85 @@ def test_json_writer_matches_json_dumps_on_cli_outputs(tmp_path, monkeypatch, ca
         code = cli.main(_argv(command, str(path)) + ["--output", str(out)])
         assert len(seen) == (1 if code in (0, 1) else 0), (command, code)
         if seen:
-            assert out.read_text(encoding="utf-8") == _json_oracle(seen[0]), command
+            assert out.read_text(encoding="utf-8") == seen[0], command
             written += 1
     capsys.readouterr()
     assert written >= 4
 
 
-_json_leaves = st.one_of(
-    st.integers(),
-    st.integers(min_value=-(2**300), max_value=2**300),
-    st.booleans(),
-    st.none(),
-    st.floats(allow_nan=True, allow_infinity=True),
-    st.just(-0.0),
-    st.text(),
-    st.sampled_from(['"', "\\", "\n\t\x00", "\u00e9\u4e2d\U0001f600", ""]),
-)
-_json_values = st.recursive(
-    _json_leaves,
-    lambda inner: st.one_of(
-        st.lists(inner),
-        st.lists(inner).map(tuple),
-        st.lists(st.one_of(st.integers(), st.booleans())),
-        st.dictionaries(st.text(), inner),
-    ),
-    max_leaves=40,
-)
+def _coeffs(poly):
+    return poly.coeffs
+
+
+_big_ints = st.one_of(st.integers(-9, 9), st.integers(min_value=-(2**200), max_value=2**200))
+
+
+@st.composite
+def _tables(draw):
+    # 1-3 variables, exponents with negative and multi-digit entries (so the
+    # string order of the keys differs from the tuple order), each term one of
+    # a few coefficient objects, so that several terms share one
+    n = draw(st.integers(1, 3))
+    coefficients = st.lists(_big_ints, min_size=1, max_size=6).map(QPolynomial)
+    pool = draw(st.lists(coefficients, min_size=1, max_size=4))
+    points = draw(st.lists(st.tuples(*[st.integers(-120, 120)] * n), unique=True, max_size=16))
+    return brion.LaurentQPoly({u: draw(st.sampled_from(pool)) for u in points})
 
 
 @settings(max_examples=200, deadline=None)
-@given(_json_values)
-def test_json_writer_matches_json_dumps(obj):
-    assert "".join(cli._json_text(obj)) == _json_oracle(obj)
+@given(_tables())
+@example(brion.LaurentQPoly())
+def test_json_writer_matches_json_dumps(poly):
+    assert "".join(cli._table_text(poly, _coeffs)) == _table_oracle(poly, _coeffs)
 
 
-_SHARED = (3, 1, 4, 1, 5)
-_SHARED_LIST = [True, None, 2.5, "x", [7, 8]]
+def _fraction_ints(s):
+    # what cmd_lhs hands the writer for its Fraction series
+    return map(int, s.coeffs)
+
+
+_SHARED = QPolynomial((3, 1, 4, 1, 5))
+_SINGLE = QPolynomial((-(2**100), 0, 7))
+_SHARED_SERIES = TruncatedQSeries(4, (3, 1, 4, 1, 5))
+_SINGLE_SERIES = TruncatedQSeries(2, (-(2**100), 0, 7))
 
 
 @pytest.mark.parametrize(
-    "obj",
+    "poly, ints",
     [
-        # one tuple at two depths: rendered at each indent
-        {"a": _SHARED, "b": [_SHARED, {"c": _SHARED}]},
-        [_SHARED, [[_SHARED]]],
-        # one tuple repeated at one depth
-        {"[0, 0]": _SHARED, "[0, 1]": _SHARED, "[1, 0]": _SHARED},
-        [_SHARED] * 4,
-        # one list that is a dict value and an element of a nested list
-        {"a": _SHARED_LIST, "b": [[_SHARED_LIST], _SHARED_LIST], "c": [{"d": _SHARED_LIST}]},
+        # a shared object between terms that hold their own, its text kept
+        # across them: int tuples as rs hands them, Fraction series as lhs does
+        ({(0,): _SHARED, (1,): _SINGLE, (-1,): _SHARED, (12,): QPolynomial((1,))}, _coeffs),
+        ({(0,): _SHARED_SERIES, (1,): _SINGLE_SERIES, (-1,): _SHARED_SERIES}, _fraction_ints),
+        # every term shares one object, at keys whose string order is not their order
+        ({u: _SHARED for u in [(-1, 0), (-10, 2), (2, -3), (10, 0), (9, 0)]}, _coeffs),
+        ({u: _SHARED_SERIES for u in [(-1, 0), (-10, 2), (2, -3), (10, 0), (9, 0)]}, _fraction_ints),
+        # two objects, each shared, with big and negative ints, in three variables
+        ({(i, -i, 3 * i): (_SHARED, _SINGLE)[i % 2] for i in range(-4, 5)}, _coeffs),
     ],
+    # the ids of the nested-object cases of the general renderer these replace
     ids=["two-depths", "two-depths-list", "one-depth", "one-depth-list", "value-and-element"],
 )
-def test_json_writer_renders_shared_objects_like_json_dumps(obj):
-    assert "".join(cli._json_text(obj)) == _json_oracle(obj)
+def test_json_writer_renders_shared_objects_like_json_dumps(poly, ints):
+    poly = brion.LaurentQPoly(poly)
+    assert "".join(cli._table_text(poly, ints)) == _table_oracle(poly, ints)
 
 
-@pytest.mark.parametrize("obj", [{1: 2}, {None: 1}, {(1, 2): 3}, {"a": [{2.5: 1}]}])
-def test_json_writer_rejects_keys_that_are_not_str(obj):
-    with pytest.raises(TypeError):
-        cli._json_text(obj)
+def test_table_writer_converts_each_distinct_coefficient_once():
+    # lhs gives points with the same slack multiset one series object; each
+    # such object is turned into ints once
+    series = brion.lhs_series(lattice.dilate(fixtures.load("hexagon"), 3), 12)
+    calls = collections.Counter()
+
+    def ints(s):
+        calls[id(s)] += 1
+        return map(int, s.coeffs)
+
+    text = "".join(cli._table_text(series, ints))
+    distinct = {id(s) for s in series.terms.values()}
+    assert len(distinct) < len(series.terms)
+    assert set(calls) == distinct and set(calls.values()) == {1}
+    assert text == _table_oracle(series, lambda s: map(int, s.coeffs))
 
 
 _RADIAL = [name for name in fixtures.NAMES if fixtures.load(name).is_radially_symmetric()]
@@ -609,41 +641,43 @@ def test_rs_and_lhs_write_what_json_dumps_writes(tmp_path, capsys, name, k):
         assert out.read_text(encoding="utf-8") == want, command
 
 
-def test_rs_output_is_streamed(tmp_path, capsys):
-    # the traced peak of a whole rs call stays below the size of the file it
-    # writes: no full document is built in memory
-    path, out = tmp_path / "P.json", tmp_path / "rs.json"
-    path.write_text(lattice.dilate(fixtures.load("hexagon"), 8).to_json())
-    cli.main(["rs", str(path), "--output", str(out)])  # warm the caches first
+def _traced_peak_and_size(tmp_path, P, command):
+    # the traced peak of a whole call, and the size of the file it writes
+    path, out = tmp_path / "P.json", tmp_path / "out.json"
+    path.write_text(P.to_json())
+    argv = [command[0], str(path)] + command[1:] + ["--output", str(out)]
+    cli.main(argv)  # warm the caches first
     tracemalloc.start()
     try:
-        assert cli.main(["rs", str(path), "--output", str(out)]) == 0
+        assert cli.main(argv) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    size = out.stat().st_size
+    return peak, out.stat().st_size
+
+
+def test_rs_output_is_streamed(tmp_path):
+    # the peak stays below the file size: no full document is built in memory
+    peak, size = _traced_peak_and_size(tmp_path, lattice.dilate(fixtures.load("hexagon"), 8), ["rs"])
     assert size > 5 * 10**6
     assert peak < size, (peak, size)
 
 
-def test_json_writer_checks_keys_before_the_first_piece(tmp_path):
-    # a bad key deep in a later entry raises before any piece is written
-    # and before the output file is opened
-    obj = {"a": [1, 2], "b": [{"c": 1}, {2: 3}]}
-    with pytest.raises(TypeError):
-        cli._json_text(obj)
-    out = tmp_path / "out.json"
-    with pytest.raises(TypeError):
-        cli._write_text(str(out), cli._json_text(obj))
-    assert not out.exists()
+def test_lhs_output_is_streamed(tmp_path):
+    # as for rs; the Fraction series that lhs_series holds are most of the
+    # peak, so the order is high enough for the file to outweigh them
+    P = lattice.dilate(fixtures.load("hexagon"), 20)
+    peak, size = _traced_peak_and_size(tmp_path, P, ["lhs", "--order", "150"])
+    assert size > 4 * 10**6
+    assert peak < size, (peak, size)
 
 
 def test_json_writer_yields_one_top_level_entry_at_a_time():
-    shared = (1, 2, 3)
-    obj = {"b": shared, "a": shared, "c": {"d": [shared]}}
-    pieces = list(cli._json_text(obj))
-    assert len(pieces) == len(obj) + 1
-    assert "".join(pieces) == _json_oracle(obj)
+    shared = QPolynomial((1, 2, 3))
+    poly = brion.LaurentQPoly({(1,): shared, (0,): shared, (-1,): QPolynomial((4,))})
+    pieces = list(cli._table_text(poly, _coeffs))
+    assert len(pieces) == len(poly.terms) + 1
+    assert "".join(pieces) == _table_oracle(poly, _coeffs)
 
 
 # ------------------------------------------------------------ repeated calls

@@ -304,6 +304,13 @@ def brute_force_vertices(P):
     return found
 
 
+@pytest.mark.parametrize("u", [(1, 1, 1), (1,), ()])
+def test_slacks_and_contains_reject_a_point_of_another_dimension(hexagon, u):
+    for call in (hexagon.slacks, hexagon.contains):
+        with pytest.raises(InvalidInputError, match="coordinates"):
+            call(u)
+
+
 @pytest.mark.parametrize(
     "name",
     ["segment_2", "hexagon", "simplex_p2", "square_p1xp1", "trapezoid_f1",

@@ -916,6 +916,12 @@ def test_characteristic_function_segment(k, x):
     assert abs(got - want) <= 1e-12
 
 
+@pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0), ()])
+def test_characteristic_function_rejects_a_vector_of_another_dimension(hexagon, x):
+    with pytest.raises(InvalidInputError, match="coordinates"):
+        mu_measure(hexagon).characteristic_function(x)
+
+
 # ----------------------------------------------------------------- convolution
 
 
@@ -944,3 +950,11 @@ def test_convolution_of_mirrored_trapezoid_is_symmetric(trapezoid):
     sym = mu.convolve(flipped)
     for u, w in sym.atoms.items():
         assert sym.atoms[(-u[0], -u[1])] == w
+
+
+@pytest.mark.parametrize("other", [{(3,): 1}, {(3, 1, 4): 1}])
+def test_convolution_rejects_a_measure_of_another_dimension(hexagon, other):
+    with pytest.raises(InvalidInputError, match="dimensions"):
+        mu_measure(hexagon).convolve(DiscreteMeasure(other))
+    with pytest.raises(InvalidInputError, match="dimensions"):
+        DiscreteMeasure(other).convolve(mu_measure(hexagon))
