@@ -73,6 +73,38 @@ def _exact_weight(w, u):
     )
 
 
+def _coprime_fraction(n, d):
+    """Fraction(n, d) for coprime ints n and d > 0, built without Fraction's
+    gcd: the two slots that Fraction.__new__ sets (CPython 3.10-3.13)."""
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
+def _normalized(points, keys, nums, total, shared):
+    """{point: nums[key] / total in lowest terms}, for points and their keys
+    in step, one positive int per key in nums and total the sum of nums over
+    keys.  shared is an int with gcd(n, shared) == gcd(n, total) for every n
+    in nums: total itself, or a divisor of it when the caller knows one.
+    Each atom is built once per key and shared by its points, and total // g
+    once per distinct gcd g."""
+    atom, dens = {}, {1: total}
+    for key, n in nums.items():
+        g = math.gcd(n, shared)
+        if g not in dens:
+            dens[g] = total // g
+        atom[key] = _coprime_fraction(n // g, dens[g])
+    return dict(zip(points, map(atom.__getitem__, keys)))
+
+
+def _measure(atoms):
+    """A DiscreteMeasure on atoms that are already its normalized weights."""
+    mu = object.__new__(DiscreteMeasure)
+    mu.atoms = atoms
+    return mu
+
+
 def _require_q(q):
     """q, if it is an int (not a bool), a Fraction or a float in (0, 1); else InvalidInputError."""
     if isinstance(q, bool) or not isinstance(q, (int, Fraction, float)) or not 0 < q < 1:
@@ -127,21 +159,25 @@ class DiscreteMeasure:
             raise InvalidInputError("measure needs positive total mass")
         # Over the lcm of the denominators every weight is an int n; equal
         # weights share one (numerator, denominator) pair, so the scaling and
-        # Fraction(n, total) with its gcd come once per distinct weight.
+        # the gcd with the total come once per distinct weight.
         pairs = [(w.numerator, w.denominator) for w in cleaned.values()]
         dens = {d for _, d in pairs}
         den = math.lcm(*dens)
         scale = {d: den // d for d in dens}
         nums = {pair: pair[0] * scale[pair[1]] for pair in set(pairs)}
         total = sum(map(nums.__getitem__, pairs))
-        atom = {pair: Fraction(n, total) for pair, n in nums.items()}
-        self.atoms = dict(zip(cleaned, map(atom.__getitem__, pairs)))
+        self.atoms = _normalized(cleaned, pairs, nums, total, total)
 
     def support(self):
         return sorted(self.atoms)
 
     def weight(self, u):
-        return self.atoms.get(_lattice_point(u), Fraction(0))
+        """The mass at u: 0 off the support, InvalidInputError at a lattice
+        point of another dimension."""
+        key = _lattice_point(u)
+        if key is not None and len(key) != self.dim():
+            raise InvalidInputError("u has %d coordinates, the measure %d" % (len(key), self.dim()))
+        return self.atoms.get(key, Fraction(0))
 
     def dim(self):
         return len(next(iter(self.atoms)))
@@ -183,6 +219,8 @@ class DiscreteMeasure:
         return out
 
     def total_variation(self, other):
+        if other.dim() != self.dim():
+            raise InvalidInputError("cannot compare dimensions %d and %d" % (self.dim(), other.dim()))
         keys = set(self.atoms) | set(other.atoms)
         return sum(
             (abs(self.atoms.get(u, Fraction(0)) - other.atoms.get(u, Fraction(0))) for u in keys),
@@ -315,9 +353,13 @@ def mu_measure(P):
     Supported on the maximal-slack-sum face; the weight of u is the
     multinomial coefficient of its slack vector, walked along each row of
     the face by _weight_rows.  When the normals sum to zero the support is
-    every lattice point.
+    every lattice point.  The points and the positive int weights need none
+    of DiscreteMeasure's checks, so they go to _normalized as they are.
     """
-    return DiscreteMeasure(dict(_face_weights(P)))
+    face = dict(_face_weights(P))
+    weights = face.values()
+    total = sum(weights)
+    return _measure(_normalized(face, weights, dict(zip(weights, weights)), total, total))
 
 
 def _slack_keys(P, what):
@@ -336,25 +378,43 @@ def mu_limit_estimate(P, q):
     exact.  The weight depends only on the multiset of u's slacks, so it is
     built once per sorted slack tuple.  As q -> 1- the result converges to
     mu_measure(P) in total variation.
+
+    With q = a/b in lowest terms and f_j = b^j - a^j, the weight of a sorted
+    slack tuple s is b^E(s) / D(s), E(s) = sum_i s_i (s_i + 1) / 2 and
+    D(s) = prod_i prod_{j <= s_i} f_j, in lowest terms as built, since
+    gcd(b, f_j) = gcd(b, a^j) = 1.  Over C = prod_i prod_{j <= M_i} f_j, M_i
+    the largest i-th sorted slack, and b^E_min, it is the int
+    n_s = b^(E(s) - E_min) * C / D(s), a product of per-position tail
+    products with no division.  As b is prime to C / D(s),
+    gcd(n_s, T) = gcd(n_s, gcd(C, T) * gcd(b^(E_max - E_min), T)) for the
+    total T, so the reduction takes two big gcds per call and, per multiset,
+    one gcd with that shared factor, which is small when a and b are.
     """
     q = Fraction(_require_q(q))
-    poch_cache = [Fraction(1)]
-
-    def poch(s):
-        while len(poch_cache) <= s:
-            j = len(poch_cache)
-            poch_cache.append(poch_cache[-1] * (1 - q ** j))
-        return poch_cache[s]
-
+    a, b = q.numerator, q.denominator
     points, keys = _slack_keys(P, "limit measure")
-    by_multiset = {}
-    for key in set(keys):
-        w = Fraction(1)
-        for s in key:
-            w /= poch(s)
-        by_multiset[key] = w
-    weights = dict(zip(points, map(by_multiset.__getitem__, keys)))
-    return DiscreteMeasure(weights)
+    multisets = set(keys)
+    tops = [max(column) for column in zip(*multisets)]
+    f = [b ** j - a ** j for j in range(max(tops) + 1)]
+    tails = {}  # M -> [prod_{s < j <= M} f_j for s in 0..M]
+    for top in set(tops):
+        tail = [1] * (top + 1)
+        for s in range(top - 1, -1, -1):
+            tail[s] = tail[s + 1] * f[s + 1]
+        tails[top] = tail
+    columns = [tails[top] for top in tops]
+    exps = {key: sum(s * (s + 1) for s in key) // 2 for key in multisets}
+    low = min(exps.values())
+    nums = {}
+    for key, e in exps.items():
+        n = b ** (e - low)
+        for tail, s in zip(columns, key):
+            n *= tail[s]
+        nums[key] = n
+    total = sum(map(nums.__getitem__, keys))
+    common = math.prod(tail[0] for tail in columns)
+    shared = math.gcd(common, total) * math.gcd(b ** (max(exps.values()) - low), total)
+    return _measure(_normalized(points, keys, nums, total, shared))
 
 
 def _multiset_weights(keys, q):

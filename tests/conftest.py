@@ -108,6 +108,27 @@ def face_measure_reference(P):
     return weights, tuple(mean), cov
 
 
+def reference_limit_estimate(P, q):
+    """mu_limit_estimate as it was before its weights were built in lowest
+    terms: per sorted slack tuple, the Fraction product of 1 / (q;q)_s over
+    its slacks, fed to the public DiscreteMeasure."""
+    from qbrion.lattice import sorted_slacks
+    from qbrion.measures import DiscreteMeasure
+
+    q = Fraction(q)
+    poch = [Fraction(1)]
+    points, keys = sorted_slacks(P)
+    by_multiset = {}
+    for key in set(keys):
+        w = Fraction(1)
+        for s in key:
+            while len(poch) <= s:
+                poch.append(poch[-1] * (1 - q ** len(poch)))
+            w /= poch[s]
+        by_multiset[key] = w
+    return DiscreteMeasure(dict(zip(points, map(by_multiset.__getitem__, keys))))
+
+
 def times_q_power(series, s):
     """series times q^s (s >= 0), at the same trusted order."""
     from qbrion.qalg import TruncatedQSeries

@@ -5,7 +5,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbrion import brion, fixtures, jackson, lattice, measures
@@ -24,7 +24,14 @@ from qbrion.measures import (
     potential,
 )
 
-from conftest import face_measure_reference, segment, sheared, skewed, translate
+from conftest import (
+    face_measure_reference,
+    reference_limit_estimate,
+    segment,
+    sheared,
+    skewed,
+    translate,
+)
 
 
 # ------------------------------------------------------------ discrete measure
@@ -89,7 +96,14 @@ def test_measure_weight_off_the_lattice_is_zero():
     assert mu.weight((Fraction(1, 2),)) == 0
     assert mu.weight((1.0,)) == Fraction(3, 4)
     assert mu.weight((Fraction(0),)) == Fraction(1, 4)
-    assert mu.weight((0, 0)) == 0
+
+
+def test_measure_weight_rejects_a_point_of_another_dimension():
+    mu = DiscreteMeasure({(0, 0): 1, (1, 0): 3})
+    assert mu.weight((2, 0)) == 0
+    for u in ((0,), (0, 0, 0)):
+        with pytest.raises(InvalidInputError, match="u has %d coordinates, the measure 2" % len(u)):
+            mu.weight(u)
 
 
 def test_measure_moments_exact():
@@ -242,6 +256,34 @@ def test_total_variation_basics():
     assert a.total_variation(a) == 0
 
 
+def test_total_variation_rejects_another_dimension():
+    mu = DiscreteMeasure({(0, 0): 1, (1, 1): 1})
+    for other in (DiscreteMeasure({(0,): 1}), DiscreteMeasure({(0, 0, 0): 1})):
+        with pytest.raises(InvalidInputError, match="cannot compare dimensions"):
+            mu.total_variation(other)
+        with pytest.raises(InvalidInputError, match="cannot compare dimensions"):
+            other.total_variation(mu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-(10**40), 10**40),
+    st.integers(1, 10**40),
+    st.integers(-(10**6), 10**6),
+    st.integers(1, 10**6),
+)
+def test_coprime_fraction_is_the_reduced_fraction(n, d, m, e):
+    assume(math.gcd(n, d) == 1)
+    got, want = measures._coprime_fraction(n, d), Fraction(n, d)
+    other = Fraction(m, e)
+    assert type(got) is Fraction
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator) == (n, d)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    for x, y in ((got + other, want + other), (got * other, want * other),
+                 (got + got, want + want), (got * got, want * want), (got + 1, want + 1)):
+        assert (x.numerator, x.denominator) == (y.numerator, y.denominator)
+
+
 # ------------------------------------------------------------- limit measure
 
 
@@ -351,20 +393,78 @@ def test_limit_estimate_matches_per_point_reference(key, q):
     assert list(est.atoms.items()) == list(_limit_reference(P, q).items())
 
 
-def test_limit_estimate_builds_one_weight_per_slack_multiset(monkeypatch, hexagon):
+def test_limit_estimate_builds_one_weight_per_slack_multiset(hexagon):
     P = lattice.dilate(hexagon, 4)
-    built = []
+    est = mu_limit_estimate(P, Fraction(2, 3))
+    by_multiset = {}
+    for u, t in lattice.points_with_slacks(P):
+        by_multiset.setdefault(tuple(sorted(t)), set()).add(id(est.atoms[u]))
+    assert len(est.atoms) == len(lattice.lattice_points(P)) > len(by_multiset)
+    # one atom object per multiset, shared by all of its points
+    assert all(len(ids) == 1 for ids in by_multiset.values())
+    assert len({id(w) for w in est.atoms.values()}) == len(by_multiset)
 
-    def capture(weights):
-        built.append(weights)
-        return DiscreteMeasure(weights)
 
-    monkeypatch.setattr(measures, "DiscreteMeasure", capture)
-    mu_limit_estimate(P, Fraction(2, 3))
-    multisets = {tuple(sorted(t)) for _, t in lattice.points_with_slacks(P)}
-    (weights,) = built
-    assert len(weights) == len(lattice.lattice_points(P)) > len(multisets)
-    assert len({id(w) for w in weights.values()}) == len(multisets)
+_EXACTNESS_QS = [Fraction(1, 2), Fraction(2, 3), Fraction(4, 9), Fraction(5, 12), Fraction(9, 10), 0.37]
+
+
+def _exactness_cases():
+    for name in fixtures.NAMES:
+        for k in (1, 2, 3):
+            yield "%s*%d" % (name, k)
+    yield from ("cube", "simplex3", "hexagon_prism")
+
+
+def _exactness_polytope(key, solids):
+    name, _, k = key.partition("*")
+    return lattice.dilate(fixtures.load(name), int(k)) if k else solids[name]
+
+
+def _atom_triples(mu):
+    return [(u, w.numerator, w.denominator) for u, w in mu.atoms.items()]
+
+
+@pytest.mark.parametrize("q", _EXACTNESS_QS, ids=str)
+@pytest.mark.parametrize("key", list(_exactness_cases()))
+def test_limit_estimate_atoms_match_the_fraction_reference(key, q, solids):
+    # keys, order, numerators and denominators, and every atom a Fraction
+    P = _exactness_polytope(key, solids)
+    est = mu_limit_estimate(P, q)
+    assert _atom_triples(est) == _atom_triples(reference_limit_estimate(P, q))
+    assert all(type(w) is Fraction for w in est.atoms.values())
+
+
+@pytest.mark.parametrize(
+    "name, q, coprime_part, power_part",
+    [("hexagon", Fraction(1, 2), 3, 1), ("simplex_p2", Fraction(2, 3), 1, 3)],
+)
+def test_limit_estimate_takes_each_shared_factor(monkeypatch, polytopes, name, q, coprime_part, power_part):
+    # the shared factor is gcd(C, T), prime to q's denominator b, times
+    # gcd(b^e, T); the exactness matrix above runs these two cases, in which
+    # one part each is above 1
+    seen = []
+    normalized = measures._normalized
+
+    def capture(points, keys, nums, total, shared):
+        seen.append(shared)
+        return normalized(points, keys, nums, total, shared)
+
+    monkeypatch.setattr(measures, "_normalized", capture)
+    P = polytopes[name]
+    est = mu_limit_estimate(P, q)
+    (shared,) = seen
+    power = math.gcd(shared, q.denominator ** shared.bit_length())
+    assert (shared // power, power) == (coprime_part, power_part)
+    assert _atom_triples(est) == _atom_triples(reference_limit_estimate(P, q))
+
+
+@pytest.mark.parametrize("key", list(_exactness_cases()))
+def test_mu_measure_matches_the_discrete_measure_path(key, solids):
+    P = _exactness_polytope(key, solids)
+    weights = dict(measures._face_weights(P))
+    mu, want = mu_measure(P), DiscreteMeasure(weights)
+    assert _atom_triples(mu) == _atom_triples(want)
+    assert len({id(w) for w in mu.atoms.values()}) == len(set(weights.values()))
 
 
 # ------------------------------------------------------------- weight tables
