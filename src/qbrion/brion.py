@@ -135,22 +135,6 @@ class LaurentQPoly:
         """Multiply every coefficient by c (int, QPolynomial, or series)."""
         return LaurentQPoly({u: coeff * c for u, coeff in self.terms.items()})
 
-    def __mul__(self, other):
-        if not isinstance(other, LaurentQPoly):
-            return NotImplemented
-        out = {}
-        for u, cu in self.terms.items():
-            for w, cw in other.terms.items():
-                key = tuple(a + b for a, b in zip(u, w))
-                prod = cu * cw
-                if key in out:
-                    prod = out[key] + prod
-                if prod.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = prod
-        return LaurentQPoly(out)
-
     def evaluate_series(self, x0, order):
         """Substitute the rational point x0; result is a truncated q-series.
         Terms are grouped by their cut at q^order: a coefficient that fits in

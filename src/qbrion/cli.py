@@ -56,16 +56,17 @@ def _json_report(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _table_text(poly, ints):
+def _table_text(poly):
     """The pieces of the JSON object that maps each term u -> c of the
-    LaurentQPoly poly to the int list ints(c) under the key _exponent_key(u):
-    joined, byte for byte what _json_report writes for that object.
+    LaurentQPoly poly, its coefficients ints, to the list c.coeffs under the
+    key _exponent_key(u): joined, byte for byte what _json_report writes for
+    that object.
 
     One piece per entry, in json's key order, so the whole document is never
     held in memory.  json runs its C encoder only without an indent, so each
     int list is one "%d" template.  A coefficient object that several terms
     share (rs and lhs give every point with the same slack multiset the same
-    one) is turned into ints and rendered once, and only such texts are kept.
+    one) is rendered once, and only such texts are kept.
     """
     entries = {_exponent_key(u): c for u, c in poly.terms.items()}
     counts = collections.Counter(map(id, entries.values()))
@@ -75,7 +76,7 @@ def _table_text(poly, ints):
         c = entries[key]
         text = texts.get(id(c))
         if text is None:
-            xs = tuple(ints(c))
+            xs = c.coeffs
             text = "[\n    " + ("%d" + ",\n    %d" * (len(xs) - 1)) % xs + "\n  ]"
             if counts[id(c)] > 1:
                 texts[id(c)] = text
@@ -144,14 +145,12 @@ def cmd_verify(P, args):
 
 
 def cmd_rs(P, args):
-    _write_text(args.output, _table_text(brion.rs_polynomial(P), lambda c: c.coeffs))
+    _write_text(args.output, _table_text(brion.rs_polynomial(P)))
     return 0
 
 
 def cmd_lhs(P, args):
-    # integral Fractions: lhs_series builds each from _g_coeffs' ints
-    series_poly = brion.lhs_series(P, args.order)
-    _write_text(args.output, _table_text(series_poly, lambda c: map(int, c.coeffs)))
+    _write_text(args.output, _table_text(brion.lhs_series(P, args.order)))
     return 0
 
 
@@ -214,7 +213,8 @@ def cmd_heatmap(P, args):
     # are written once, each distinct weight's text once per q
     points, keys = measures._slack_keys(Q, "weight table")
     header = "\t".join(["u_%d" % (j + 1) for j in range(Q.dim)] + ["weight"]) + "\n"
-    columns = ["\t".join(map(str, point)) + "\t" for point in points]
+    template = "%d\t" * Q.dim
+    columns = [template % point for point in points]
     for tok, q in zip(q_tokens, qs):
         weights = measures._multiset_weights(keys, q)
         text = {key: repr(w) + "\n" for key, w in weights.items()}

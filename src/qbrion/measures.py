@@ -32,25 +32,31 @@ from .errors import (
 from .qalg import require_count
 
 
-_INT_ONLY = frozenset((int,))
-_TUPLE_ONLY = frozenset((tuple,))
 _NEWTON_STEPS = 200  # minimize_potential gives up after this many
 _NEWTON_TOL = 1e-10  # ... and stops once the gradient norm is at most this
+
+
+def _real_point(u):
+    """u as a tuple, or None unless it is a sequence of real numbers (bools
+    excluded)."""
+    try:
+        entries = tuple(u)
+    except TypeError:
+        return None
+    for x in entries:
+        if isinstance(x, bool) or not isinstance(x, numbers.Real):
+            return None
+    return entries
 
 
 def _lattice_point(u):
     """u as a tuple of ints, or None unless it is a nonempty sequence of
     integral numbers (bools excluded)."""
-    if type(u) is tuple and u and _INT_ONLY.issuperset(map(type, u)):
-        return u  # already one: the points every measure here is built on
-    try:
-        entries = tuple(u)
-    except TypeError:
+    entries = _real_point(u)
+    if not entries:
         return None
     point = []
     for x in entries:
-        if isinstance(x, bool) or not isinstance(x, numbers.Real):
-            return None
         try:
             i = int(x)
         except (ValueError, OverflowError):
@@ -58,7 +64,7 @@ def _lattice_point(u):
         if i != x:
             return None
         point.append(i)
-    return tuple(point) or None
+    return tuple(point)
 
 
 def _exact_weight(w, u):
@@ -124,37 +130,23 @@ class DiscreteMeasure:
     """
 
     def __init__(self, weights):
-        keys, values = weights.keys(), weights.values()
-        if (
-            _TUPLE_ONLY.issuperset(map(type, keys))
-            and len(set(map(len, keys))) == 1
-            and _INT_ONLY.issuperset(map(type, itertools.chain.from_iterable(keys)))
-            and _INT_ONLY.issuperset(map(type, values))
-            and min(values) >= 0
-            and () not in weights
-        ):
-            # every key a nonempty int tuple of one length, every weight a
-            # nonnegative int: the per-atom checks below would pass each atom
-            # as it is
-            cleaned = dict(filter(operator.itemgetter(1), weights.items()))
-        else:
-            cleaned, dims = {}, set()
-            for u, w in weights.items():
-                key = _lattice_point(u)
-                if key is None:
-                    raise InvalidInputError("%r is not a lattice point" % (u,))
-                dims.add(len(key))
-                w = _exact_weight(w, u)
-                if w.numerator < 0:
-                    raise InvalidInputError("negative weight at %r" % (u,))
-                if not w.numerator:
-                    continue
-                if key in cleaned:
-                    cleaned[key] += w
-                else:
-                    cleaned[key] = w
-            if len(dims) > 1:
-                raise InvalidInputError("points of different dimensions %s" % sorted(dims))
+        cleaned, dims = {}, set()
+        for u, w in weights.items():
+            key = _lattice_point(u)
+            if key is None:
+                raise InvalidInputError("%r is not a lattice point" % (u,))
+            dims.add(len(key))
+            w = _exact_weight(w, u)
+            if w.numerator < 0:
+                raise InvalidInputError("negative weight at %r" % (u,))
+            if not w.numerator:
+                continue
+            if key in cleaned:
+                cleaned[key] += w
+            else:
+                cleaned[key] = w
+        if len(dims) > 1:
+            raise InvalidInputError("points of different dimensions %s" % sorted(dims))
         if not cleaned:
             raise InvalidInputError("measure needs positive total mass")
         # Over the lcm of the denominators every weight is an int n; equal
@@ -172,12 +164,15 @@ class DiscreteMeasure:
         return sorted(self.atoms)
 
     def weight(self, u):
-        """The mass at u: 0 off the support, InvalidInputError at a lattice
-        point of another dimension."""
-        key = _lattice_point(u)
-        if key is not None and len(key) != self.dim():
-            raise InvalidInputError("u has %d coordinates, the measure %d" % (len(key), self.dim()))
-        return self.atoms.get(key, Fraction(0))
+        """The mass at u, a sequence of real numbers (bools excluded) of the
+        measure's dimension: 0 off the support, so also off the lattice;
+        InvalidInputError for any other u."""
+        point = _real_point(u)
+        if point is None:
+            raise InvalidInputError("%r is not a sequence of real numbers" % (u,))
+        if len(point) != self.dim():
+            raise InvalidInputError("u has %d coordinates, the measure %d" % (len(point), self.dim()))
+        return self.atoms.get(_lattice_point(point), Fraction(0))
 
     def dim(self):
         return len(next(iter(self.atoms)))
@@ -425,15 +420,11 @@ def _multiset_weights(keys, q):
     exps and the division come once per key, and fsum runs over one term per
     point, as keys lists them.
     """
-    prefix = [0.0]
-
-    def log_poch(s):
-        while len(prefix) <= s:
-            j = len(prefix)
-            prefix.append(prefix[-1] + math.log1p(-(q ** j)))
-        return prefix[s]
-
-    logw = {key: -sum(log_poch(s) for s in key) for key in set(keys)}
+    multisets = set(keys)
+    # prefix[s] = log (q;q)_s, up to the largest slack
+    terms = (math.log1p(-(q ** j)) for j in range(1, max(map(max, multisets)) + 1))
+    prefix = list(itertools.accumulate(terms, initial=0.0))
+    logw = {key: -sum(map(prefix.__getitem__, key)) for key in multisets}
     top = max(logw.values())
     expd = {key: math.exp(v - top) for key, v in logw.items()}
     norm = math.fsum(map(expd.__getitem__, keys))

@@ -4,10 +4,11 @@ Two representations are used throughout the package:
 
 * ``QPolynomial``: a polynomial in q with arbitrary-precision integer
   coefficients.  q-integers, Gaussian binomials and q-multinomials live here.
-* ``TruncatedQSeries``: a power series in q with exact rational coefficients,
-  known through a stated order K (coefficients of q^0 .. q^K are trusted,
-  everything above is discarded).  Arithmetic propagates the minimum order of
-  the operands, so a result never claims more precision than its inputs.
+* ``TruncatedQSeries``: a power series in q with int or Fraction
+  coefficients, kept as given, known through a stated order K (coefficients
+  of q^0 .. q^K are trusted, everything above is discarded).  Arithmetic
+  propagates the minimum order of the operands, so a result never claims
+  more precision than its inputs.
 
 No floating point enters this module.
 """
@@ -20,7 +21,8 @@ from .errors import InvalidInputError, PoleError
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_INT_TYPES = frozenset((int,))  # exact coefficient types that need no per-item check
+_INT_TYPES = frozenset((int,))  # QPolynomial's coefficient types
+_EXACT_TYPES = frozenset((int, Fraction))  # TruncatedQSeries' coefficient types
 
 
 def _as_fraction(value):
@@ -29,6 +31,18 @@ def _as_fraction(value):
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError("exact arithmetic only accepts int or Fraction, got %r" % type(value))
+
+
+def _checked(coeffs, types, what):
+    """coeffs as a tuple, kept as given, if each is an instance of one of
+    types and not a bool; else TypeError("<what>, got <type>").
+    Coefficients of exactly those types take no per-item check."""
+    coeffs = tuple(coeffs)
+    if not types.issuperset(map(type, coeffs)):
+        for c in coeffs:
+            if isinstance(c, bool) or not isinstance(c, tuple(types)):
+                raise TypeError("%s, got %r" % (what, type(c)))
+    return coeffs
 
 
 def _product(a, b, n):
@@ -50,11 +64,7 @@ class QPolynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        coeffs = tuple(coeffs)
-        if not _INT_TYPES.issuperset(map(type, coeffs)):
-            for c in coeffs:
-                if isinstance(c, bool) or not isinstance(c, int):
-                    raise TypeError("QPolynomial coefficients must be int, got %r" % type(c))
+        coeffs = _checked(coeffs, _INT_TYPES, "QPolynomial coefficients must be int")
         n = len(coeffs)
         while n and coeffs[n - 1] == 0:
             n -= 1
@@ -134,7 +144,7 @@ class QPolynomial:
         return acc
 
     def to_series(self, order):
-        return TruncatedQSeries(order, [Fraction(self.coefficient(j)) for j in range(order + 1)])
+        return TruncatedQSeries(order, self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
@@ -162,24 +172,20 @@ class QPolynomial:
 
 
 class TruncatedQSeries:
-    """Power series in q with Fraction coefficients, trusted through q^order."""
+    """Power series in q with int (not bool) or Fraction coefficients, kept
+    as given and padded with int 0, trusted through q^order."""
 
     __slots__ = ("order", "coeffs", "_hash")
 
-    def __init__(self, order, coeffs=None):
+    def __init__(self, order, coeffs=()):
         require_count(order, 0, "series order")
+        coeffs = _checked(coeffs, _EXACT_TYPES, "TruncatedQSeries coefficients must be int or Fraction")
         self.order, self._hash = order, None
-        if coeffs is None:
-            self.coeffs = (_ZERO,) * (order + 1)
-            return
-        coeffs = [_as_fraction(c) for c in coeffs]
-        if len(coeffs) < order + 1:
-            coeffs.extend([_ZERO] * (order + 1 - len(coeffs)))
-        self.coeffs = tuple(coeffs[: order + 1])
+        self.coeffs = coeffs[: order + 1] + (0,) * (order + 1 - len(coeffs))
 
     @classmethod
     def constant(cls, value, order):
-        return cls(order, [_as_fraction(value)])
+        return cls(order, (value,))
 
     @classmethod
     def one(cls, order):
@@ -187,11 +193,11 @@ class TruncatedQSeries:
 
     @property
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def coefficient(self, j):
         if j < 0:
-            return _ZERO
+            return 0
         if j > self.order:
             raise InvalidInputError("coefficient q^%d is beyond the trusted order %d" % (j, self.order))
         return self.coeffs[j]
@@ -245,10 +251,9 @@ class TruncatedQSeries:
 
     def shift(self, k):
         """Multiply by q^k (k >= 0), trusted through the same order."""
-        return TruncatedQSeries(self.order, (_ZERO,) * require_count(k, 0, "series shift") + self.coeffs)
+        return TruncatedQSeries(self.order, (0,) * require_count(k, 0, "series shift") + self.coeffs)
 
     def scale(self, value):
-        value = _as_fraction(value)
         return TruncatedQSeries(self.order, [value * c for c in self.coeffs])
 
     def inverse(self):

@@ -192,6 +192,25 @@ def reference_elementary_symmetric(n, degree, with_one=True):
     return LaurentQPoly(terms)
 
 
+def laurent_product(f, g):
+    """The product of two LaurentQPoly objects, term by term; a sum that
+    cancels to zero drops its term."""
+    from qbrion.brion import LaurentQPoly
+
+    out = {}
+    for u, cu in f.terms.items():
+        for w, cw in g.terms.items():
+            key = tuple(a + b for a, b in zip(u, w))
+            prod = cu * cw
+            if key in out:
+                prod = out[key] + prod
+            if prod.is_zero:
+                out.pop(key, None)
+            else:
+                out[key] = prod
+    return LaurentQPoly(out)
+
+
 def reference_raising_operator(f, axis, n, with_one=True):
     """sum_{l=0}^{n} e_{l+1}(vars) (q-1)^l (d/dx_axis)_q^l f, each term a
     product of LaurentQPoly objects."""
@@ -203,7 +222,7 @@ def reference_raising_operator(f, axis, n, with_one=True):
     d = f
     for level in range(n + 1):
         e_poly = reference_elementary_symmetric(n, level + 1, with_one)
-        out = out + (e_poly * d).scale(q_minus_one ** level)
+        out = out + laurent_product(e_poly, d).scale(q_minus_one ** level)
         if level < n:
             d = reference_jackson_derivative(d, axis)
     return out

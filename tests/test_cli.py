@@ -1,7 +1,6 @@
 """End-to-end command line checks: formats, determinism, exit codes."""
 
 import argparse
-import collections
 import csv
 import json
 import math
@@ -493,8 +492,8 @@ def _json_oracle(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _table_oracle(poly, ints):
-    return _json_oracle({json.dumps(list(u)): list(ints(c)) for u, c in poly.terms.items()})
+def _table_oracle(poly):
+    return _json_oracle({json.dumps(list(u)): list(c.coeffs) for u, c in poly.terms.items()})
 
 
 JSON_COMMANDS = [
@@ -522,9 +521,9 @@ def test_json_writer_matches_json_dumps_on_cli_outputs(tmp_path, monkeypatch, ca
         seen.append(_json_oracle(obj))
         return report(obj)
 
-    def table_spy(poly, ints):
-        seen.append(_table_oracle(poly, ints))
-        return table(poly, ints)
+    def table_spy(poly):
+        seen.append(_table_oracle(poly))
+        return table(poly)
 
     monkeypatch.setattr(cli, "_json_report", report_spy)
     monkeypatch.setattr(cli, "_table_text", table_spy)
@@ -541,10 +540,6 @@ def test_json_writer_matches_json_dumps_on_cli_outputs(tmp_path, monkeypatch, ca
             written += 1
     capsys.readouterr()
     assert written >= 4
-
-
-def _coeffs(poly):
-    return poly.coeffs
 
 
 _big_ints = st.one_of(st.integers(-9, 9), st.integers(min_value=-(2**200), max_value=2**200))
@@ -566,12 +561,7 @@ def _tables(draw):
 @given(_tables())
 @example(brion.LaurentQPoly())
 def test_json_writer_matches_json_dumps(poly):
-    assert "".join(cli._table_text(poly, _coeffs)) == _table_oracle(poly, _coeffs)
-
-
-def _fraction_ints(s):
-    # what cmd_lhs hands the writer for its Fraction series
-    return map(int, s.coeffs)
+    assert "".join(cli._table_text(poly)) == _table_oracle(poly)
 
 
 _SHARED = QPolynomial((3, 1, 4, 1, 5))
@@ -581,41 +571,49 @@ _SINGLE_SERIES = TruncatedQSeries(2, (-(2**100), 0, 7))
 
 
 @pytest.mark.parametrize(
-    "poly, ints",
+    "poly",
     [
         # a shared object between terms that hold their own, its text kept
-        # across them: int tuples as rs hands them, Fraction series as lhs does
-        ({(0,): _SHARED, (1,): _SINGLE, (-1,): _SHARED, (12,): QPolynomial((1,))}, _coeffs),
-        ({(0,): _SHARED_SERIES, (1,): _SINGLE_SERIES, (-1,): _SHARED_SERIES}, _fraction_ints),
+        # across them: int polynomials as rs hands them, int series as lhs does
+        {(0,): _SHARED, (1,): _SINGLE, (-1,): _SHARED, (12,): QPolynomial((1,))},
+        {(0,): _SHARED_SERIES, (1,): _SINGLE_SERIES, (-1,): _SHARED_SERIES},
         # every term shares one object, at keys whose string order is not their order
-        ({u: _SHARED for u in [(-1, 0), (-10, 2), (2, -3), (10, 0), (9, 0)]}, _coeffs),
-        ({u: _SHARED_SERIES for u in [(-1, 0), (-10, 2), (2, -3), (10, 0), (9, 0)]}, _fraction_ints),
+        {u: _SHARED for u in [(-1, 0), (-10, 2), (2, -3), (10, 0), (9, 0)]},
+        {u: _SHARED_SERIES for u in [(-1, 0), (-10, 2), (2, -3), (10, 0), (9, 0)]},
         # two objects, each shared, with big and negative ints, in three variables
-        ({(i, -i, 3 * i): (_SHARED, _SINGLE)[i % 2] for i in range(-4, 5)}, _coeffs),
+        {(i, -i, 3 * i): (_SHARED, _SINGLE)[i % 2] for i in range(-4, 5)},
     ],
     # the ids of the nested-object cases of the general renderer these replace
     ids=["two-depths", "two-depths-list", "one-depth", "one-depth-list", "value-and-element"],
 )
-def test_json_writer_renders_shared_objects_like_json_dumps(poly, ints):
+def test_json_writer_renders_shared_objects_like_json_dumps(poly):
     poly = brion.LaurentQPoly(poly)
-    assert "".join(cli._table_text(poly, ints)) == _table_oracle(poly, ints)
+    assert "".join(cli._table_text(poly)) == _table_oracle(poly)
+
+
+class _CountedCoefficient:
+    """A coefficient that counts how often its list is read."""
+
+    is_zero = False
+
+    def __init__(self, coeffs):
+        self._coeffs, self.reads = coeffs, 0
+
+    @property
+    def coeffs(self):
+        self.reads += 1
+        return self._coeffs
 
 
 def test_table_writer_converts_each_distinct_coefficient_once():
-    # lhs gives points with the same slack multiset one series object; each
-    # such object is turned into ints once
+    # lhs gives points with the same slack multiset one series object; the
+    # writer renders each such object once
     series = brion.lhs_series(lattice.dilate(fixtures.load("hexagon"), 3), 12)
-    calls = collections.Counter()
-
-    def ints(s):
-        calls[id(s)] += 1
-        return map(int, s.coeffs)
-
-    text = "".join(cli._table_text(series, ints))
-    distinct = {id(s) for s in series.terms.values()}
-    assert len(distinct) < len(series.terms)
-    assert set(calls) == distinct and set(calls.values()) == {1}
-    assert text == _table_oracle(series, lambda s: map(int, s.coeffs))
+    counted = {id(s): _CountedCoefficient(s.coeffs) for s in series.terms.values()}
+    assert len(counted) < len(series.terms)
+    poly = brion.LaurentQPoly({u: counted[id(s)] for u, s in series.terms.items()})
+    assert "".join(cli._table_text(poly)) == _table_oracle(series)
+    assert [c.reads for c in counted.values()] == [1] * len(counted)
 
 
 _RADIAL = [name for name in fixtures.NAMES if fixtures.load(name).is_radially_symmetric()]
@@ -630,7 +628,7 @@ def test_rs_and_lhs_write_what_json_dumps_writes(tmp_path, capsys, name, k):
     path = tmp_path / "P.json"
     path.write_text(P.to_json())
     rs = {json.dumps(list(u)): list(c.coeffs) for u, c in brion.rs_polynomial(P).terms.items()}
-    lhs = {json.dumps(list(u)): [int(x) for x in c.coeffs] for u, c in brion.lhs_series(P, 12).terms.items()}
+    lhs = {json.dumps(list(u)): list(c.coeffs) for u, c in brion.lhs_series(P, 12).terms.items()}
     for command, data in (("rs", rs), ("lhs", lhs)):
         want = _json_oracle(data)
         capsys.readouterr()
@@ -664,8 +662,8 @@ def test_rs_output_is_streamed(tmp_path):
 
 
 def test_lhs_output_is_streamed(tmp_path):
-    # as for rs; the Fraction series that lhs_series holds are most of the
-    # peak, so the order is high enough for the file to outweigh them
+    # as for rs; the int series that lhs_series holds are most of the peak,
+    # so the order is high enough for the file to outweigh them
     P = lattice.dilate(fixtures.load("hexagon"), 20)
     peak, size = _traced_peak_and_size(tmp_path, P, ["lhs", "--order", "150"])
     assert size > 4 * 10**6
@@ -675,9 +673,9 @@ def test_lhs_output_is_streamed(tmp_path):
 def test_json_writer_yields_one_top_level_entry_at_a_time():
     shared = QPolynomial((1, 2, 3))
     poly = brion.LaurentQPoly({(1,): shared, (0,): shared, (-1,): QPolynomial((4,))})
-    pieces = list(cli._table_text(poly, _coeffs))
+    pieces = list(cli._table_text(poly))
     assert len(pieces) == len(poly.terms) + 1
-    assert "".join(pieces) == _table_oracle(poly, _coeffs)
+    assert "".join(pieces) == _table_oracle(poly)
 
 
 # ------------------------------------------------------------ repeated calls

@@ -106,6 +106,21 @@ def test_measure_weight_rejects_a_point_of_another_dimension():
             mu.weight(u)
 
 
+def test_measure_weight_rejects_a_real_point_of_another_dimension():
+    mu = DiscreteMeasure({(0,): 1})
+    assert mu.weight((0.5,)) == 0
+    for u in ((0.5, 0.5), (Fraction(1, 3), 0), ()):
+        with pytest.raises(InvalidInputError, match="u has %d coordinates, the measure 1" % len(u)):
+            mu.weight(u)
+
+
+@pytest.mark.parametrize("u", [5, 0.5, None, (True,), (0, False), ("0",), (1j,), "0"])
+def test_measure_weight_rejects_what_is_not_a_sequence_of_real_numbers(u):
+    mu = DiscreteMeasure({(0,): 1})
+    with pytest.raises(InvalidInputError, match="is not a sequence of real numbers"):
+        mu.weight(u)
+
+
 def test_measure_moments_exact():
     mu = DiscreteMeasure({(0,): 1, (2,): 1})
     mean, cov = mu.mean(), mu.covariance()
@@ -186,67 +201,34 @@ def test_measure_normalization_matches_per_atom_reference(values):
     assert list(mu.atoms.items()) == list(_reference_normalization(weights).items())
 
 
-def _per_atom(monkeypatch, weights):
-    """DiscreteMeasure(weights) with the int fast path turned off, so every
-    atom goes through the per-atom checks: the measure, or the error."""
-    with monkeypatch.context() as m:
-        m.setattr(measures, "_TUPLE_ONLY", frozenset())
-        try:
-            return DiscreteMeasure(weights)
-        except InvalidInputError as exc:
-            return str(exc)
-
-
-def _fast(weights):
-    try:
-        return DiscreteMeasure(weights)
-    except InvalidInputError as exc:
-        return str(exc)
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    st.integers(1, 3).flatmap(lambda dim: st.dictionaries(
-        st.tuples(*[st.integers(-5, 5)] * dim), st.integers(0, 10**30), max_size=12)),
-)
-def test_int_measure_fast_path_matches_the_per_atom_path(weights):
-    # int tuples of one length weighted by nonnegative ints skip the
-    # per-atom checks; the atoms, their order and their sharing are those of
-    # the per-atom path, and so is the error of a massless measure
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        want = _per_atom(monkeypatch, weights)
-    got = _fast(weights)
-    if isinstance(want, str):
-        assert got == want
-        return
-    assert list(got.atoms.items()) == list(want.atoms.items())
-    assert len({id(w) for w in got.atoms.values()}) == len({id(w) for w in want.atoms.values()})
+_TWO_ATOMS = {(0, 1): Fraction(2, 5), (1, 0): Fraction(3, 5)}
 
 
 @pytest.mark.parametrize(
-    "weights",
+    "weights, want",
     [
-        {(0, 1): 2, (1, 0): -1},  # a negative weight
-        {(0, 1): 2, (1,): 1},  # two dimensions
-        {(): 1},  # an empty point
-        {(0, 1): True},  # a bool weight
-        {(0, True): 1},  # a bool coordinate
-        {(0, 1): 0, (1, 0): 0},  # no mass
-        {},
-        {(0, 1): 2, (1, 0): 3},  # the fast path itself
-        {(0, 1): 2.0, (1, 0): 3},  # a float weight
+        ({(0, 1): 2, (1, 0): -1}, "negative weight at (1, 0)"),
+        ({(0, 1): 2, (1,): 1}, "points of different dimensions [1, 2]"),
+        ({(): 1}, "() is not a lattice point"),
+        ({(0, 1): True}, "weight True at (0, 1) is not an int, a Fraction or a finite float"),
+        ({(0, True): 1}, "(0, True) is not a lattice point"),
+        ({(0, 1): 0, (1, 0): 0}, "measure needs positive total mass"),
+        ({}, "measure needs positive total mass"),
+        ({(0, 1): 2, (1, 0): 3}, _TWO_ATOMS),
+        ({(0, 1): 2.0, (1, 0): 3}, _TWO_ATOMS),
     ],
+    # the ids these cases had while they compared an int fast path with the
+    # per-atom checks, which are now the one path
+    ids=["weights%d" % i for i in range(9)],
 )
-def test_int_measure_fast_path_keeps_every_error(monkeypatch, weights):
-    want, got = _per_atom(monkeypatch, weights), _fast(weights)
-    assert got == want if isinstance(want, str) else got.atoms == want.atoms
-
-
-def test_int_measure_fast_path_takes_no_per_atom_check(monkeypatch, hexagon):
-    weights = dict(measures._face_weights(lattice.dilate(hexagon, 6)))
-    monkeypatch.setattr(measures, "_lattice_point", None)
-    monkeypatch.setattr(measures, "_exact_weight", None)
-    assert DiscreteMeasure(weights).atoms == _reference_normalization(weights)
+def test_int_measure_fast_path_keeps_every_error(weights, want):
+    # int tuples and int weights take the same checks as every other input
+    if isinstance(want, str):
+        with pytest.raises(InvalidInputError) as info:
+            DiscreteMeasure(weights)
+        assert str(info.value) == want
+    else:
+        assert DiscreteMeasure(weights).atoms == want
 
 
 def test_total_variation_basics():

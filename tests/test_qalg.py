@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qbrion.brion import g_weight
+from qbrion import lattice
+from qbrion.brion import g_weight, lhs_series
 from qbrion.errors import InvalidInputError
 
 from qbrion.qalg import (
@@ -414,3 +415,62 @@ def test_series_and_polynomial_add_and_subtract_in_either_order():
     zero = QPolynomial.zero()
     assert zero + s == s + zero == s
     assert zero - s == -s and s - zero == s
+
+
+# ------------------------------------------------------------ exact types
+
+
+def _all_int(series):
+    return all(type(c) is int for c in series.coeffs)
+
+
+_series_ints = st.lists(st.integers(-(2**70), 2**70), max_size=8)
+
+
+@given(
+    _series_ints, _series_ints, st.integers(0, 7), st.integers(0, 7), st.integers(0, 4),
+    st.one_of(st.integers(-9, 9), st.fractions(max_denominator=9)),
+    st.fractions(min_value=-2, max_value=2, max_denominator=9),
+)
+@settings(max_examples=80, deadline=None)
+def test_int_series_keep_their_ints_and_match_fraction_series(xs, ys, m, n, k, value, q):
+    # a series built from ints keeps them and equals, hashes like and
+    # computes like the series built from the same values as Fractions
+    a, b = TruncatedQSeries(m, xs), TruncatedQSeries(n, ys)
+    fa = TruncatedQSeries(m, map(Fraction, xs))
+    fb = TruncatedQSeries(n, map(Fraction, ys))
+    assert _all_int(a) and all(type(c) is Fraction for c in fa.coeffs[: len(xs)])
+    assert a == fa and hash(a) == hash(fa)
+    assert list(a.coeffs) == (xs + [0] * (m + 1))[: m + 1]
+    pairs = [(a + b, fa + fb), (a - b, fa - fb), (a * b, fa * fb), (-a, -fa),
+             (a.shift(k), fa.shift(k)), (a.truncate(min(k, m)), fa.truncate(min(k, m)))]
+    for got, want in pairs:
+        assert _all_int(got) and got == want and hash(got) == hash(want)
+    assert a.scale(value) == fa.scale(value) == a * value
+    assert _all_int(a.scale(value)) == (type(value) is int)
+    assert a.evaluate(q) == fa.evaluate(q)
+    if a.coefficient(0):
+        assert a.inverse() == fa.inverse()
+        assert a * a.inverse() == TruncatedQSeries.one(m)
+
+
+def test_series_reject_bools_and_inexact_coefficients():
+    assert TruncatedQSeries(2, [Fraction(1, 2), 3]).coeffs == (Fraction(1, 2), 3, 0)
+    for bad in ([True, 2], [1, False], [1.0], [1, "1"], [None], [1j]):
+        with pytest.raises(TypeError, match="TruncatedQSeries coefficients must be int or Fraction"):
+            TruncatedQSeries(3, bad)
+    with pytest.raises(TypeError):
+        TruncatedQSeries.constant(True, 3)
+    with pytest.raises(TypeError):
+        TruncatedQSeries(3, [1, 2]).scale(0.5)
+
+
+def test_int_data_give_int_series(hexagon):
+    # the lattice-point weights and the polynomials cut to a series hold ints
+    P = lattice.dilate(hexagon, 3)
+    lhs = lhs_series(P, 12)
+    assert lhs.terms and all(map(_all_int, lhs.terms.values()))
+    assert _all_int(g_weight((2, 0, 3), 9))
+    assert _all_int(q_multinomial(5, (2, 3)).to_series(4))
+    assert _all_int(q_multinomial(5, (2, 3)).to_series(9))
+    assert _all_int(TruncatedQSeries.one(4)) and _all_int(TruncatedQSeries(4))
