@@ -21,8 +21,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import lattice
 from .errors import (
     ConvergenceError,
@@ -604,47 +602,113 @@ def potential(P, m):
         ) from None
 
 
+def _fma(x, y, z):
+    """x * y + z for floats, rounded once, as a fused multiply-add rounds it
+    (math.fma exists only from Python 3.13): the exact value over the floats'
+    integer ratios, then one correctly rounded int division."""
+    (a, b), (c, d), (e, f) = x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
+    return (a * c * f + e * b * d) / (b * d * f)
+
+
+def _dot(xs, ys):
+    """sum_i x_i y_i as one chain of _fma in index order from 0.0: how the
+    dot and matrix-product kernels of OpenBLAS 0.3.31 (Haswell) round
+    vectors of up to 15 entries."""
+    acc = 0.0
+    for x, y in zip(xs, ys):
+        acc = _fma(x, y, acc)
+    return acc
+
+
+def _norm(xs):
+    """Euclidean norm: the square root of _dot(xs, xs)."""
+    return math.sqrt(_dot(xs, xs))
+
+
+def _running_sum(xs):
+    """Left-to-right float sum, one rounding per term (the builtin sum
+    compensates float sums from Python 3.12 on)."""
+    acc = 0.0
+    for x in xs:
+        acc += x
+    return acc
+
+
+def _solve(matrix, b):
+    """The solution x of matrix x = b, solved exactly over the Fractions of
+    the float entries and rounded once per entry.  matrix is symmetric
+    positive definite, as every Hessian here is, so each diagonal pivot in
+    turn is positive."""
+    n = len(matrix)
+    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(matrix, b)]
+    for j in range(n):
+        pivot = rows[j]
+        for i in range(n):
+            if i != j and rows[i][j]:
+                f = rows[i][j] / pivot[j]
+                rows[i] = [x - f * y for x, y in zip(rows[i], pivot)]
+    return [float(row[n] / row[i]) for i, row in enumerate(rows)]
+
+
+def _slacks(vs, a, u):
+    """t_i = <v_i, u> + a_i, each dot product rounded by _dot before its
+    offset is added."""
+    return [_dot(v, u) + c for v, c in zip(vs, a)]
+
+
+def _hessian(vs, t):
+    """sum_i v_i v_i^T / t_i: entry (j, l) is the _dot of column j of vs
+    with column l of the rows v_i / t_i, each quotient rounded first."""
+    scaled = list(zip(*([x / s for x in v] for v, s in zip(vs, t))))
+    return [[_dot(col, other) for other in scaled] for col in zip(*vs)]
+
+
 def minimize_potential(P):
     """Interior minimizer of prod_i t_i(u)^{t_i(u)} by damped Newton steps.
 
     Needs a bounded, full-dimensional polytope with balanced normals; then
     the log-potential is strictly convex with a unique interior critical
     point.  Steps are clipped short of the boundary and backtracked until
-    the Armijo condition holds.
+    the Armijo condition holds.  The start is the vertex mean (a running
+    sum over the vertices, divided by their count); each step solves its
+    Newton system exactly, by _solve.
     """
     if not lattice.require_nonempty(P).geometry.full_dimensional:
         raise PreconditionError("potential minimization needs a full-dimensional polytope")
     lattice.require_radially_symmetric(P)
-    vs = np.array(P.normals, dtype=float)
-    a = np.array(P.offsets, dtype=float)
-    verts = np.array(lattice.vertex_points(P), dtype=float)
-    u = verts.mean(axis=0)
+    vs = [[float(x) for x in v] for v in P.normals]
+    cols = list(zip(*vs))
+    a = [float(x) for x in P.offsets]
+    verts = lattice.vertex_points(P)
+    u = [_running_sum(map(float, col)) / len(verts) for col in zip(*verts)]
     for _ in range(_NEWTON_STEPS):
-        t = vs @ u + a
-        if np.any(t <= 0):
+        t = _slacks(vs, a, u)
+        if any(x <= 0 for x in t):
             raise ConvergenceError("iterate left the interior")
-        g = vs.T @ (np.log(t) + 1.0)
-        if float(np.linalg.norm(g)) <= _NEWTON_TOL:
-            return tuple(float(x) for x in u)
-        H = vs.T @ (vs / t[:, None])
-        step = np.linalg.solve(H, -g)
-        dt = vs @ step
+        logs = [math.log(x) for x in t]
+        dfdt = [x + 1.0 for x in logs]  # d(t log t)/dt
+        g = [_dot(col, dfdt) for col in cols]
+        if _norm(g) <= _NEWTON_TOL:
+            return tuple(u)
+        step = _solve(_hessian(vs, t), [-x for x in g])
+        dt = [_dot(v, step) for v in vs]
         alpha = 1.0
-        shrinking = dt < 0
-        if shrinking.any():
-            alpha = min(1.0, 0.95 * float(np.min(-t[shrinking] / dt[shrinking])))
-        f0 = float(np.sum(t * np.log(t)))
-        slope = float(g @ step)
+        limits = [-x / d for x, d in zip(t, dt) if d < 0]
+        if limits:
+            alpha = min(1.0, 0.95 * min(limits))
+        f0 = _running_sum(map(operator.mul, t, logs))
+        slope = _dot(g, step)
         while alpha > 1e-14:
-            t_new = vs @ (u + alpha * step) + a
-            if np.all(t_new > 0):
-                f_new = float(np.sum(t_new * np.log(t_new)))
+            trial = [x + alpha * s for x, s in zip(u, step)]
+            t_new = _slacks(vs, a, trial)
+            if all(x > 0 for x in t_new):
+                f_new = _running_sum(x * math.log(x) for x in t_new)
                 if f_new <= f0 + 1e-4 * alpha * slope:
                     break
             alpha *= 0.5
         else:
             raise ConvergenceError("line search stalled")
-        u = u + alpha * step
+        u = trial
     raise ConvergenceError("Newton iteration did not reach tolerance %g" % _NEWTON_TOL)
 
 
@@ -667,15 +731,16 @@ class GaussianModel:
 
 def gaussian_model(P):
     u = minimize_potential(P)  # full-dimensional P: every facet is active
-    vs = np.array(P.normals, dtype=float)
-    a = np.array(P.offsets, dtype=float)
-    t = vs @ u + a
-    precision = vs.T @ (vs / t[:, None])
-    covariance = np.linalg.inv(precision)
+    vs = [[float(x) for x in v] for v in P.normals]
+    precision = _hessian(vs, _slacks(vs, [float(x) for x in P.offsets], u))
+    # the exact inverse of the float precision matrix, one column per unit
+    # vector, rounded once per entry: symmetric as the precision is
+    n = len(u)
+    columns = [_solve(precision, [float(i == j) for i in range(n)]) for j in range(n)]
     return GaussianModel(
-        minimizer=tuple(float(x) for x in u),
-        precision=tuple(tuple(float(x) for x in row) for row in precision),
-        covariance=tuple(tuple(float(x) for x in row) for row in covariance),
+        minimizer=u,
+        precision=tuple(map(tuple, precision)),
+        covariance=tuple(zip(*columns)),
         support_basis=P.geometry.support_basis,
         active_set=P.geometry.active_facets,
     )
@@ -693,22 +758,21 @@ def convergence_report(P, k_values):
     except TypeError:
         raise InvalidInputError("k_values must be an iterable of positive integers") from None
     model = gaussian_model(P)
-    m = np.array(model.minimizer)
-    sigma = np.array(model.covariance)
-    sigma_norm = float(np.linalg.norm(sigma))
+    sigma = [x for row in model.covariance for x in row]
+    sigma_norm = _norm(sigma)
     rows = []
     for k in k_values:
         data = dilation_moments(P, k)
-        mean_scaled = np.array(data.mean_floats()) / k
-        cov_scaled = np.array(data.covariance_floats()) / k
-        mean_err = float(np.linalg.norm(mean_scaled - m))
-        cov_err = float(np.linalg.norm(cov_scaled - sigma))
+        mean_scaled = [x / k for x in data.mean_floats()]
+        cov_scaled = [[x / k for x in r] for r in data.covariance_floats()]
+        mean_err = _norm([x - m for x, m in zip(mean_scaled, model.minimizer)])
+        cov_err = _norm([x - s for x, s in zip(itertools.chain(*cov_scaled), sigma)])
         rows.append(
             {
                 "k": k,
                 "points": data.point_count,
-                "mean_scaled": [float(x) for x in mean_scaled],
-                "cov_scaled": [[float(x) for x in r] for r in cov_scaled],
+                "mean_scaled": mean_scaled,
+                "cov_scaled": cov_scaled,
                 "mean_err": mean_err,
                 "cov_err": cov_err,
                 "cov_rel_err": cov_err / sigma_norm if sigma_norm else cov_err,

@@ -257,14 +257,16 @@ class TruncatedQSeries:
         return TruncatedQSeries(self.order, [value * c for c in self.coeffs])
 
     def inverse(self):
-        """Multiplicative inverse; the constant term must be nonzero."""
+        """Multiplicative inverse; the constant term must be nonzero.  With a
+        constant term of 1 or -1 it is its own inverse, so int data stays
+        int."""
         a0 = self.coeffs[0]
         if a0 == 0:
             raise PoleError("cannot invert a series with zero constant term")
-        inv0 = _ONE / a0
-        out = [inv0] + [_ZERO] * self.order
+        inv0 = a0 if a0 in (1, -1) else _ONE / a0
+        out = [inv0] + [0] * self.order
         for k in range(1, self.order + 1):
-            acc = _ZERO
+            acc = 0
             for j in range(1, k + 1):
                 aj = self.coeffs[j]
                 if aj != 0:

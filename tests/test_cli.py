@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -213,6 +214,45 @@ def test_asymptotics_hexagon(fixture_files):
 def test_asymptotics_needs_radial_symmetry(fixture_files):
     r = run_cli("asymptotics", fixture_files["trapezoid_f1"], "--k", "2")
     assert r.returncode == 3
+
+
+# sha256 of `qbrion asymptotics P --k ks` on every balanced fixture, recorded
+# from the numpy model (numpy 2.4.6 on OpenBLAS 0.3.31) that the plain-Python
+# one replaced; pinned here rather than compared live, as another BLAS may
+# round differently
+ASYMPTOTICS_SHA256 = {
+    ("hexagon", "25,100,400"): "81a73303b323dbb71a4dbbb990a1050382a13205a94261654f9cd79a9859e644",
+    ("hexagon", "2,8"): "6b2c2f65da5e231a561013be936833ec67316ddf16015b48137b88bf9f34b5f6",
+    ("hexagon", "5,20,80"): "74694cdc4033732fc191cf33cb5bab30fefd5529e1cd8410e61dfd4f909b6c10",
+    ("hexagon", "1,3"): "8d2bae48927c67c23faade4c6be1c00c16a91e36aa9bc0b768cfe2701db614c0",
+    ("simplex_p2", "25,100,400"): "c87d0f328357051ff57b0f319528c63247e824e3fda3ceb9bf39e8d6950b20a8",
+    ("simplex_p2", "2,8"): "80afaee367636ccd454b76ee9c4275c0ac1dc72d567bb00bd2c731b747f5391e",
+    ("simplex_p2", "5,20,80"): "5b13ab454441802829e10d46b36bf03cb13934e9a3fb801d1bffef2417ef5678",
+    ("simplex_p2", "1,3"): "f754a8bb7de2ee7a0eb7e6cde32f8fc5e315184ed048a6863493e33c12287185",
+    ("square_p1xp1", "25,100,400"): "613e134ab6867a904398c6a5bcee08d91ba3ecd20dda23a8e0dab0b1a73af0b7",
+    ("square_p1xp1", "2,8"): "eeb3306515eb8024ffe014d9f7020cf6bc837107b201b8e376ec648852c75c54",
+    ("square_p1xp1", "5,20,80"): "f286cf84a096bf5cec113abdec406ba74471f88e20b340725ad4d4a6114172dd",
+    ("square_p1xp1", "1,3"): "afd7917b3f5ab1407ce035336ffe8527259b2bf0c645dc89fe945303c2aad6f1",
+    ("segment_1", "25,100,400"): "e073738818afaba5433f72c2ee6370e98b50f56b8571f0b4bafeb20f337261b7",
+    ("segment_1", "2,8"): "1bc02913edd48c0fb55417099ae30c3b8a2c8445f60ecfd097904f90bb68c649",
+    ("segment_1", "5,20,80"): "00c52e4f3167d45eba49ff160ae132d34fad7b8b837aa77e7cbb7ba86ef1f478",
+    ("segment_1", "1,3"): "b33dbb95d1ed2cedb99edbfcaaa248b90909d9558246159c9ff6a7c5d17217dd",
+    ("segment_2", "25,100,400"): "9d9e19b072afc1dfb2c6cee341f8c8093dfaab1d6e46d2174a95e3ce263d2b18",
+    ("segment_2", "2,8"): "fdb4c5de46c170031dad174a29de6558c23f66f8822573c1a43c49b8731cf711",
+    ("segment_2", "5,20,80"): "cc9d92cca89ca7ac0729dfa97c79db8e8d22c9dc41cc739f8c69ed3570698a43",
+    ("segment_2", "1,3"): "1ddf0c98b7366bdd7952a6842d21878a178eaab398e364aa8dab6827e46179bc",
+    ("segment_5", "25,100,400"): "3b49841908e8c6a73bba58ce1fb38a7107da1be0b132a2235d54fdb72f2f24c6",
+    ("segment_5", "2,8"): "2b5e29751e7fc630bb5875f8d8c0fe499dd67e7817373d3f8f6f96bc03387268",
+    ("segment_5", "5,20,80"): "906859470b77095ac3787da9a23d10884b95c7a48fb63f1cdb7198958a8a12d4",
+    ("segment_5", "1,3"): "341e47eb8224cc0ddeb310b41c6fa9cf0c29cdd2db27949dc07e9a21cc3c4641",
+}
+
+
+@pytest.mark.parametrize("name, ks", sorted(ASYMPTOTICS_SHA256))
+def test_asymptotics_output_bytes_are_pinned(fixture_files, tmp_path, name, ks):
+    out = tmp_path / "out.tsv"
+    assert cli.main(["asymptotics", fixture_files[name], "--k", ks, "--output", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ASYMPTOTICS_SHA256[name, ks]
 
 
 # -------------------------------------------------------------------- heatmap

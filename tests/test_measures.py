@@ -2,10 +2,11 @@
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qbrion import brion, fixtures, jackson, lattice, measures
@@ -586,8 +587,8 @@ def test_newton_steps_reach_the_minimizer_off_the_vertex_mean(monkeypatch, hexag
 
     P = Polytope(2, hexagon.normals, (0, 0, 1, 3, 4, 3))
     steps = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda *args: steps.append(1) or solve(*args))
+    solve = measures._solve
+    monkeypatch.setattr(measures, "_solve", lambda *args: steps.append(1) or solve(*args))
     m = minimize_potential(P)
     monkeypatch.undo()
     assert steps
@@ -984,6 +985,68 @@ def test_convergence_report_errors_decay(hexagon):
     assert errs[0] > errs[1] > errs[2]
     means = [row["mean_err"] for row in report["rows"]]
     assert all(e <= 1e-9 for e in means)  # exact symmetry: mean error is zero
+
+
+# ------------------------------------------------------- float model helpers
+
+
+finite = st.floats(min_value=-1e100, max_value=1e100, allow_nan=False)
+
+
+@given(finite, finite, finite)
+@example(0.1, 10.0, -1.0)  # 2**-54 with one rounding, 0.0 with two
+@example(1e-200, 1e-120, 0.0)  # a subnormal product
+@settings(max_examples=300)
+def test_fma_rounds_the_exact_value_once(x, y, z):
+    want = float(Fraction(x) * Fraction(y) + Fraction(z))
+    assert measures._fma(x, y, z) == want
+    if hasattr(math, "fma"):  # Python 3.13+
+        assert math.fma(x, y, z) == want
+
+
+@given(st.lists(st.tuples(finite, finite), max_size=9))
+@settings(max_examples=100)
+def test_dot_is_one_chain_of_fmas_in_index_order(pairs):
+    want = 0.0
+    for x, y in pairs:
+        want = float(Fraction(x) * Fraction(y) + Fraction(want))
+    assert measures._dot([x for x, _ in pairs], [y for _, y in pairs]) == want
+
+
+def exact_inverse(matrix):
+    """The inverse of a 1x1 or 2x2 float matrix over its Fractions."""
+    if len(matrix) == 1:
+        return ((1 / Fraction(matrix[0][0]),),)
+    (a, b), (c, d) = [[Fraction(x) for x in row] for row in matrix]
+    det = a * d - b * c
+    return ((d / det, -b / det), (-c / det, a / det))
+
+
+@pytest.mark.parametrize("name", ["hexagon", "simplex_p2", "square_p1xp1", "segment_1", "segment_5"])
+@pytest.mark.parametrize("k", [1, 2, 3, 7])
+def test_covariance_is_the_exact_inverse_of_the_precision_rounded(polytopes, name, k):
+    # on 7·hexagon LAPACK's inverse gave 1.1666666666666665 above the
+    # diagonal and 1.1666666666666667 below it
+    model = gaussian_model(lattice.dilate(polytopes[name], k))
+    want = exact_inverse(model.precision)
+    assert model.covariance == tuple(tuple(float(x) for x in row) for row in want)
+    assert model.covariance == tuple(zip(*model.covariance))
+
+
+@pytest.mark.parametrize("offsets", [(3, 1, 4, 0, 4, 2), (2, 3, 0, 0, 3, 3), (4, 2, 3, 2, 3, 1)])
+def test_newton_converges_where_a_rounded_solve_stalled(hexagon, offsets):
+    # numpy's LU solve left these at "did not reach tolerance" or "line
+    # search stalled"
+    P = Polytope(2, hexagon.normals, offsets)
+    m = minimize_potential(P)
+    vs = [[float(x) for x in v] for v in P.normals]
+    t = measures._slacks(vs, [float(x) for x in P.offsets], m)
+    assert min(t) > 0
+    dfdt = [math.log(x) + 1.0 for x in t]
+    grad = [measures._dot(col, dfdt) for col in zip(*vs)]
+    assert measures._norm(grad) <= 1e-10
+    # ... and as small with each gradient entry summed exactly
+    assert math.hypot(*(math.fsum(map(operator.mul, col, dfdt)) for col in zip(*vs))) <= 1e-10
 
 
 # ------------------------------------------------------- characteristic func

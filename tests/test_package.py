@@ -1,6 +1,9 @@
 """The package's public names: what __init__ imports is what it exports."""
 
 import ast
+import os
+import subprocess
+import sys
 
 import qbrion
 
@@ -23,3 +26,13 @@ def test_all_resolves_and_lists_every_import():
     for name in qbrion.__all__:
         assert getattr(qbrion, name) is not None, name
     assert sorted(qbrion.__all__) == sorted(imported_names())
+
+
+def test_the_library_imports_without_numpy():
+    # the float Gaussian model is plain Python; numpy is a test dependency
+    # only, so a fresh interpreter that imports the package and its CLI
+    # never loads it
+    src = os.path.dirname(os.path.dirname(qbrion.__file__))
+    code = "import sys, qbrion, qbrion.cli; assert 'numpy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

@@ -383,6 +383,18 @@ def test_series_inversion(coeffs):
     assert s * s.inverse() == TruncatedQSeries.one(order)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_series_inversion_keeps_int_data_int_at_a_unit_constant_term(sign):
+    s = q_pochhammer(4).to_series(6).scale(sign)
+    inv = s.inverse()
+    assert all(type(c) is int for c in inv.coeffs), inv
+    assert inv.coeffs == tuple(sign * c for c in (1, 1, 2, 3, 5, 6, 9))  # partitions into parts <= 4
+    assert s * inv == TruncatedQSeries.one(6)
+    # a Fraction unit stays a Fraction, and any other constant term gives Fractions
+    assert all(type(c) is Fraction for c in TruncatedQSeries(6, (Fraction(sign), 1)).inverse().coeffs)
+    assert TruncatedQSeries(2, (2 * sign, 1)).inverse().coeffs == (Fraction(sign, 2), Fraction(-1, 4), Fraction(sign, 8))
+
+
 @given(
     st.lists(st.integers(-9, 9), min_size=0, max_size=5),
     st.lists(st.integers(-9, 9), min_size=0, max_size=5),
