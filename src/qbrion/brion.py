@@ -371,25 +371,97 @@ class _Tables(dict):
         return table
 
 
+def _facet_node(index, steps, f, n):
+    """The node of the facet part f, adding f and its missing ancestors to
+    index and steps.  f holds one code d n + k per nonzero facet entry d at
+    facet position k, in coordinate order; node 0, the empty part, is the
+    vertex base.  The parent of f is f with its last entry d moved one
+    toward 0 (dropped at 0), and steps[j] = [parent, k, d, 0] for node j,
+    so parents come first; the 0 is the list length, set by the caller."""
+    c = f[-1]
+    d = c // n
+    up = f[:-1] if d in (1, -1) else f[:-1] + (c - n if d > 0 else c + n,)
+    parent = index.get(up)
+    if parent is None:
+        parent = _facet_node(index, steps, up, n)
+    j = index[f] = len(steps)
+    steps.append([parent, c - d * n, d, 0])
+    return j
+
+
 def _corner_plan(P, vertices, per_vertex, order):
     """What the corner sum needs of each vertex and its degree vectors
     (per_vertex, aligned with vertices) that does not depend on the
-    evaluation point: per vertex, the (shift, entries) pair of every degree
-    vector whose valuation shift is at most order.  entries lists the
-    vector's nonzero entries as (column, d): column k < n is the vertex's
-    k-th facet coordinate, whose value is its k-th edge value; column n
-    stands for every coordinate off the facet set, whose value is 1."""
-    plan = []
+    evaluation point: (plan, offs).
+
+    plan holds, per vertex, (vd, start, steps, kept).  start is the
+    position of an edge whose direction another vertex also has, one that
+    an earlier vertex starts from if there is one, or -1: the vertices that
+    start from one direction share its 1/(cq;q)_infinity list.  kept lists
+    (shift, node, part) for every degree vector whose valuation shift is at
+    most order.  A vector's facet part is its nonzero entries on the
+    vertex's facet coordinates, whose values are the edge values; node is
+    the facet part's node (_facet_node), and steps builds every node from
+    its parent by one entry step.  Every coordinate off the facet set has
+    value 1, so the factors of an off entry d, (-1)^d / (q;q)_d, do not
+    depend on the vertex or the point: part indexes offs, which holds one
+    (off part, low) pair per distinct off part, the sorted tuple of a
+    vector's nonzero off entries, and low the smallest shift among the
+    vectors that have it; offs[0] is the empty part, with low 0."""
+    plan, parts, offs = [], {(): 0}, [[(), 0]]
+    seen, shared, starts = set(), set(), set()
+    for vd in vertices:
+        for e in vd.edge_dirs:
+            (shared if e in seen else seen).add(e)
     for vd, degs in zip(vertices, per_vertex):
+        # a direction an earlier vertex starts from, else any shared one
+        start = -1
+        for k, e in enumerate(vd.edge_dirs):
+            if e in starts:
+                start = k
+                break
+            if start < 0 and e in shared:
+                start = k
+        if start >= 0:
+            starts.add(vd.edge_dirs[start])
         column = {i: k for k, i in enumerate(vd.facet_set)}
-        off = len(column)
-        kept = []
+        n = len(column)
+        index, steps, kept = {(): 0}, [[0, 0, 0, order + 1]], []
         for b in degs:
             shift = lattice.corner_degree_valuation(P, vd, b)
-            if shift <= order:
-                kept.append((shift, [(column.get(i, off), d) for i, d in enumerate(b) if d]))
-        plan.append((vd, kept))
-    return plan
+            if shift > order:
+                continue
+            facet, off = [], []
+            for i, d in enumerate(b):
+                if d:
+                    k = column.get(i)
+                    if k is None:
+                        off.append(d)
+                    else:
+                        facet.append(d * n + k)
+            off.sort()
+            off = tuple(off)
+            part = parts.get(off)
+            if part is None:
+                part = parts[off] = len(offs)
+                offs.append([off, shift])
+            elif shift < offs[part][1]:
+                offs[part][1] = shift
+            facet = tuple(facet)
+            node = index.get(facet)
+            if node is None:
+                node = _facet_node(index, steps, facet, n)
+            step = steps[node]
+            if step[3] <= order - shift:
+                step[3] = order - shift + 1
+            kept.append((shift, node, part))
+        # each list as long as the longest order - shift + 1 read under it
+        for step in reversed(steps):
+            parent = steps[step[0]]
+            if parent[3] < step[3]:
+                parent[3] = step[3]
+        plan.append((vd, start, steps[1:], kept))
+    return plan, offs
 
 
 def _corners(P, order):
@@ -402,11 +474,10 @@ def _corners(P, order):
 
 def _scaled_corners(plan, x0, edge_vals, order, euler):
     """Every vertex's corner terms over its kept degree vectors (plan from
-    _corner_plan, edge_vals from _edge_pairs, both aligned with the
-    vertices), summed and divided by (q;q)_infinity^euler, after the
-    substitution q -> Bq: (int coefficients, common denominator D, powers
-    B^0 .. B^order), so that the q^j coefficient of the sum is
-    acc_j / (D B^j).
+    _corner_plan, edge_vals from _edge_pairs, aligned with the vertices),
+    summed and divided by (q;q)_infinity^euler, after the substitution
+    q -> Bq: (int coefficients, common denominator D, powers B^0 .. B^order),
+    so that the q^j coefficient of the sum is acc_j / (D B^j).
 
     B is the lcm of the numerators and denominators of all edge values c, so
     every pass multiplier c B^i, c^-1 B^i and B^i (i >= 1) is an int; each
@@ -414,15 +485,27 @@ def _scaled_corners(plan, x0, edge_vals, order, euler):
     summand is x0^p q^shift / prod_edges (c;q)_infinity times, per degree
     entry d with value c, (c;q)_{-d} = (1 - c) (cq;q)_{-d-1} if d < 0, or
     1/(c q^-1;q^-1)_d = (-c)^-d q^(d(d+1)/2) / (c^-1 q;q)_d if d > 0 (the
-    q-powers are the corner valuation, shift).  Its rational scalars, x0^p,
-    the heads 1/(1 - c), (1 - c), (-c)^-d and B^shift, are taken first, as
-    one int numerator and denominator per term, and brought to their lcm D;
-    the int series are then built and added one term at a time."""
+    q-powers are the corner valuation, shift).
+
+    Per vertex, each facet node (_facet_node) gets one int list and one
+    rational scalar from its parent's by its entry step d with value c:
+    d > 0 divides the list by 1 - c^-1 q^d and scales by -c^-1; d = -1
+    keeps the list and scales by 1 - c; d < -1 multiplies the list by
+    1 - c q^(-d-1).  Node 0 holds the base 1/prod_edges (c;q)_infinity,
+    begun from the shared list of the start edge's value, and the head
+    x0^p / prod_edges (1 - c).  The scalars are brought to their lcm D.  A
+    summand is then its node's list times its node's scalar and
+    B^(shift - low), added into the running sum of its off part from q^low
+    on; the part's B^low, which q^low carries under q -> Bq, comes back when
+    the sum is added in.  Off entries have value 1, and multiplying by their
+    (-1)^d / (q;q)_d is linear, so each off part's sum takes those passes
+    once, after the last vertex."""
+    plan, offs = plan
     B = math.lcm(*(x for cs in edge_vals for c in cs for x in c))
     tables = _Tables(B, order)
     powers, coords = tables.powers, _coords(x0)
     terms = []
-    for (vd, keep), cs in zip(plan, edge_vals):
+    for (vd, start, steps, kept), cs in zip(plan, edge_vals):
         # the head x0^p / prod_edges (1 - c), reduced, denominator > 0
         head_num, head_den = _monomial_pair(coords, vd.point)
         for a, b in cs:
@@ -431,41 +514,60 @@ def _scaled_corners(plan, x0, edge_vals, order, euler):
             head_num *= b
             head_den *= b - a
         g = math.gcd(head_num, head_den) * (-1 if head_den < 0 else 1)
-        head_num, head_den = head_num // g, head_den // g
-        # per column: its value c, and 1/c with a positive denominator
-        cols = [(c, (c[1], c[0]) if c[0] > 0 else (-c[1], -c[0])) for c in cs]
-        cols.append(((1, 1), (1, 1)))
-        scalars = []
-        for shift, entries in keep:
-            num, den = head_num * powers[shift], head_den
-            for k, d in entries:
-                (a, b), (ia, ib) = cols[k]
-                if d < 0:
-                    num *= b - a
-                    den *= b
-                else:
-                    num *= (-ia) ** d
-                    den *= ib**d
-            scalars.append((shift, entries, num, den))
-        terms.append((cs, cols, scalars))
+        nums, dens = [head_num // g], [head_den // g]
+        for parent, k, d, _ in steps:
+            a, b = cs[k]
+            if d > 0:  # times -c^-1, with a positive denominator
+                nums.append(nums[parent] * (-b if a > 0 else b))
+                dens.append(dens[parent] * abs(a))
+            elif d == -1:
+                nums.append(nums[parent] * (b - a))
+                dens.append(dens[parent] * b)
+            else:
+                nums.append(nums[parent])
+                dens.append(dens[parent])
+        terms.append((cs, start, steps, kept, nums, dens))
 
-    lcd = math.lcm(*(den for _, _, scalars in terms for *_, den in scalars))
-    acc = [0] * (order + 1)
-    for cs, cols, scalars in terms:
-        base = [1] + [0] * order
-        for c in cs:
-            pochhammer_div_inplace(base, tables[c], order)
-        for shift, entries, num, den in scalars:
-            out = base[: order - shift + 1]
-            for k, d in entries:
-                c, inv = cols[k]
-                if d < 0:
-                    pochhammer_mul_inplace(out, tables[c], -d - 1)
-                else:
-                    pochhammer_div_inplace(out, tables[inv], d)
-            num *= lcd // den
-            for j, x in enumerate(out, shift):
-                acc[j] += num * x
+    lcd = math.lcm(*(den for *_, dens in terms for den in dens))
+    sums = [[0] * (order - low + 1) for _, low in offs]
+    starts = {}  # edge value c -> 1/(cBq;Bq)_infinity, for the shared starts
+    for cs, start, steps, kept, nums, dens in terms:
+        first = max(start, 0)
+        base = starts.get(cs[first]) if start >= 0 else None
+        if base is None:
+            base = [1] + [0] * order
+            pochhammer_div_inplace(base, tables[cs[first]], order)
+            if start >= 0:
+                starts[cs[first]] = base
+        if start >= 0 and len(cs) > 1:
+            base = base[:]
+        for k, c in enumerate(cs):
+            if k != first:
+                pochhammer_div_inplace(base, tables[c], order)
+        lists = [base]
+        for parent, k, d, length in steps:
+            out = lists[parent]
+            if d > 0:
+                a, b = cs[k]
+                out = out[:length]
+                pochhammer_div_inplace(out, tables[(b, a) if a > 0 else (-b, -a)], d, d)
+            elif d < -1:
+                out = out[:length]
+                pochhammer_mul_inplace(out, tables[cs[k]], -d - 1, -d - 1)
+            lists.append(out)
+        scales = [num * (lcd // den) for num, den in zip(nums, dens)]
+        for shift, node, part in kept:
+            s, o = sums[part], shift - offs[part][1]
+            num = scales[node] * powers[o]
+            for j, x in enumerate(lists[node][: len(s) - o], o):
+                s[j] += num * x
+    acc = sums[0]
+    for (off, low), s in zip(offs[1:], sums[1:]):
+        for d in off:
+            pochhammer_div_inplace(s, powers, d)
+        num = (-1) ** sum(off) * powers[low]
+        for j, x in enumerate(s, low):
+            acc[j] += num * x
     for _ in range(euler):
         pochhammer_div_inplace(acc, powers, order)
     return acc, lcd, powers

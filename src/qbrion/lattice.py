@@ -589,17 +589,16 @@ def corner_degree_valuation(P, vd, b):
     entry turns its corner factor into a finite product with no quadratic
     q-shift, so only the linear offset part a_i b_i remains. Negative entries
     off the facet set are rejected."""
-    facet_set = set(vd.facet_set)
     total = 0
     for i, (bi, a) in enumerate(zip(b, P.offsets)):
-        if bi >= 0:
+        if bi > 0:
             total += bi * (bi + 1) // 2 + a * bi
-        elif i in facet_set:
+        elif bi < 0:
+            if i not in vd.facet_set:
+                raise InvalidInputError(
+                    "negative degree entry off the vertex facet set"
+                )
             total += a * bi
-        else:
-            raise InvalidInputError(
-                "negative degree entry off the vertex facet set"
-            )
     return total
 
 

@@ -32,6 +32,10 @@ from .qalg import require_count
 
 _NEWTON_STEPS = 200  # minimize_potential gives up after this many
 _NEWTON_TOL = 1e-10  # ... and stops once the gradient norm is at most this
+# A Newton decrement below this share of sum_i |t_i log t_i| predicts a
+# decrease the float log-potential cannot show (its rounding is about
+# 1e-15 of that sum), so the step is taken whole, without the line search.
+_DECREMENT_FLOOR = 1e-12
 
 
 def _real_point(u):
@@ -669,7 +673,11 @@ def minimize_potential(P):
     Needs a bounded, full-dimensional polytope with balanced normals; then
     the log-potential is strictly convex with a unique interior critical
     point.  Steps are clipped short of the boundary and backtracked until
-    the Armijo condition holds.  The start is the vertex mean (a running
+    the Armijo condition holds, unless the Newton decrement -<g, step> is
+    below the rounding of the log-potential (_DECREMENT_FLOOR): there the
+    iterate is at the minimizer up to that rounding, the Armijo test would
+    compare noise, and the whole step is taken, which converges
+    quadratically from there.  The start is the vertex mean (a running
     sum over the vertices, divided by their count); each step solves its
     Newton system exactly, by _solve.
     """
@@ -696,8 +704,12 @@ def minimize_potential(P):
         limits = [-x / d for x, d in zip(t, dt) if d < 0]
         if limits:
             alpha = min(1.0, 0.95 * min(limits))
-        f0 = _running_sum(map(operator.mul, t, logs))
+        terms = list(map(operator.mul, t, logs))
+        f0 = _running_sum(terms)
         slope = _dot(g, step)
+        if -slope <= _DECREMENT_FLOOR * _running_sum(map(abs, terms)):
+            u = [x + alpha * s for x, s in zip(u, step)]
+            continue
         while alpha > 1e-14:
             trial = [x + alpha * s for x, s in zip(u, step)]
             t_new = _slacks(vs, a, trial)

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qbrion import brion, fixtures, lattice
 from qbrion.errors import InvalidInputError, PoleError, PreconditionError
@@ -776,6 +778,158 @@ def test_scaled_corner_sum_holds_only_ints(P, x0):
     acc, den, powers = brion._scaled_points(brion._point_groups(*brion._g_weights(P, order)), x0, order)
     assert all(type(a) is int for a in acc + [den] + powers)
     assert brion.rhs_series_at(P, x0, order) == reference_corner_sum(P, x0, order)
+
+
+# ------------------------------------------- shared facet and off parts
+
+
+def _corner_series(P, x0, order, per_vertex):
+    """The corner side at x0 through _corner_plan and _scaled_corners, each
+    vertex summed over its vectors in per_vertex."""
+    vertices = lattice.enumerate_vertices(P)
+    plan = brion._corner_plan(P, vertices, per_vertex, order)
+    scaled = brion._scaled_corners(plan, x0, brion._edge_pairs(x0, vertices), order, P.facet_count - P.dim)
+    return brion._unscaled(*scaled)
+
+
+SHARED_CASES = [(name, None) for name in fixtures.NAMES] + [
+    (name, None) for name in ("cube", "simplex3", "hexagon_prism")
+] + [("segment_3", (-1,)), ("square_p1xp1", (-1, -1))]
+SHARED_IDS = [name + ("-B1" if x0 else "") for name, x0 in SHARED_CASES]
+
+
+@pytest.mark.parametrize("order", [0, 1, 6, 10])
+@pytest.mark.parametrize("name, x0", SHARED_CASES, ids=SHARED_IDS)
+def test_shared_corner_sum_matches_reference(polytopes, solids, name, x0, order):
+    # vectors share one list per facet part and one off pass per off part;
+    # the sum is the Fraction reference's, term by term, also at points
+    # whose edge values are all -1 (B = 1)
+    P = {**polytopes, **solids, "segment_3": segment(3)}[name]
+    if x0:
+        vertices = lattice.enumerate_vertices(P)
+        assert math.lcm(*(x for cs in brion._edge_pairs(x0, vertices) for c in cs for x in c)) == 1
+    else:
+        x0 = brion.sample_generic_point(P, seed=order)
+    want = reference_corner_sum(P, x0, order)
+    assert brion.rhs_series_at(P, x0, order) == want
+    assert brion.lhs_value_at(P, x0, order) == want
+
+
+def test_vertex_term_matches_reference_on_single_negative_vectors(hexagon):
+    # single vectors, in the kernel or not, whose facet entries run down to
+    # -3 (a chain of finite-product factors, and the bare (1 - c) of -1) and
+    # up to 3, with an off entry: each is its own plan
+    order = 10
+    x0 = brion.sample_generic_point(hexagon, seed=6)
+    vertices = lattice.enumerate_vertices(hexagon)
+    checked = 0
+    for vd in vertices:
+        f0, f1 = vd.facet_set
+        off = next(i for i in range(hexagon.facet_count) if i not in vd.facet_set)
+        for d0 in range(-3, 4):
+            for d1 in range(-3, 4):
+                for e in range(3):
+                    if min(d0, d1) >= 0:
+                        continue
+                    b = [0] * hexagon.facet_count
+                    b[f0], b[f1], b[off] = d0, d1, e
+                    b = tuple(b)
+                    if lattice.corner_degree_valuation(hexagon, vd, b) < 0:
+                        continue
+                    want = reference_vertex_term(hexagon, vd, b, x0, order)
+                    assert brion.vertex_term(hexagon, vd, b, x0, order) == want, (vd.point, b)
+                    checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("order", [12, 28])
+def test_off_parts_take_their_passes_once_per_point(monkeypatch, hexagon, order):
+    # the passes on the shared powers table (the one table whose entry 0 is
+    # 1): one set per distinct off part, each as long as its lowest
+    # valuation allows, then the Euler division, not one set per vector
+    x0 = brion.sample_generic_point(hexagon, seed=1)
+    factors = []
+    div = brion.pochhammer_div_inplace
+
+    def counting(out, c, m, first=1):
+        if isinstance(c, list) and c[0] == 1:
+            factors.append(len(range(first, min(m, len(out) - 1) + 1)))
+        return div(out, c, m, first)
+
+    monkeypatch.setattr(brion, "pochhammer_div_inplace", counting)
+    got = brion.rhs_series_at(hexagon, x0, order)
+    monkeypatch.undo()
+    assert got == reference_corner_sum(hexagon, x0, order)
+    low, per_vector = {}, 0
+    for vd in lattice.enumerate_vertices(hexagon):
+        for b in lattice.enumerate_corner_degrees(hexagon, vd, order):
+            shift = lattice.corner_degree_valuation(hexagon, vd, b)
+            off = tuple(sorted(d for i, d in enumerate(b) if d and i not in vd.facet_set))
+            low[off] = min(low.get(off, shift), shift)
+            per_vector += sum(min(d, order - shift) for d in off)
+    euler = (hexagon.facet_count - hexagon.dim) * order
+    want = sum(min(d, order - s) for off, s in low.items() for d in off) + euler
+    assert sum(factors) == want
+    assert 10 * (want - euler) < per_vector
+
+
+@pytest.mark.parametrize(
+    "name, sets", [("hexagon", 10), ("trapezoid_f1", 6), ("square_p1xp1", 6), ("simplex_p2", 6)]
+)
+def test_vertices_that_share_an_edge_direction_share_its_base_list(monkeypatch, polytopes, name, sets):
+    # one full pass set per edge of each vertex, less one per vertex that
+    # starts from a direction an earlier vertex started from: the hexagon's
+    # vertices share directions along two triangles, so four start lists
+    # serve six vertices; the trapezoid's and the square's share in two
+    # pairs; no two vertices of simplex_p2 share a direction
+    P, order = polytopes[name], 8
+    x0 = brion.sample_generic_point(P, seed=2)
+    full = []
+    div = brion.pochhammer_div_inplace
+
+    def counting(out, c, m, first=1):
+        if isinstance(c, list) and c[0] == 0 and first == 1 and m == order:
+            full.append(c)
+        return div(out, c, m, first)
+
+    monkeypatch.setattr(brion, "pochhammer_div_inplace", counting)
+    got = brion.rhs_series_at(P, x0, order)
+    monkeypatch.undo()
+    assert got == reference_corner_sum(P, x0, order)
+    assert len(full) == sets
+
+
+FANS = {name: fixtures.load(name).normals for name in ("hexagon", "square_p1xp1", "simplex_p2")}
+
+
+@given(
+    st.sampled_from(sorted(FANS)),
+    st.lists(st.integers(0, 4), min_size=6, max_size=6),
+    st.integers(0, 8),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_shared_corner_sum_on_generated_smooth_polygons(fan, offsets, order, pick):
+    # random offsets on three fans, kept where the polygon is smooth and
+    # full-dimensional (validate calls the point at offsets 0 smooth, yet
+    # its twelve facet pairs are no vertex cones of it): the corner side
+    # equals the reference and the lattice-point side, and without one of
+    # its vectors it first differs at that vector's valuation
+    normals = FANS[fan]
+    P = lattice.Polytope(2, normals, tuple(offsets[: len(normals)]))
+    report = lattice.validate(P)
+    assume(report.smooth and report.full_dimensional)
+    x0 = brion.sample_generic_point(P, seed=pick)
+    lhs = brion.lhs_value_at(P, x0, order)
+    assert brion.rhs_series_at(P, x0, order) == reference_corner_sum(P, x0, order) == lhs
+    vertices = lattice.enumerate_vertices(P)
+    per_vertex = [lattice.enumerate_corner_degrees(P, vd, order) for vd in vertices]
+    t = pick % len(vertices)
+    dropped = per_vertex[t][pick // len(vertices) % len(per_vertex[t])]
+    per_vertex[t] = [b for b in per_vertex[t] if b != dropped]
+    rhs = _corner_series(P, x0, order, per_vertex)
+    j = next(j for j in range(order + 1) if rhs.coeffs[j] != lhs.coeffs[j])
+    assert j == lattice.corner_degree_valuation(P, vertices[t], dropped)
 
 
 def test_mismatch_report_matches_reference(monkeypatch, hexagon):

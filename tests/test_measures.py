@@ -1049,6 +1049,26 @@ def test_newton_converges_where_a_rounded_solve_stalled(hexagon, offsets):
     assert math.hypot(*(math.fsum(map(operator.mul, col, dfdt)) for col in zip(*vs))) <= 1e-10
 
 
+@pytest.mark.parametrize("offsets", [(1, 4, 2, 1, 4, 0), (0, 2, 0, 4, 3, 1), (0, 1, 4, 2, 4, 0)])
+def test_newton_takes_the_whole_step_below_the_rounding_of_the_potential(monkeypatch, hexagon, offsets):
+    # two steps leave the gradient near 2e-9 and the Newton decrement near
+    # 3e-18, far below the rounding of a log-potential near 11: the Armijo
+    # test then compared noise, and the gradient wandered between 1e-9 and
+    # 4e-10 until "did not reach tolerance"; the whole step converges
+    P = Polytope(2, hexagon.normals, offsets)
+    steps = []
+    solve = measures._solve
+    monkeypatch.setattr(measures, "_solve", lambda *args: steps.append(1) or solve(*args))
+    m = minimize_potential(P)
+    monkeypatch.undo()
+    assert len(steps) <= 8
+    vs = [[float(x) for x in v] for v in P.normals]
+    t = measures._slacks(vs, [float(x) for x in P.offsets], m)
+    assert min(t) > 0
+    dfdt = [math.log(x) + 1.0 for x in t]
+    assert measures._norm([measures._dot(col, dfdt) for col in zip(*vs)]) <= 1e-10
+
+
 # ------------------------------------------------------- characteristic func
 
 
