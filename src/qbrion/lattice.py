@@ -288,6 +288,43 @@ class ValidationReport:
         return {**asdict(self), "problems": list(self.problems)}
 
 
+def _fan_problems(normals, subsets):
+    """Problems, none when the cones spanned by the normals of each
+    unimodular facet subset are the maximal cones of one complete fan: every
+    wall (a subset less one facet) lies in exactly two subsets, the two
+    normals they leave out lie on opposite sides of it, and one generic
+    direction lies in exactly one cone.
+
+    The edge directions u_i of a subset are the dual basis of its normals,
+    so u_i is normal to the wall without facet i and positive on v_i, and a
+    direction w lies inside the cone when every <u_i, w> > 0.  With M above
+    twice every edge entry, w = (1, M, .., M^(n-1)) has <u, w> != 0 for
+    every nonzero integer u with such entries: it is generic.
+    """
+    dirs = {S: _inverse_unimodular([normals[i] for i in S]) for S in subsets}
+    walls = {}
+    for S in subsets:
+        for k, i in enumerate(S):
+            walls.setdefault(S[:k] + S[k + 1:], []).append((S, k))
+    problems = []
+    for wall, sides in sorted(walls.items()):
+        if len(sides) != 2:
+            problems.append("facets %r lie in %d facet subsets, not 2" % (list(wall), len(sides)))
+            continue
+        (S, k), (other, j) = sides
+        if sum(map(operator.mul, dirs[S][k], normals[other[j]])) >= 0:
+            problems.append(
+                "facet subsets %r and %r lie on one side of facets %r"
+                % (list(S), list(other), list(wall))
+            )
+    top = 2 * max(abs(x) for us in dirs.values() for u in us for x in u) + 1
+    w = [top ** j for j in range(len(normals[0]))]
+    inside = sum(all(sum(map(operator.mul, u, w)) > 0 for u in us) for us in dirs.values())
+    if inside != 1:
+        problems.append("a generic direction lies in %d facet subset cones, not 1" % inside)
+    return problems
+
+
 class Geometry:
     """Everything one vertex scan of a polytope yields.
 
@@ -366,6 +403,11 @@ class Geometry:
                         "vertex %r lies on %d facets, expected %d"
                         % ([str(x) for x in p], tight, n)
                     )
+        elif not problems and self.solutions:
+            # A lower-dimensional polytope keeps every independent facet
+            # subset at each point; the corner sums need them to be the
+            # maximal cones of one complete fan.
+            problems.extend(_fan_problems(normals, [subset for _, subset, _ in self.solutions]))
         self.smooth = not problems
         self.problems = tuple(problems)
         facet_slacks = list(zip(*slack_rows))

@@ -567,15 +567,124 @@ def _moments(rows, n):
     return MomentData(count, mean, tuple(tuple(row) for row in cov))
 
 
-def dilation_moments(P, k):
-    """Exact mean and covariance of mu_measure(dilate(P, k)).
+@functools.lru_cache(maxsize=256)
+def _simplex_product(P):
+    """(groups, mean, covariance) when the max face F of P is a product of
+    simplices, else None (so also for an empty or a non-smooth P).
 
-    One pass of _moments over the _row_sums of the dilation: a closed form
-    per face row where the normals allow one, else the row's weight walk.
-    Large dilations stay exact without a stored measure, and on the closed
-    forms without a weight per point.
+    groups lists (T_G, |G|) per group G below; mean and covariance are those
+    of mu_measure(P) as Fractions, and those of mu_measure(dilate(P, k)) are
+    k times them.  The test is scale-free, so it runs once per polytope, on
+    P: a dilation by k scales every slack of F's vertices by k.
+
+    F's vertices are those p of P with the largest <sigma, p>, sigma the
+    normal sum.  A facet is moving if its slack differs between them, else
+    constant on F.  Moving facets i != j are exchangeable if an integer d
+    has <v_l, d> = [l = i] - [l = j] for every facet l: a step by d moves one
+    unit of slack from j to i and keeps every other slack.  P is smooth, so
+    the n facets of one vertex have dual integer edge directions u_s, and
+    d = sum_s ([s = i] - [s = j]) u_s is the only candidate; it counts when
+    all the equations hold.  The groups G are the connected components of
+    the moving facets under exchange, and F is taken to be a product of
+    simplices when sum_G (|G| - 1) = dim F, the rank of the differences of
+    its vertices.  Then, on kF:
+
+    - The exchanges span F's directions.  Each keeps every constant slack,
+      so it lies in the direction space of F (cut out by the facets tight on
+      F).  Within a group the exchanges of a spanning tree take independent
+      slack steps e_i - e_j, no two groups share one, and u -> t(u) is
+      injective (the normals span), so they span sum_G (|G| - 1) = dim F
+      dimensions.
+    - So the slack sum over each group is constant on F: k T_G, T_G its
+      value at a vertex of F; constant facets have slack k c_s.
+    - So the slack vector of every lattice point of kF lies in the product
+      of simplices {t_G >= 0, sum_{i in G} t_i = k T_G}.
+    - Every point of that product is reached: integer exchanges from k
+      times a vertex of F (a lattice point, P being smooth) give any such
+      slack vector, whose entries are all nonnegative, so the point lies in
+      kP, and at the largest slack sum, so in kF.
+    - The slacks determine the point, since the normals span.
+
+    So the weight m! / prod_i t_i! of mu_measure(kP) is a constant times one
+    multinomial (k T_G)! / prod_{i in G} t_i! per group: the groups are
+    independent and uniform multinomial, with E t_i = k T_G / |G| and
+    Cov(t_i, t_j) = (k T_G / |G|) ([i = j] - 1 / |G|), and the face has
+    prod_G C(k T_G + |G| - 1, |G| - 1) points.  A point is
+    u = sum_s (t_s - k a_s) u_s over one vertex's facets s, so its mean and
+    covariance are linear in k too.
     """
-    return _moments(_row_sums(lattice.dilate(P, k)), P.dim)
+    geo = P.geometry
+    if not geo.solutions or not geo.smooth:
+        return None
+    n = P.dim
+    sigma = P.normal_sum()
+    points = lattice.vertex_points(P)
+    values = [sum(map(operator.mul, sigma, p)) for p in points]
+    face = [p for p, x in zip(points, values) if x == max(values)]
+    diffs = [[x - y for x, y in zip(p, face[0])] for p in face[1:]]
+    face_dim = len(lattice.bareiss_reduce(diffs, n)[1])
+    slacks = P.slacks(face[0])
+    moving = [i for i, col in enumerate(zip(*map(P.slacks, face))) if len(set(col)) > 1]
+    frame = geo.vertices[0]
+    dirs = dict(zip(frame.facet_set, frame.edge_dirs))
+    zero = (0,) * n
+    group = {i: i for i in moving}  # one label per group
+    for i, j in itertools.combinations(moving, 2):
+        d = tuple(map(operator.sub, dirs.get(i, zero), dirs.get(j, zero)))
+        if all(sum(map(operator.mul, v, d)) == (l == i) - (l == j)
+               for l, v in enumerate(P.normals)):
+            old, new = group[j], group[i]
+            group = {s: new if g == old else g for s, g in group.items()}
+    members = {}
+    for i, g in group.items():
+        members.setdefault(g, []).append(i)
+    if sum(len(G) - 1 for G in members.values()) != face_dim:
+        return None
+    sums = {g: (sum(slacks[i] for i in G), len(G)) for g, G in members.items()}
+    # u = sum_s (t_s - a_s) u_s at k = 1, over the frame's facets s
+    mean = [Fraction(0)] * n
+    cov = [[Fraction(0)] * n for _ in range(n)]
+    for s, u in dirs.items():
+        if s not in group:
+            shift = Fraction(slacks[s] - P.offsets[s])
+        else:
+            T, size = sums[group[s]]
+            shift = Fraction(T, size) - P.offsets[s]
+            for r, w in dirs.items():
+                if group.get(r) == group[s]:
+                    c = Fraction(T * (size * (s == r) - 1), size * size)
+                    for j in range(n):
+                        for l in range(n):
+                            cov[j][l] += c * u[j] * w[l]
+        for j in range(n):
+            mean[j] += shift * u[j]
+    return tuple(sums.values()), tuple(mean), tuple(map(tuple, cov))
+
+
+def dilation_moments(P, k):
+    """Exact mean and covariance of mu_measure(dilate(P, k)), with Fraction
+    entries.
+
+    When the max face of P is a product of simplices (_simplex_product: the
+    simplices, the squares, the segments and trapezoid_f1 among the
+    fixtures), in closed form: k times the moments at k = 1 and the
+    product of one binomial coefficient per group for the point count, in
+    O(1) per call once the scale-free test on P is cached.  Otherwise one
+    pass of _moments over the _row_sums of the dilation: a closed form per
+    face row where the normals allow one, else the row's weight walk.
+    Large dilations stay exact without a stored measure, and on the row
+    closed forms without a weight per point.
+    """
+    require_count(k, 1, "dilation factor")
+    face = _simplex_product(P)
+    if face is None:
+        return _moments(_row_sums(lattice.dilate(P, k)), P.dim)
+    groups, mean, cov = face
+    return MomentData(
+        math.prod(math.comb(k * T + size - 1, size - 1) for T, size in groups),
+        tuple(k * x for x in mean),
+        tuple(tuple(k * x for x in row) for row in cov),
+    )
 
 
 def potential(P, m):
@@ -639,19 +748,22 @@ def _running_sum(xs):
 
 
 def _solve(matrix, b):
-    """The solution x of matrix x = b, solved exactly over the Fractions of
-    the float entries and rounded once per entry.  matrix is symmetric
-    positive definite, as every Hessian here is, so each diagonal pivot in
-    turn is positive."""
+    """The solution x of matrix x = b, solved exactly and rounded once per
+    entry.  The floats' integer ratios, scaled to one common denominator,
+    go to lattice.bareiss_reduce; its reduced rows carry d x at the pivots,
+    and each x_p = (d x_p) / d is one correctly rounded int division.
+    matrix is symmetric positive definite, as every Hessian here is, so it
+    has full rank."""
     n = len(matrix)
-    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(matrix, b)]
-    for j in range(n):
-        pivot = rows[j]
-        for i in range(n):
-            if i != j and rows[i][j]:
-                f = rows[i][j] / pivot[j]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pivot)]
-    return [float(row[n] / row[i]) for i, row in enumerate(rows)]
+    ratios = [[x.as_integer_ratio() for x in row] + [y.as_integer_ratio()]
+              for row, y in zip(matrix, b)]
+    den = math.lcm(*(q for row in ratios for _, q in row))
+    rows = [[p * (den // q) for p, q in row] for row in ratios]
+    reduced, pivots, _, _ = lattice.bareiss_reduce(rows, n)
+    x = [0.0] * n
+    for e, p in zip(reduced, pivots):
+        x[p] = e[n] / e[p]
+    return x
 
 
 def _slacks(vs, a, u):

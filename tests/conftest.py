@@ -422,6 +422,49 @@ def reference_inverse_unimodular(rows):
     return [tuple(int(x) for x in column) for column in zip(*inverse)]
 
 
+def _reference_coordinates(basis, x):
+    """The Fractions c with sum_i c_i basis_i = x, for independent basis
+    vectors that span."""
+    n = len(basis)
+    rows = [[b[j] for b in basis] + [x[j]] for j in range(n)]
+    reduced, pivots, _, _ = reference_row_reduce(rows, n)
+    return [e[n] for _, e in sorted(zip(pivots, reduced), key=lambda pe: pe[0])]
+
+
+def reference_fan_problems(normals, subsets):
+    """The complete-fan rule of lattice.Geometry by Fraction solves: each
+    wall in two subsets, whose left-out normals have opposite signs in the
+    other subset's normal basis, and the direction (1, M, .., M^(n-1)),
+    M = 2 max |edge entry| + 1, with positive coordinates in exactly one
+    subset's basis."""
+    walls = {}
+    for S in subsets:
+        for k in range(len(S)):
+            walls.setdefault(S[:k] + S[k + 1:], []).append((S, k))
+    problems = []
+    for wall, sides in sorted(walls.items()):
+        if len(sides) != 2:
+            problems.append("facets %r lie in %d facet subsets, not 2" % (list(wall), len(sides)))
+            continue
+        (S, k), (other, j) = sides
+        if _reference_coordinates([normals[i] for i in S], normals[other[j]])[k] >= 0:
+            problems.append(
+                "facet subsets %r and %r lie on one side of facets %r"
+                % (list(S), list(other), list(wall))
+            )
+    top = 2 * max(
+        abs(x)
+        for S in subsets
+        for u in reference_inverse_unimodular([normals[i] for i in S])
+        for x in u
+    ) + 1
+    w = [top ** j for j in range(len(normals[0]))]
+    inside = sum(all(c > 0 for c in _reference_coordinates([normals[i] for i in S], w)) for S in subsets)
+    if inside != 1:
+        problems.append("a generic direction lies in %d facet subset cones, not 1" % inside)
+    return problems
+
+
 def reference_is_bounded(normals):
     """No nonzero u with every <u, v_i> >= 0: the normals span and no kernel
     direction of n - 1 independent normals satisfies every inequality."""
@@ -491,6 +534,8 @@ def reference_geometry(P):
                 problems.append(
                     "vertex %r lies on %d facets, expected %d" % ([str(x) for x in p], tight, n)
                 )
+    elif not problems and solutions:
+        problems.extend(reference_fan_problems(P.normals, [subset for _, subset, _ in solutions]))
     facet_slacks = list(zip(*slack_rows))
     return {
         "_normals": P.normals,

@@ -911,10 +911,9 @@ FANS = {name: fixtures.load(name).normals for name in ("hexagon", "square_p1xp1"
 @settings(max_examples=60, deadline=None)
 def test_shared_corner_sum_on_generated_smooth_polygons(fan, offsets, order, pick):
     # random offsets on three fans, kept where the polygon is smooth and
-    # full-dimensional (validate calls the point at offsets 0 smooth, yet
-    # its twelve facet pairs are no vertex cones of it): the corner side
-    # equals the reference and the lattice-point side, and without one of
-    # its vectors it first differs at that vector's valuation
+    # full-dimensional: the corner side equals the reference and the
+    # lattice-point side, and without one of its vectors it first differs at
+    # that vector's valuation
     normals = FANS[fan]
     P = lattice.Polytope(2, normals, tuple(offsets[: len(normals)]))
     report = lattice.validate(P)

@@ -343,6 +343,55 @@ def test_degenerate_segment_has_one_cone_per_facet():
     assert {v.facet_set for v in vs} == {(0,), (1,)}
 
 
+_HEXAGON = fixtures.load("hexagon").normals
+_TRAPEZOID = fixtures.load("trapezoid_f1").normals
+
+# lower-dimensional polytopes whose independent facet pairs are no complete
+# fan: at parent commits they validated as smooth, and their corner sums
+# missed the lattice-point side
+NO_FAN = {
+    "point hexagon": Polytope(2, _HEXAGON, (0,) * 6),
+    "hexagon point (0, 0, 0, 2, 0, 2)": Polytope(2, _HEXAGON, (0, 0, 0, 2, 0, 2)),
+    "hexagon edge (0, 0, 2, 2, 0, 0)": Polytope(2, _HEXAGON, (0, 0, 2, 2, 0, 0)),
+    "point trapezoid": Polytope(2, _TRAPEZOID, (0,) * 4),
+}
+
+
+def fan_cases():
+    """Every fixture, every fixture at offsets 0 but the hexagon and
+    trapezoid_f1, and the square's normals at (0, 0, 2, 0), a segment."""
+    for name in fixtures.NAMES:
+        P = fixtures.load(name)
+        yield name, P
+        if name not in ("hexagon", "trapezoid_f1"):
+            yield name + " at 0", Polytope(P.dim, P.normals, (0,) * P.facet_count)
+    yield "square edge", Polytope(2, fixtures.load("square_p1xp1").normals, (0, 0, 2, 0))
+
+
+@pytest.mark.parametrize("label", sorted(NO_FAN))
+def test_facet_subsets_that_are_no_complete_fan_are_not_smooth(tmp_path, label):
+    from qbrion import cli
+
+    P = NO_FAN[label]
+    report = lattice.validate(P)
+    assert not report.smooth and not report.full_dimensional
+    assert any(p.endswith("facet subsets, not 2") for p in report.problems)
+    with pytest.raises(SmoothnessError):
+        lattice.enumerate_vertices(P)
+    path = tmp_path / "P.json"
+    path.write_text(P.to_json())
+    assert cli.main(["verify", str(path), "--order", "6"]) == 3
+
+
+@pytest.mark.parametrize("label,P", list(fan_cases()), ids=[label for label, _ in fan_cases()])
+def test_facet_subsets_of_a_complete_fan_verify(label, P):
+    from qbrion import brion
+
+    report = lattice.validate(P)
+    assert report.smooth and not report.problems, label
+    assert brion.verify_identity(P, 6).equal, label
+
+
 def scan_cases(polytopes, solids):
     """Every fixture at dilations 1-3 and translated, the 3-D solids, and
     polytopes the smooth scan must flag or see as degenerate or empty."""
@@ -365,6 +414,9 @@ def scan_cases(polytopes, solids):
     yield "point triangle", Polytope(2, polytopes["simplex_p2"].normals, (0, 0, 0))
     yield "point cube", Polytope(3, solids["cube"].normals, (0,) * 6)
     yield "flat cube", Polytope(3, solids["cube"].normals, (0, 0, 0, 1, 1, 0))
+    # lower-dimensional, with facet subsets that are no complete fan
+    for label, P in NO_FAN.items():
+        yield label, P
     yield "empty", Polytope(2, ((1, 0), (0, 1), (-1, -1)), (-1, -1, 1))
     yield "empty segment", Polytope.from_facets(1, [((1,), -1), ((-1,), 0)])
 

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qbrion import brion, fixtures, jackson, lattice, measures
-from qbrion.errors import EmptyPolytopeError, InvalidInputError, PreconditionError
+from qbrion.errors import EmptyPolytopeError, InvalidInputError, PreconditionError, QBrionError
 from qbrion.lattice import Polytope
 from qbrion.measures import (
     DiscreteMeasure,
@@ -733,13 +733,22 @@ FROZEN_COV = {
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_COV))
-@pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 10**3, 10**6])
 def test_covariance_linear_in_k(polytopes, name, k):
     P = polytopes[name]
-    mu = mu_measure(lattice.dilate(P, k))
-    cov = mu.covariance()
     want = tuple(tuple(k * x for x in row) for row in FROZEN_COV[name])
-    assert cov == want
+    if k <= 8:
+        assert mu_measure(lattice.dilate(P, k)).covariance() == want
+    assert dilation_moments(P, k).covariance == want
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 10**3, 10**6])
+def test_trapezoid_moments_exact(trapezoid, k):
+    # the max face is the top edge: u_1 is binomial(2k, 1/2), u_2 = k
+    data = dilation_moments(trapezoid, k)
+    assert data.point_count == 2 * k + 1
+    assert data.mean == (Fraction(k), Fraction(k))
+    assert data.covariance == ((Fraction(k, 2), Fraction(0)), (Fraction(0), Fraction(0)))
 
 
 @pytest.mark.parametrize("name", sorted(FROZEN_COV))
@@ -943,6 +952,101 @@ def test_closed_form_needs_a_lattice_point_on_the_max_face():
         with pytest.raises(PreconditionError):
             dilation_moments(P, k)
     assert dilation_moments(P, 3).point_count == 1
+
+
+def walked_moments(P, k):
+    """The face-row walk that dilation_moments takes off products of simplices."""
+    return measures._moments(measures._row_sums(lattice.dilate(P, k)), P.dim)
+
+
+def moments_outcome(call):
+    """call()'s MomentData with the type of every entry, or its error type."""
+    try:
+        data = call()
+    except QBrionError as exc:
+        return type(exc)
+    entries = data.mean + tuple(x for row in data.covariance for x in row)
+    return data, type(data.point_count), tuple(map(type, entries))
+
+
+def assert_closed_form_matches_the_walk(P, k):
+    got = moments_outcome(lambda: dilation_moments(P, k))
+    assert got == moments_outcome(lambda: walked_moments(P, k))
+    if not isinstance(got, type):
+        assert set(got[2]) <= {Fraction} and got[1] is int
+
+
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_closed_form_moments_match_the_walk_on_the_fixtures(polytopes, name):
+    for k in (1, 2, 3, 4, 5, 6, 7, 8, 300):
+        assert_closed_form_matches_the_walk(polytopes[name], k)
+
+
+@pytest.mark.parametrize("name", ["cube", "simplex3", "hexagon_prism"])
+def test_closed_form_moments_match_the_walk_on_the_solids(solids, name):
+    for k in (1, 2, 3, 4, 9):
+        assert_closed_form_matches_the_walk(solids[name], k)
+
+
+_UNIT3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+PRODUCT_TEST_FANS = {
+    **{name: fixtures.load(name).normals for name in fixtures.NAMES},
+    "cube": _UNIT3 + tuple(tuple(-x for x in v) for v in _UNIT3),
+    "simplex3": _UNIT3 + ((-1, -1, -1),),
+    "triangle_prism": ((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)),
+    "hexagon_prism": tuple(v + (0,) for v in fixtures.load("hexagon").normals)
+    + ((0, 0, 1), (0, 0, -1)),
+}
+
+
+@given(
+    st.sampled_from(sorted(PRODUCT_TEST_FANS)),
+    st.lists(st.integers(0, 4), min_size=8, max_size=8),
+    st.integers(1, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_closed_form_moments_match_the_walk_at_random_offsets(fan, offsets, k):
+    # the closed form where the max face is a product of simplices, the walk
+    # elsewhere: the same MomentData, Fraction entries and errors either way
+    normals = PRODUCT_TEST_FANS[fan]
+    P = Polytope(len(normals[0]), normals, tuple(offsets[: len(normals)]))
+    assert_closed_form_matches_the_walk(P, k)
+    got = moments_outcome(lambda: dilation_moments(P, k))
+    if not isinstance(got, type):
+        mu = mu_measure(lattice.dilate(P, k))
+        assert (mu.mean(), mu.covariance()) == (got[0].mean, got[0].covariance)
+
+
+@pytest.mark.parametrize(
+    "name,closed",
+    [("segment_0", True), ("segment_1", True), ("segment_2", True), ("segment_5", True),
+     ("simplex_p2", True), ("square_p1xp1", True), ("trapezoid_f1", True), ("hexagon", False)],
+)
+def test_dilation_moments_takes_the_closed_form_on_products_of_simplices(
+    polytopes, monkeypatch, name, closed
+):
+    P = polytopes[name]
+    assert (measures._simplex_product(P) is not None) == closed
+    walked = []
+    row_sums = measures._row_sums
+
+    def spy(Q):
+        walked.append(Q)
+        return row_sums(Q)
+
+    monkeypatch.setattr(measures, "_row_sums", spy)
+    dilation_moments(P, 5)
+    assert walked == ([] if closed else [lattice.dilate(P, 5)])
+
+
+def test_closed_form_moments_at_a_huge_dilation(simplex_p2):
+    # the slacks are multinomial(2k; 1/3, 1/3, 1/3): no face row is walked
+    k = 10**6
+    data = dilation_moments(simplex_p2, k)
+    assert data.point_count == (2 * k + 1) * (2 * k + 2) // 2
+    assert data.mean == (Fraction(2 * k, 3),) * 2
+    assert data.covariance == ((Fraction(4 * k, 9), Fraction(-2 * k, 9)),
+                               (Fraction(-2 * k, 9), Fraction(4 * k, 9)))
 
 
 @pytest.mark.parametrize("k", [True, 1.0, 0, -1])
