@@ -270,30 +270,25 @@ def _face_rows(P):
 
 
 def _carried(value, old, new):
-    """value * F(new) / F(old), for F(ups, downs, e) = 2**e prod_{x in ups} x!
-    / prod_{y in downs} y! an integer at both argument lists.
+    """value * F(new) / F(old), for F(t) = (sum t)! / prod_i t_i! the
+    multinomial coefficient of a slack tuple t.
 
-    An argument that moves from x to y takes y! / x! = math.perm(y, y - x)
-    into the numerator or the denominator.  Between neighbouring face rows
-    the arguments move by little, so these products stay small and the
-    carried value costs one big multiply and one exact division.  old None
-    starts from F = 1 at all-zero arguments.
+    A factorial whose argument moves from x to y takes y! / x! =
+    math.perm(y, y - x) into the numerator or the denominator.  Between
+    neighbouring face rows the slacks move by little and their sum not at
+    all, so these products stay small and the carried value costs one big
+    multiply and one exact division.  old None starts from F = 1 at
+    all-zero slacks.
     """
-    ups, downs, e = new
     if old is None:
-        old = ((0,) * len(ups), (0,) * len(downs), 0)
-    old_ups, old_downs, old_e = old
+        old = (0,) * len(new)
     num = den = 1
     # each pair (x, y) contributes y! / x!
-    for x, y in zip(old_ups + downs, ups + old_downs):
+    for x, y in zip(new + (sum(old),), old + (sum(new),)):
         if y > x:
             num *= math.perm(y, y - x)
         elif x > y:
             den *= math.perm(x, x - y)
-    if e > old_e:
-        num <<= e - old_e
-    elif old_e > e:
-        den <<= old_e - e
     return value * num // den
 
 
@@ -310,10 +305,9 @@ def _weight_rows(P):
     """
     deltas = [v[-1] for v in P.normals]
     moving = [(i, d) for i, d in enumerate(deltas) if d]
-    first, args = 1, None
+    first, last = 1, None
     for prefix, lo, hi, slacks in _face_rows(P):
-        new = ((sum(slacks),), slacks, 0)
-        first, args = _carried(first, args, new), new
+        first, last = _carried(first, last, slacks), slacks
         steps = hi - lo
         if not steps:
             yield prefix, lo, [first]
@@ -459,78 +453,23 @@ class MomentData:
         return [[float(x) for x in row] for row in self.covariance]
 
 
-def _walk_sums(weights):
-    """(sum w, sum m w, sum m^2 w) over the row weights[m].
+def _row_sums(P):
+    """Yield (prefix, lo, size, sum w, sum m w, sum m^2 w) for each row of the
+    max face, over the row's _weight_rows weights w = weights[m].
 
     Three running sums a += w, b += a, c += b take additions only; with
     L = len(weights) they give
 
         sum w = a,  sum m w = L a - b,  sum m^2 w = L^2 a - 2 L b + (2 c - b).
     """
-    a = b = c = 0
-    for w in weights:
-        a += w
-        b += a
-        c += b
-    size = len(weights)
-    return a, size * a - b, size * (size * a - 2 * b) + 2 * c - b
-
-
-def _row_sums(P):
-    """Yield (prefix, lo, size, sum w, sum m w, sum m^2 w) for each row of the
-    max face, w the weight at prefix + (lo + m,) as in _weight_rows.
-
-    Closed forms apply when every d_i is -1, 0 or 1, with one or two rising
-    (+1) slacks and as many falling (-1) ones.  Pair rising slack a_p with
-    falling slack c_p (values at lo); N_p = a_p + c_p stays fixed along the
-    row, as do the other slacks s and the face value T.  The weight at m is
-    T! / (prod s! prod N_p!) times prod_p C(N_p, a_p + m), and
-    rows_with_slacks ends the row where the smallest rising slack and the
-    smallest falling slack reach 0, so the row covers every nonzero term.
-    With j = a_1 + m:
-
-        one pair:   sum_j C(N, j) = 2^N                       (binomial theorem)
-        two pairs:  sum_j C(N_1, j) C(N_2, K - j) = C(N_1 + N_2, K),
-                    K = a_1 + c_2                             (Chu-Vandermonde)
-
-    Absorption, j C(N, j) = N C(N - 1, j - 1), turns sum w into sum j w and
-    sum j (j - 1) w by the factors N / 2, then (N - 1) / 2 for one pair, and
-    N_1 K / (N_1 + N_2), then (N_1 - 1)(K - 1) / (N_1 + N_2 - 1) for two;
-    m = j - a_1 gives the sums in m.  Each row's sum w is carried from the
-    last row's by _carried.  Other normals take the _weight_rows walk.
-    """
-    deltas = [v[-1] for v in P.normals]
-    rising = [i for i, d in enumerate(deltas) if d == 1]
-    falling = [i for i, d in enumerate(deltas) if d == -1]
-    fixed = [i for i, d in enumerate(deltas) if d == 0]
-    pairs = len(rising)
-    if pairs != len(falling) or pairs not in (1, 2) or len(fixed) + 2 * pairs != len(deltas):
-        for prefix, lo, weights in _weight_rows(P):
-            yield (prefix, lo, len(weights)) + _walk_sums(weights)
-        return
-    total, args = 1, None
-    for prefix, lo, hi, slacks in _face_rows(P):
-        a1, c1 = slacks[rising[0]], slacks[falling[0]]
-        n1 = a1 + c1
-        rest = tuple(slacks[i] for i in fixed)
-        if pairs == 1:
-            new = ((sum(slacks),), rest + (n1,), n1)
-        else:
-            c2 = slacks[falling[1]]
-            n, k = n1 + slacks[rising[1]] + c2, a1 + c2
-            new = ((sum(slacks), n), rest + (n1, n - n1, k, n - k), 0)
-        total, args = _carried(total, args, new), new
-        if hi == lo:
-            yield prefix, lo, 1, total, 0, 0
-            continue
-        if pairs == 1:
-            j1 = total * n1 // 2
-            j2 = j1 * (n1 - 1) // 2
-        else:
-            j1 = total * (n1 * k) // n
-            j2 = j1 * ((n1 - 1) * (k - 1)) // (n - 1)
-        yield (prefix, lo, hi - lo + 1, total, j1 - a1 * total,
-               j2 + (1 - 2 * a1) * j1 + a1 * a1 * total)
+    for prefix, lo, weights in _weight_rows(P):
+        a = b = c = 0
+        for w in weights:
+            a += w
+            b += a
+            c += b
+        size = len(weights)
+        yield prefix, lo, size, a, size * a - b, size * (size * a - 2 * b) + 2 * c - b
 
 
 def _moments(rows, n):
@@ -568,50 +507,54 @@ def _moments(rows, n):
 
 
 @functools.lru_cache(maxsize=256)
-def _simplex_product(P):
-    """(groups, mean, covariance) when the max face F of P is a product of
-    simplices, else None (so also for an empty or a non-smooth P).
+def _face_law(P):
+    """(groups, relation, mean, lin, hyp): the law of the slacks on the max
+    face F of every dilation kP, or None: for an empty or a non-smooth P,
+    and for a face outside the two cases below.
 
-    groups lists (T_G, |G|) per group G below; mean and covariance are those
-    of mu_measure(P) as Fractions, and those of mu_measure(dilate(P, k)) are
-    k times them.  The test is scale-free, so it runs once per polytope, on
-    P: a dilation by k scales every slack of F's vertices by k.
+    The test is scale-free, so it runs once per polytope, on P: a dilation
+    by k scales every slack of F's vertices by k.  F's vertices are those p
+    of P with the largest <sigma, p>, sigma the normal sum.  A facet is
+    moving if its slack differs between them, else constant on F.  Moving
+    facets i != j join one class when t_i + t_j is constant on F's
+    vertices, or when they are exchangeable: an integer d has <v_l, d> =
+    [l = i] - [l = j] for every facet l, so that a step by d moves one unit
+    of slack from j to i.  P is smooth, so the n facets of one vertex have
+    dual integer edge directions u_s, and d = u_i - u_j (u_s = 0 off that
+    vertex) is the only candidate.  The classes G are the connected
+    components, and the slack sum of each must be constant on F's vertices,
+    T_G on P.  Let r = sum_G (|G| - 1) - dim F, dim F the rank of the
+    differences of F's vertices.  r = 0 is a product of simplices.  r = 1
+    needs the first slacks of the classes of two facets (the pairs) to
+    differ over F's vertices by a one-dimensional kernel, spanned by entries
+    0 and +-c: signs s_G with sum_G s_G t_G constant on F, the relation.
 
-    F's vertices are those p of P with the largest <sigma, p>, sigma the
-    normal sum.  A facet is moving if its slack differs between them, else
-    constant on F.  Moving facets i != j are exchangeable if an integer d
-    has <v_l, d> = [l = i] - [l = j] for every facet l: a step by d moves one
-    unit of slack from j to i and keeps every other slack.  P is smooth, so
-    the n facets of one vertex have dual integer edge directions u_s, and
-    d = sum_s ([s = i] - [s = j]) u_s is the only candidate; it counts when
-    all the equations hold.  The groups G are the connected components of
-    the moving facets under exchange, and F is taken to be a product of
-    simplices when sum_G (|G| - 1) = dim F, the rank of the differences of
-    its vertices.  Then, on kF:
+    - Let L be the affine space of slack vectors with each constant facet,
+      each class sum and the relation at its value on kF.  These hold at
+      F's vertices, so on the slack image of aff(kF), which has dimension
+      dim F, as u -> t(u) is injective (the normals span).  So does L:
+      sum_G (|G| - 1) - r, the relation taking one slack of each of its
+      pairs and not the other, so being independent of the class sums.  So
+      L is that image.
+    - So an integer t >= 0 in L is the slack vector of a point u of kP at
+      the largest slack sum, that is of kF, and u = sum_s (t_s - k a_s) u_s
+      over one vertex's facets s is a lattice point.  Conversely the slacks
+      of every lattice point of kF lie in L.
+    - The weight m! / prod_i t_i! of mu_measure(kP) is a constant times one
+      multinomial N_G! / prod_{i in G} t_i! per class, N_G = k T_G.
 
-    - The exchanges span F's directions.  Each keeps every constant slack,
-      so it lies in the direction space of F (cut out by the facets tight on
-      F).  Within a group the exchanges of a spanning tree take independent
-      slack steps e_i - e_j, no two groups share one, and u -> t(u) is
-      injective (the normals span), so they span sum_G (|G| - 1) = dim F
-      dimensions.
-    - So the slack sum over each group is constant on F: k T_G, T_G its
-      value at a vertex of F; constant facets have slack k c_s.
-    - So the slack vector of every lattice point of kF lies in the product
-      of simplices {t_G >= 0, sum_{i in G} t_i = k T_G}.
-    - Every point of that product is reached: integer exchanges from k
-      times a vertex of F (a lattice point, P being smooth) give any such
-      slack vector, whose entries are all nonnegative, so the point lies in
-      kP, and at the largest slack sum, so in kF.
-    - The slacks determine the point, since the normals span.
-
-    So the weight m! / prod_i t_i! of mu_measure(kP) is a constant times one
-    multinomial (k T_G)! / prod_{i in G} t_i! per group: the groups are
-    independent and uniform multinomial, with E t_i = k T_G / |G| and
-    Cov(t_i, t_j) = (k T_G / |G|) ([i = j] - 1 / |G|), and the face has
-    prod_G C(k T_G + |G| - 1, |G| - 1) points.  A point is
-    u = sum_s (t_s - k a_s) u_s over one vertex's facets s, so its mean and
-    covariance are linear in k too.
+    So the classes off the relation, listed in groups as (T_G, |G|), are
+    independent uniform multinomials: E t_i = N_G / |G|, Cov(t_i, t_j) =
+    (N_G / |G|) ([i = j] - 1 / |G|), and C(N_G + |G| - 1, |G| - 1) points
+    each.  On the relation's pairs, listed in relation as (D_1, (T_G, ..)),
+    let y_G be the slack of the member of sign +1, N_G - y_G the other's.
+    Then sum_G y_G = D = k D_1, and y_G weighs C(N_G, y_G), so y is
+    multivariate hypergeometric (Chu-Vandermonde): D draws from
+    N = sum_G N_G >= 2, E y_G = D N_G / N, Cov(y_G, y_H) =
+    D (N - D) N_G (N [G = H] - N_H) / (N^2 (N - 1)), and as many points as
+    integer y with 0 <= y_G <= N_G and sum_G y_G = D.  So through u the
+    mean is k mean, and the covariance k lin + k^2 / (N - 1) hyp, with the
+    three as Fractions at k = 1 (hyp None without a relation).
     """
     geo = P.geometry
     if not geo.solutions or not geo.smooth:
@@ -623,68 +566,103 @@ def _simplex_product(P):
     face = [p for p, x in zip(points, values) if x == max(values)]
     diffs = [[x - y for x, y in zip(p, face[0])] for p in face[1:]]
     face_dim = len(lattice.bareiss_reduce(diffs, n)[1])
-    slacks = P.slacks(face[0])
-    moving = [i for i, col in enumerate(zip(*map(P.slacks, face))) if len(set(col)) > 1]
+    cols = list(zip(*map(P.slacks, face)))  # each facet's slacks at F's vertices
+    moving = [i for i, col in enumerate(cols) if len(set(col)) > 1]
     frame = geo.vertices[0]
     dirs = dict(zip(frame.facet_set, frame.edge_dirs))
     zero = (0,) * n
-    group = {i: i for i in moving}  # one label per group
+    group = {i: i for i in moving}  # one label per class
     for i, j in itertools.combinations(moving, 2):
         d = tuple(map(operator.sub, dirs.get(i, zero), dirs.get(j, zero)))
-        if all(sum(map(operator.mul, v, d)) == (l == i) - (l == j)
-               for l, v in enumerate(P.normals)):
+        if len(set(map(operator.add, cols[i], cols[j]))) == 1 or all(
+            sum(map(operator.mul, v, d)) == (l == i) - (l == j)
+            for l, v in enumerate(P.normals)
+        ):
             old, new = group[j], group[i]
             group = {s: new if g == old else g for s, g in group.items()}
     members = {}
     for i, g in group.items():
         members.setdefault(g, []).append(i)
-    if sum(len(G) - 1 for G in members.values()) != face_dim:
+    if any(len(set(map(sum, zip(*(cols[i] for i in G))))) > 1 for G in members.values()):
         return None
-    sums = {g: (sum(slacks[i] for i in G), len(G)) for g, G in members.items()}
-    # u = sum_s (t_s - a_s) u_s at k = 1, over the frame's facets s
-    mean = [Fraction(0)] * n
-    cov = [[Fraction(0)] * n for _ in range(n)]
-    for s, u in dirs.items():
-        if s not in group:
-            shift = Fraction(slacks[s] - P.offsets[s])
-        else:
-            T, size = sums[group[s]]
-            shift = Fraction(T, size) - P.offsets[s]
-            for r, w in dirs.items():
-                if group.get(r) == group[s]:
-                    c = Fraction(T * (size * (s == r) - 1), size * size)
-                    for j in range(n):
-                        for l in range(n):
-                            cov[j][l] += c * u[j] * w[l]
-        for j in range(n):
-            mean[j] += shift * u[j]
-    return tuple(sums.values()), tuple(mean), tuple(map(tuple, cov))
+    total = {g: sum(cols[i][0] for i in G) for g, G in members.items()}
+    r = sum(len(G) - 1 for G in members.values()) - face_dim
+    sign = {}  # each facet of the relation's pairs -> the sign of y_G in it
+    if r == 1:
+        pairs = [G for G in members.values() if len(G) == 2]
+        rows = [[cols[i][v] - cols[i][0] for i, _ in pairs] for v in range(1, len(face))]
+        reduced, pivots, _, _ = lattice.bareiss_reduce(rows, len(pairs))
+        free = [c for c in range(len(pairs)) if c not in pivots]
+        if len(free) != 1:
+            return None
+        kernel = {p: -e[free[0]] for e, p in zip(reduced, pivots)}
+        kernel[free[0]] = reduced[0][pivots[0]]
+        if len({abs(x) for x in kernel.values() if x}) != 1:
+            return None
+        for c, x in kernel.items():
+            if x:
+                sign[pairs[c][0]], sign[pairs[c][1]] = (1, -1) if x > 0 else (-1, 1)
+    elif r:
+        return None
+    draws = sum(cols[i][0] for i, s in sign.items() if s > 0)
+    population = sum(total[group[i]] for i, s in sign.items() if s > 0)  # N at k = 1
+    mean_t = {i: Fraction(col[0]) for i, col in enumerate(cols)}  # E t_i / k
+    lin, hyp = {}, {}  # Cov(t_i, t_j) over k, and over k^2 / (N - 1)
+    for g, G in members.items():
+        for i, j in itertools.product(G, repeat=2):
+            if i not in sign:
+                mean_t[i] = Fraction(total[g], len(G))
+                lin[i, j] = Fraction(total[g] * (len(G) * (i == j) - 1), len(G) ** 2)
+    for i, j in itertools.product(sign, repeat=2):
+        T = total[group[i]]
+        y = Fraction(draws * T, population)
+        mean_t[i] = y if sign[i] > 0 else T - y
+        c = (population * (group[i] == group[j]) - total[group[j]]) * sign[i] * sign[j]
+        hyp[i, j] = Fraction(draws * (population - draws) * T * c, population ** 2)
+
+    def form(cov):  # sum of cov[s, q] u_s u_q^T over the frame's facets s, q
+        terms = [(c, dirs[s], dirs[q]) for (s, q), c in cov.items() if s in dirs and q in dirs]
+        return tuple(tuple(sum((c * u[j] * w[l] for c, u, w in terms), Fraction(0))
+                           for l in range(n)) for j in range(n))
+
+    mean = [sum(((mean_t[s] - P.offsets[s]) * u[j] for s, u in dirs.items()), Fraction(0))
+            for j in range(n)]
+    groups = tuple((total[g], len(G)) for g, G in members.items() if G[0] not in sign)
+    relation = (draws, tuple(total[group[i]] for i, s in sign.items() if s > 0)) if sign else None
+    return groups, relation, tuple(mean), form(lin), form(hyp) if sign else None
 
 
 def dilation_moments(P, k):
     """Exact mean and covariance of mu_measure(dilate(P, k)), with Fraction
     entries.
 
-    When the max face of P is a product of simplices (_simplex_product: the
-    simplices, the squares, the segments and trapezoid_f1 among the
-    fixtures), in closed form: k times the moments at k = 1 and the
-    product of one binomial coefficient per group for the point count, in
-    O(1) per call once the scale-free test on P is cached.  Otherwise one
-    pass of _moments over the _row_sums of the dilation: a closed form per
-    face row where the normals allow one, else the row's weight walk.
-    Large dilations stay exact without a stored measure, and on the row
-    closed forms without a weight per point.
+    Where _face_law describes the max face of P (every fixture, for one:
+    a product of simplices, or the hexagon's three complementary facet
+    pairs bound by one relation), in closed form, in O(1) per call once the
+    scale-free law of P is cached: multinomial classes, and a multivariate
+    hypergeometric on the relation's pairs whose points are counted by
+    inclusion-exclusion over the bounds y_G <= N_G.  Otherwise one pass of
+    _moments over the _row_sums of the dilation, the reference the law is
+    tested against; large dilations stay exact without a stored measure.
     """
     require_count(k, 1, "dilation factor")
-    face = _simplex_product(P)
-    if face is None:
+    law = _face_law(P)
+    if law is None:
         return _moments(_row_sums(lattice.dilate(P, k)), P.dim)
-    groups, mean, cov = face
-    return MomentData(
-        math.prod(math.comb(k * T + size - 1, size - 1) for T, size in groups),
-        tuple(k * x for x in mean),
-        tuple(tuple(k * x for x in row) for row in cov),
-    )
+    groups, relation, mean, lin, hyp = law
+    count = math.prod(math.comb(k * T + size - 1, size - 1) for T, size in groups)
+    cov = tuple(tuple(k * x for x in row) for row in lin)
+    if relation is not None:
+        draws, sizes = relation
+        m, ways = len(sizes), 0
+        for subset in itertools.product((0, 1), repeat=m):
+            rest = k * draws - sum(k * T + 1 for T, x in zip(sizes, subset) if x)
+            if rest >= 0:
+                ways += (-1) ** sum(subset) * math.comb(rest + m - 1, m - 1)
+        count *= ways
+        scale = Fraction(k * k, k * sum(sizes) - 1)
+        cov = tuple(tuple(x + scale * y for x, y in zip(*rows)) for rows in zip(cov, hyp))
+    return MomentData(count, tuple(k * x for x in mean), cov)
 
 
 def potential(P, m):

@@ -751,6 +751,17 @@ def test_trapezoid_moments_exact(trapezoid, k):
     assert data.covariance == ((Fraction(k, 2), Fraction(0)), (Fraction(0), Fraction(0)))
 
 
+@pytest.mark.parametrize("k", [1, 2, 7, 10**3, 10**6])
+def test_hexagon_moments_exact(hexagon, k):
+    # the three facet pairs under one relation: multivariate hypergeometric
+    data = dilation_moments(hexagon, k)
+    c = Fraction(k * k, 6 * k - 1)
+    assert data.point_count == 3 * k * k + 3 * k + 1
+    assert data.mean == (Fraction(k), Fraction(k))
+    assert data.covariance == ((2 * c, c), (c, 2 * c))
+    assert {type(x) for x in data.mean + data.covariance[0] + data.covariance[1]} == {Fraction}
+
+
 @pytest.mark.parametrize("name", sorted(FROZEN_COV))
 def test_gaussian_covariance_matches_exact_limit(polytopes, name):
     model = gaussian_model(polytopes[name])
@@ -873,7 +884,8 @@ def permuted(P, order):
     return Polytope(P.dim, tuple(tuple(v[j] for j in order) for v in P.normals), P.offsets)
 
 
-# last normal entries -1, 0, 1 with one or two of each sign: face rows in closed form
+# the fixtures, the solids and their images in other bases: every one takes
+# the face law, so dilation_moments walks no face row
 def closed_form_families(polytopes, solids):
     out = {}
     for name in ("hexagon", "simplex_p2", "square_p1xp1", "segment_0", "segment_5"):
@@ -892,13 +904,6 @@ def closed_form_families(polytopes, solids):
     return out
 
 
-def walked_row_sums(Q):
-    return [
-        (prefix, lo, len(w)) + measures._walk_sums(w)
-        for prefix, lo, w in measures._weight_rows(Q)
-    ]
-
-
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_closed_form_row_sums_match_reference(polytopes, solids, monkeypatch, k):
     families = closed_form_families(polytopes, solids)
@@ -910,21 +915,14 @@ def test_closed_form_row_sums_match_reference(polytopes, solids, monkeypatch, k)
         dilation_moments(P, k)
 
 
-@pytest.mark.parametrize("name,k", [("hexagon", 60), ("simplex_p2", 90), ("square_p1xp1", 40)])
-def test_closed_form_row_sums_match_the_walk_row_by_row(polytopes, solids, name, k):
-    # large dilations: every row's three sums, not only the normalized moments
-    for P in (polytopes[name], permuted(solids["hexagon_prism"], (2, 0, 1))):
-        Q = lattice.dilate(P, k if P.dim == 2 else 6)
-        assert list(measures._row_sums(Q)) == walked_row_sums(Q)
-
-
-# rising and falling slacks that the closed forms do not cover: three of each,
-# or |d_i| >= 2 after the skew
+# faces the face law does not describe: the octagon's four facet pairs leave
+# two relations, and the diamond is not smooth
 OCTAGON = Polytope(
     2,
     ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-1, -1), (-1, 1), (1, -1)),
     (0, 0, 3, 3, -1, 5, 2, 2),
 )
+DIAMOND = Polytope(2, ((1, 1), (-1, 1), (-1, -1), (1, -1)), (1, 1, 1, 1))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -937,7 +935,8 @@ def test_rows_outside_the_closed_forms_take_the_walk(polytopes, monkeypatch, k):
         return weight_rows(Q)
 
     monkeypatch.setattr(measures, "_weight_rows", spy)
-    for P in (OCTAGON, skewed(polytopes["hexagon"]), skewed(polytopes["simplex_p2"], -2)):
+    # the skewed rows step by |d_i| >= 2, with math.perm factors
+    for P in (OCTAGON, DIAMOND, skewed(polytopes["hexagon"]), skewed(polytopes["simplex_p2"], -2)):
         walked.clear()
         assert_matches_reference(P, k)
         assert lattice.dilate(P, k) in walked
@@ -955,7 +954,8 @@ def test_closed_form_needs_a_lattice_point_on_the_max_face():
 
 
 def walked_moments(P, k):
-    """The face-row walk that dilation_moments takes off products of simplices."""
+    """The face-row walk that dilation_moments takes where the face law does not
+    apply."""
     return measures._moments(measures._row_sums(lattice.dilate(P, k)), P.dim)
 
 
@@ -991,13 +991,20 @@ def test_closed_form_moments_match_the_walk_on_the_solids(solids, name):
 
 
 _UNIT3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_CUBE = _UNIT3 + tuple(tuple(-x for x in v) for v in _UNIT3)
+_HEXAGON = fixtures.load("hexagon")
+_HEXAGON_PRISM = tuple(v + (0,) for v in _HEXAGON.normals) + ((0, 0, 1), (0, 0, -1))
 PRODUCT_TEST_FANS = {
     **{name: fixtures.load(name).normals for name in fixtures.NAMES},
-    "cube": _UNIT3 + tuple(tuple(-x for x in v) for v in _UNIT3),
+    "cube": _CUBE,
     "simplex3": _UNIT3 + ((-1, -1, -1),),
     "triangle_prism": ((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)),
-    "hexagon_prism": tuple(v + (0,) for v in fixtures.load("hexagon").normals)
-    + ((0, 0, 1), (0, 0, -1)),
+    "hexagon_prism": _HEXAGON_PRISM,
+    "hexagon^T": transpose(_HEXAGON).normals,
+    "hexagon+sheared": sheared(_HEXAGON).normals,
+    # the hexagon's second coordinate last, as permuted(P, (2, 0, 1)) takes it
+    "hexagon_prism_permuted": tuple((c, a, b) for a, b, c in _HEXAGON_PRISM),
+    "cube+diagonals": _CUBE + ((1, 1, 1), (-1, -1, -1)),
 }
 
 
@@ -1006,10 +1013,10 @@ PRODUCT_TEST_FANS = {
     st.lists(st.integers(0, 4), min_size=8, max_size=8),
     st.integers(1, 3),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_closed_form_moments_match_the_walk_at_random_offsets(fan, offsets, k):
-    # the closed form where the max face is a product of simplices, the walk
-    # elsewhere: the same MomentData, Fraction entries and errors either way
+    # the face law where it describes the max face, the walk elsewhere: the
+    # same MomentData, Fraction entries and errors either way
     normals = PRODUCT_TEST_FANS[fan]
     P = Polytope(len(normals[0]), normals, tuple(offsets[: len(normals)]))
     got = assert_closed_form_matches_the_walk(P, k)
@@ -1018,16 +1025,51 @@ def test_closed_form_moments_match_the_walk_at_random_offsets(fan, offsets, k):
         assert (mu.mean(), mu.covariance()) == (got[0].mean, got[0].covariance)
 
 
+def path_polytopes(polytopes, solids):
+    """The polytopes whose moments path is pinned, by name."""
+    hexagon = polytopes["hexagon"]
+    return {
+        **polytopes,
+        **solids,
+        "hexagon^T": transpose(hexagon),
+        "hexagon+sheared": sheared(hexagon),
+        "hexagon+skewed": skewed(hexagon),
+        "simplex_p2+skewed": skewed(polytopes["simplex_p2"], -2),
+        "hexagon_prism_permuted": permuted(solids["hexagon_prism"], (2, 0, 1)),
+        # [-1, 1]^3 cut by |x + y + z| <= 2: four facet pairs and one relation
+        "cube+diagonals": Polytope(3, PRODUCT_TEST_FANS["cube+diagonals"], (1,) * 6 + (2, 2)),
+        "diamond": DIAMOND,
+        "octagon": OCTAGON,
+        # the 3-simplex's facets pair up by exchange, but the slack sums of
+        # those pairs vary on the face
+        "simplex3+slab": Polytope(3, _UNIT3 + ((-1, -1, -1), (1, 0, 1), (-1, 0, -1)), (3, 3, 0, 0, 4, 0)),
+        # the face is an edge on which the pairs of the x- and y-slabs keep
+        # t_x + 2 t_y: one relation, with unequal coefficients
+        "cube+unequal": Polytope(
+            3, _CUBE + ((-1, -2, -1), (-1, -2, 0), (1, 2, 0)), (4, 1, 3, 4, 0, 4, 2, 1, 1)
+        ),
+    }
+
+
 @pytest.mark.parametrize(
     "name,closed",
-    [("segment_0", True), ("segment_1", True), ("segment_2", True), ("segment_5", True),
-     ("simplex_p2", True), ("square_p1xp1", True), ("trapezoid_f1", True), ("hexagon", False)],
+    [(name, True) for name in fixtures.NAMES]
+    + [(name, True) for name in ("cube", "simplex3", "hexagon_prism", "hexagon^T", "hexagon+sheared",
+                                 "hexagon+skewed", "simplex_p2+skewed", "hexagon_prism_permuted",
+                                 "cube+diagonals")]
+    + [(name, False) for name in ("diamond", "octagon", "simplex3+slab", "cube+unequal")],
 )
 def test_dilation_moments_takes_the_closed_form_on_products_of_simplices(
-    polytopes, monkeypatch, name, closed
+    polytopes, solids, monkeypatch, name, closed
 ):
-    P = polytopes[name]
-    assert (measures._simplex_product(P) is not None) == closed
+    # the face law on every fixture, every solid and their images in other
+    # bases (the skews and shears are unimodular, so they stay smooth); the
+    # walk where the law does not hold, each case for one of its conditions,
+    # and the two paths agree on every case
+    P = path_polytopes(polytopes, solids)[name]
+    assert (measures._face_law(P) is not None) == closed
+    for k in (1, 2):
+        assert_closed_form_matches_the_walk(P, k)
     walked = []
     row_sums = measures._row_sums
 
