@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import random
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from operator import getitem
@@ -83,19 +84,15 @@ def monomial_value(x0, u):
 class LaurentQPoly:
     """Sparse Laurent polynomial in x_1..x_n whose coefficients live in q.
 
-    Coefficients are either QPolynomial (exact polynomial data) or
-    TruncatedQSeries (order-limited data); a single instance never mixes the
-    two.  Exponent vectors are integer tuples and may be negative.
+    Coefficients are QPolynomial (exact polynomial data) or TruncatedQSeries
+    (order-limited data); a sum may mix the two.  Zero coefficients are
+    dropped.  Exponent vectors are integer tuples and may be negative.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for u, c in terms.items():
-                if not c.is_zero:
-                    self.terms[tuple(u)] = c
+    def __init__(self, terms=()):
+        self.terms = {tuple(u): c for u, c in dict(terms).items() if not c.is_zero}
 
     @classmethod
     def zero(cls):
@@ -116,14 +113,7 @@ class LaurentQPoly:
             return NotImplemented
         out = dict(self.terms)
         for u, c in other.terms.items():
-            if u in out:
-                s = out[u] + c
-                if s.is_zero:
-                    del out[u]
-                else:
-                    out[u] = s
-            else:
-                out[u] = c
+            out[u] = out[u] + c if u in out else c
         return LaurentQPoly(out)
 
     def __sub__(self, other):
@@ -395,9 +385,10 @@ def _corner_plan(P, vertices, per_vertex, order):
     evaluation point: (plan, offs).
 
     plan holds, per vertex, (vd, start, steps, kept).  start is the
-    position of an edge whose direction another vertex also has, one that
-    an earlier vertex starts from if there is one, or -1: the vertices that
-    start from one direction share its 1/(cq;q)_infinity list.  kept lists
+    position of the edge the vertex's base list begins from: one whose
+    direction an earlier vertex starts from, else one whose direction the
+    most vertices have, the first such edge on a tie; the vertices that
+    start from one value share its 1/(cq;q)_infinity list.  kept lists
     (shift, node, part) for every degree vector whose valuation shift is at
     most order.  A vector's facet part is its nonzero entries on the
     vertex's facet coordinates, whose values are the edge values; node is
@@ -409,21 +400,11 @@ def _corner_plan(P, vertices, per_vertex, order):
     vector's nonzero off entries, and low the smallest shift among the
     vectors that have it; offs[0] is the empty part, with low 0."""
     plan, parts, offs = [], {(): 0}, [[(), 0]]
-    seen, shared, starts = set(), set(), set()
-    for vd in vertices:
-        for e in vd.edge_dirs:
-            (shared if e in seen else seen).add(e)
+    count, starts = Counter(e for vd in vertices for e in vd.edge_dirs), set()
     for vd, degs in zip(vertices, per_vertex):
-        # a direction an earlier vertex starts from, else any shared one
-        start = -1
-        for k, e in enumerate(vd.edge_dirs):
-            if e in starts:
-                start = k
-                break
-            if start < 0 and e in shared:
-                start = k
-        if start >= 0:
-            starts.add(vd.edge_dirs[start])
+        dirs = vd.edge_dirs
+        start = max(range(len(dirs)), key=lambda k: (dirs[k] in starts, count[dirs[k]]))
+        starts.add(dirs[start])
         column = {i: k for k, i in enumerate(vd.facet_set)}
         n = len(column)
         index, steps, kept = {(): 0}, [[0, 0, 0, order + 1]], []
@@ -492,7 +473,7 @@ def _scaled_corners(plan, x0, edge_vals, order, euler):
     d > 0 divides the list by 1 - c^-1 q^d and scales by -c^-1; d = -1
     keeps the list and scales by 1 - c; d < -1 multiplies the list by
     1 - c q^(-d-1).  Node 0 holds the base 1/prod_edges (c;q)_infinity,
-    begun from the shared list of the start edge's value, and the head
+    begun from a copy of the start edge's list, one per value, and the head
     x0^p / prod_edges (1 - c).  The scalars are brought to their lcm D.  A
     summand is then its node's list times its node's scalar and
     B^(shift - low), added into the running sum of its off part from q^low
@@ -530,19 +511,15 @@ def _scaled_corners(plan, x0, edge_vals, order, euler):
 
     lcd = math.lcm(*(den for *_, dens in terms for den in dens))
     sums = [[0] * (order - low + 1) for _, low in offs]
-    starts = {}  # edge value c -> 1/(cBq;Bq)_infinity, for the shared starts
+    starts = {}  # edge value c -> 1/(cBq;Bq)_infinity
     for cs, start, steps, kept, nums, dens in terms:
-        first = max(start, 0)
-        base = starts.get(cs[first]) if start >= 0 else None
+        base = starts.get(cs[start])
         if base is None:
-            base = [1] + [0] * order
-            pochhammer_div_inplace(base, tables[cs[first]], order)
-            if start >= 0:
-                starts[cs[first]] = base
-        if start >= 0 and len(cs) > 1:
-            base = base[:]
+            base = starts[cs[start]] = [1] + [0] * order
+            pochhammer_div_inplace(base, tables[cs[start]], order)
+        base = base[:]
         for k, c in enumerate(cs):
-            if k != first:
+            if k != start:
                 pochhammer_div_inplace(base, tables[c], order)
         lists = [base]
         for parent, k, d, length in steps:

@@ -486,8 +486,9 @@ def vertex_points(P):
 
 
 def lattice_points(P):
-    """All integer points of P in lexicographic order."""
-    return [u for u, _ in points_with_slacks(P)]
+    """All integer points of P in lexicographic order: the rows of
+    rows_with_slacks, flattened."""
+    return [prefix + (t,) for prefix, lo, hi, _ in rows_with_slacks(P) for t in range(lo, hi + 1)]
 
 
 def rows_with_slacks(P):

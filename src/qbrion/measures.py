@@ -169,15 +169,28 @@ class DiscreteMeasure:
         """The mass at u, a sequence of real numbers (bools excluded) of the
         measure's dimension: 0 off the support, so also off the lattice;
         InvalidInputError for any other u."""
+        return self.atoms.get(_lattice_point(self._real_vector(u, "u")), Fraction(0))
+
+    def dim(self):
+        return len(next(iter(self.atoms)))
+
+    def _real_vector(self, u, name):
+        """u as a tuple, if it is a sequence of real numbers (bools excluded)
+        of the measure's dimension; else InvalidInputError."""
         point = _real_point(u)
         if point is None:
             raise InvalidInputError("%r is not a sequence of real numbers" % (u,))
         if len(point) != self.dim():
-            raise InvalidInputError("u has %d coordinates, the measure %d" % (len(point), self.dim()))
-        return self.atoms.get(_lattice_point(point), Fraction(0))
+            raise InvalidInputError("%s has %d coordinates, the measure %d" % (name, len(point), self.dim()))
+        return point
 
-    def dim(self):
-        return len(next(iter(self.atoms)))
+    def _require_alike(self, other, verb):
+        """InvalidInputError unless other is a DiscreteMeasure of the same
+        dimension."""
+        if not isinstance(other, DiscreteMeasure):
+            raise InvalidInputError("cannot %s a measure with a %s" % (verb, type(other).__name__))
+        if other.dim() != self.dim():
+            raise InvalidInputError("cannot %s dimensions %d and %d" % (verb, self.dim(), other.dim()))
 
     @functools.cached_property
     def _moment_data(self):
@@ -196,8 +209,7 @@ class DiscreteMeasure:
         return self._moment_data.covariance
 
     def convolve(self, other):
-        if other.dim() != self.dim():
-            raise InvalidInputError("cannot convolve dimensions %d and %d" % (self.dim(), other.dim()))
+        self._require_alike(other, "convolve")
         out = {}
         for u, w in self.atoms.items():
             for v, z in other.atoms.items():
@@ -207,8 +219,7 @@ class DiscreteMeasure:
 
     def characteristic_function(self, x):
         """E[exp(i <x, u>)] at a real vector x."""
-        if len(x) != self.dim():
-            raise InvalidInputError("x has %d coordinates, the measure %d" % (len(x), self.dim()))
+        x = self._real_vector(x, "x")
         out = 0j
         for u in sorted(self.atoms):
             phase = sum(float(a) * b for a, b in zip(x, u))
@@ -216,8 +227,7 @@ class DiscreteMeasure:
         return out
 
     def total_variation(self, other):
-        if other.dim() != self.dim():
-            raise InvalidInputError("cannot compare dimensions %d and %d" % (self.dim(), other.dim()))
+        self._require_alike(other, "compare")
         keys = set(self.atoms) | set(other.atoms)
         return sum(
             (abs(self.atoms.get(u, Fraction(0)) - other.atoms.get(u, Fraction(0))) for u in keys),

@@ -131,10 +131,7 @@ class QPolynomial:
 
     def shift(self, k):
         """Multiply by q^k (k >= 0)."""
-        require_count(k, 0, "q-polynomial shift")
-        if self.is_zero:
-            return self
-        return QPolynomial((0,) * k + self.coeffs)
+        return QPolynomial((0,) * require_count(k, 0, "q-polynomial shift") + self.coeffs)
 
     def evaluate(self, q):
         """Horner evaluation; exact for int/Fraction arguments."""

@@ -874,15 +874,24 @@ def test_off_parts_take_their_passes_once_per_point(monkeypatch, hexagon, order)
 
 
 @pytest.mark.parametrize(
-    "name, sets", [("hexagon", 10), ("trapezoid_f1", 6), ("square_p1xp1", 6), ("simplex_p2", 6)]
+    "name, sets",
+    [
+        ("hexagon", 10),
+        ("trapezoid_f1", 6),
+        ("square_p1xp1", 6),
+        ("simplex_p2", 6),
+        ("hexagon_prism", 26),
+        ("cube", 20),
+    ],
 )
-def test_vertices_that_share_an_edge_direction_share_its_base_list(monkeypatch, polytopes, name, sets):
+def test_vertices_that_share_an_edge_direction_share_its_base_list(monkeypatch, polytopes, solids, name, sets):
     # one full pass set per edge of each vertex, less one per vertex that
     # starts from a direction an earlier vertex started from: the hexagon's
     # vertices share directions along two triangles, so four start lists
     # serve six vertices; the trapezoid's and the square's share in two
-    # pairs; no two vertices of simplex_p2 share a direction
-    P, order = polytopes[name], 8
+    # pairs; no two vertices of simplex_p2 share a direction; the prism's
+    # twelve vertices take six start lists, the cube's eight take four
+    P, order = {**polytopes, **solids}[name], 8
     x0 = brion.sample_generic_point(P, seed=2)
     full = []
     div = brion.pochhammer_div_inplace
@@ -897,6 +906,18 @@ def test_vertices_that_share_an_edge_direction_share_its_base_list(monkeypatch, 
     monkeypatch.undo()
     assert got == reference_corner_sum(P, x0, order)
     assert len(full) == sets
+
+
+def test_a_vertex_with_no_shared_edge_direction_starts_from_its_first_edge():
+    # 3 trapezoid_f1 with its corner (3, 0) cut by -x + 2y >= -2: no other
+    # vertex has an edge direction of (4, 1), which starts from its first
+    # edge; (2, 0) starts from its second, (-1, 0), which (6, 3) has too
+    P, order = lattice.Polytope(2, ((1, 0), (0, 1), (-1, 1), (0, -1), (-1, 2)), (0, 0, 3, 3, 2)), 8
+    vertices = lattice.enumerate_vertices(P)
+    plan, _ = brion._corner_plan(P, vertices, [[] for _ in vertices], order)
+    assert {vd.point: start for vd, start, _, _ in plan} == {(0, 0): 0, (0, 3): 0, (2, 0): 1, (4, 1): 0, (6, 3): 0}
+    x0 = brion.sample_generic_point(P, seed=2)
+    assert brion.rhs_series_at(P, x0, order) == reference_corner_sum(P, x0, order)
 
 
 FANS = {name: fixtures.load(name).normals for name in ("hexagon", "square_p1xp1", "simplex_p2")}

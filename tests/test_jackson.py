@@ -622,6 +622,27 @@ def test_leading_term_hexagon_value(hexagon):
     assert leading_term_check(hexagon).value == want
 
 
+def test_iterated_derivative_leaves_only_the_constant_term(polytopes):
+    # every other monomial u of the symmetric-weight polynomial has a
+    # coordinate below the maximizer's, since sum(u) <= sum(maximizer) and u
+    # is not the maximizer, so the iterated derivative kills it
+    accepted = 0
+    for name, P in polytopes.items():
+        for k in (1, 2, 3):
+            try:
+                result = leading_term_check(lattice.dilate(P, k))
+            except PreconditionError:  # trapezoid_f1 is not radially symmetric
+                continue
+            Q, maximizer = jackson._leading_setup(lattice.dilate(P, k))
+            f = rs_polynomial(Q)
+            for axis, i in enumerate(maximizer):
+                f = iterated_jackson(f, axis, i)
+            assert f.support() == [(0,) * Q.dim], (name, k)
+            assert f.coefficient((0,) * Q.dim) == result.value, (name, k)
+            accepted += 1
+    assert accepted == 21
+
+
 def test_bare_product_agreement_set(polytopes):
     # on small fixtures the closed form collapses to the bare q-integer
     # product; on larger ones the q-multinomial of the maximizer slacks and

@@ -1232,6 +1232,24 @@ def test_characteristic_function_rejects_a_vector_of_another_dimension(hexagon, 
         mu_measure(hexagon).characteristic_function(x)
 
 
+@pytest.mark.parametrize("x", [3, None, ("1",), (True, 0.5)])
+def test_characteristic_function_rejects_what_is_not_a_real_vector(hexagon, x):
+    with pytest.raises(InvalidInputError, match="is not a sequence of real numbers"):
+        mu_measure(hexagon).characteristic_function(x)
+
+
+@pytest.mark.parametrize("other", [3, None, {(0, 0): 1}])
+def test_convolve_rejects_what_is_not_a_measure(hexagon, other):
+    with pytest.raises(InvalidInputError, match="cannot convolve a measure with"):
+        mu_measure(hexagon).convolve(other)
+
+
+@pytest.mark.parametrize("other", [3, None, {(0, 0): 1}])
+def test_total_variation_rejects_what_is_not_a_measure(hexagon, other):
+    with pytest.raises(InvalidInputError, match="cannot compare a measure with"):
+        mu_measure(hexagon).total_variation(other)
+
+
 # ----------------------------------------------------------------- convolution
 
 
