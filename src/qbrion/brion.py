@@ -557,10 +557,14 @@ def vertex_term(P, vd, b, x0, order):
     nonnegative entries plus a_i b_i over negative facet entries.  For a
     kernel vector that is sum_i b_i s_i(p) + sum_{b_i > 0} b_i(b_i+1)/2 >= 0
     with s_i(p) the vertex slacks; b here need not lie in the kernel, and a
-    negative valuation raises PreconditionError.
+    negative valuation raises PreconditionError.  b must be a tuple or list
+    of one int (not a bool) per facet; else InvalidInputError.
     """
     x0 = _require_point(x0, P.dim)
     require_count(order, 0, "series order")
+    if (not isinstance(b, (tuple, list)) or len(b) != P.facet_count
+            or any(isinstance(x, bool) or not isinstance(x, int) for x in b)):
+        raise InvalidInputError("degree vector needs %d int entries, got %r" % (P.facet_count, b))
     shift = lattice.corner_degree_valuation(P, vd, b)
     if shift < 0:
         raise PreconditionError("corner term has negative q-valuation %d" % shift)

@@ -414,20 +414,6 @@ class Geometry:
         self.all_facets_touch = all(min(col) == 0 for col in facet_slacks)
         self.active_facets = tuple(i for i, col in enumerate(facet_slacks) if any(col))
 
-    def scaled(self, k):
-        """The geometry of the k-fold dilation, without a new scan, for a
-        smooth polytope: every vertex, and the box, times k, with the same
-        facet subsets, determinants and flags.  (A non-integral vertex may
-        turn integral under dilation, so other polytopes are scanned anew.)"""
-        out = object.__new__(Geometry)
-        out.__dict__.update(self.__dict__)
-        out.__dict__.pop("vertices", None)
-        out.solutions = [(tuple(k * x for x in p), subset, det) for p, subset, det in self.solutions]
-        out.points = [tuple(k * x for x in p) for p in self.points]
-        if self.box is not None:
-            out.box = tuple([k * x for x in bound] for bound in self.box)
-        return out
-
     @cached_property
     def vertices(self):
         """VertexData for every solution, sorted; needs a smooth polytope."""
@@ -612,17 +598,10 @@ def sorted_slacks(P):
 
 
 def dilate(P, k):
-    """k-fold dilation: same normals, offsets scaled by the positive integer k.
-
-    When P's vertex scan is already cached and P is smooth, the dilation gets
-    that geometry scaled by k instead of a scan of its own."""
+    """k-fold dilation: same normals, offsets scaled by the positive integer k."""
     if not _is_integer(k) or k < 1:
         raise InvalidInputError("dilation factor must be a positive integer")
-    Q = Polytope(P.dim, P.normals, tuple(k * a for a in P.offsets))
-    geo = P.__dict__.get("geometry")
-    if geo is not None and geo.smooth:
-        Q.__dict__["geometry"] = geo.scaled(k)
-    return Q
+    return Polytope(P.dim, P.normals, tuple(k * a for a in P.offsets))
 
 
 def corner_degree_valuation(P, vd, b):

@@ -678,11 +678,19 @@ def dilation_moments(P, k):
 def potential(P, m):
     """prod_i t_i(m)^{t_i(m)} over every facet, with 0^0 = 1.
 
-    P must be nonempty, and m must have one coordinate per dimension and lie
-    in P: every slack, including those of facets whose slack vanishes on all
-    of P, nonnegative up to float noise.  PreconditionError when the value
-    exceeds the float range.
+    P must be nonempty, and m must have one real coordinate per dimension (a
+    bool is not one), each within the float range, and lie in P: every slack,
+    including those of facets whose slack vanishes on all of P, nonnegative
+    up to float noise, and not NaN.  InvalidInputError otherwise;
+    PreconditionError when the value exceeds the float range.
     """
+    point = _real_point(m)
+    try:
+        m = [float(x) for x in point]
+    except (TypeError, OverflowError):  # point is None, or an entry is beyond the float range
+        raise InvalidInputError(
+            "point must be a sequence of real numbers within the float range, got %r" % (m,)
+        ) from None
     if len(m) != P.dim:
         raise InvalidInputError(
             "point has %d coordinates, polytope has dimension %d" % (len(m), P.dim)
@@ -690,8 +698,8 @@ def potential(P, m):
     lattice.require_nonempty(P)
     total = 0.0
     for i, (v, a) in enumerate(zip(P.normals, P.offsets)):
-        t = float(sum(float(x) * b for x, b in zip(m, v)) + a)
-        if t < -1e-9:
+        t = sum(map(operator.mul, m, v)) + a
+        if not t >= -1e-9:  # NaN too: an infinite coordinate makes some slack -inf or NaN
             raise InvalidInputError("point lies outside the polytope (slack %d = %g)" % (i, t))
         if t > 0:
             total += t * math.log(t)

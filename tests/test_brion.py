@@ -1034,3 +1034,16 @@ def test_evaluation_point_is_validated(hexagon, side, x0):
     }[side]
     with pytest.raises(InvalidInputError):
         call()
+
+
+@pytest.mark.parametrize(
+    "b",
+    [(), (0,), (0,) * 7, (0.0,) * 6, (True, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0, 0, 5), ("0",) * 6, None],
+    ids=["empty", "short", "long", "floats", "bool", "long-nonzero", "strings", "None"],
+)
+def test_degree_vector_is_validated(hexagon, b):
+    # one int (not a bool) per facet, else the term of some other vector
+    vd = lattice.enumerate_vertices(hexagon)[0]
+    assert vd.point == (0, 0)
+    with pytest.raises(InvalidInputError):
+        brion.vertex_term(hexagon, vd, b, (2, 3), 3)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -642,16 +643,23 @@ def test_dilate_ehrhart_counts(hexagon):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7])
 def test_dilation_of_a_scanned_smooth_polytope_scales_its_geometry(polytopes, solids, k):
-    # the dilation takes P's cached scan times k, with no scan of its own,
-    # and every field (the vertex cones too) equals a fresh scan's
+    # the scan of kP is P's scan with every point and the box times k: the
+    # same facet subsets, determinants, edge directions and flags
+    def times_k(point):
+        return tuple(k * x for x in point)
+
+    def rest(geo):
+        return {f: x for f, x in vars(geo).items() if f not in ("solutions", "points", "box", "vertices")}
+
     for name, P in [*polytopes.items(), *solids.items()]:
-        P = Polytope(P.dim, P.normals, P.offsets)
-        assert P.geometry.smooth, name
-        Q = lattice.dilate(P, k)
-        assert "geometry" in vars(Q), name
-        fresh = lattice.Geometry(Q)
-        assert Q.geometry.vertices == fresh.vertices, name
-        assert vars(Q.geometry) == vars(fresh), name
+        geo = P.geometry
+        assert geo.smooth, name
+        got = lattice.dilate(P, k).geometry
+        assert got.solutions == [(times_k(p), subset, det) for p, subset, det in geo.solutions], name
+        assert got.points == [times_k(p) for p in geo.points], name
+        assert got.box == tuple([k * x for x in bound] for bound in geo.box), name
+        assert got.vertices == [replace(vd, point=times_k(vd.point)) for vd in geo.vertices], name
+        assert rest(got) == rest(geo), name
 
 
 def test_polytopes_on_known_normals_skip_the_boundedness_check(monkeypatch, polytopes):

@@ -635,6 +635,16 @@ def test_potential_rejects_point_of_wrong_length(hexagon, m):
         potential(hexagon, m)
 
 
+@pytest.mark.parametrize(
+    "m",
+    [(math.nan, 1.0), (1.0, math.inf), (-math.inf, 0.0), ("a", 1), None, (True, 0), (1j, 0), (10**400, 0)],
+    ids=["nan", "inf", "-inf", "string", "None", "bool", "complex", "huge-int"],
+)
+def test_potential_rejects_a_point_that_is_not_real_and_finite(hexagon, m):
+    with pytest.raises(InvalidInputError):
+        potential(hexagon, m)
+
+
 def test_empty_polytope_raises_empty_error():
     P = Polytope(1, ((1,), (-1,)), (-3, 1))  # 3 <= u <= 1
     for fn in (max_face_value, mu_measure):
