@@ -74,11 +74,7 @@ def _require_point(x0, dim):
 
 def monomial_value(x0, u):
     """x0^u = prod_j x0_j^(u_j) for a rational point and an integer exponent."""
-    out = Fraction(1)
-    for base, e in zip(x0, u):
-        if e:
-            out *= Fraction(base) ** e
-    return out
+    return Fraction(*_monomial_pair(_coords(map(Fraction, x0)), u))
 
 
 class LaurentQPoly:
@@ -154,17 +150,12 @@ class LaurentQPoly:
         return "LaurentQPoly(%d terms on %s)" % (len(self.terms), self.support())
 
 
-def _g_coeffs(slacks, order):
-    """Integer coefficients of q^0 .. q^order of prod_i 1/(q;q)_{slack_i}."""
-    out = [1] + [0] * order
-    for s in slacks:
-        pochhammer_div_inplace(out, 1, require_count(s, 0, "slack"))
-    return out
-
-
 def g_weight(slacks, order):
     """prod_i 1/(q;q)_{slack_i} as a truncated series (the lattice-point weight)."""
-    return TruncatedQSeries(order, _g_coeffs(slacks, require_count(order, 0, "series order")))
+    out = [1] + [0] * require_count(order, 0, "series order")
+    for s in slacks:
+        pochhammer_div_inplace(out, 1, require_count(s, 0, "slack"))
+    return TruncatedQSeries(order, out)
 
 
 def _weights(P, base, length, degree=None):
@@ -325,10 +316,11 @@ def sample_generic_point(P, seed=0):
 
     Coordinates are reduced fractions with numerator and denominator drawn
     from [1, 9] (random sign), resampled until no coordinate is 0 or +-1
-    and no vertex edge monomial x0^{u_i(p)} evaluates to 1.
+    and no vertex edge monomial x0^{u_i(p)} evaluates to 1.  seed must be
+    an int (not a bool); else InvalidInputError.
     """
     vertices = lattice.enumerate_vertices(P)
-    return _sample_from_rng(P, random.Random(seed), vertices)[0]
+    return _sample_from_rng(P, random.Random(require_count(seed, None, "seed")), vertices)[0]
 
 
 def _unscaled(acc, den, powers):
@@ -557,9 +549,12 @@ def vertex_term(P, vd, b, x0, order):
     nonnegative entries plus a_i b_i over negative facet entries.  For a
     kernel vector that is sum_i b_i s_i(p) + sum_{b_i > 0} b_i(b_i+1)/2 >= 0
     with s_i(p) the vertex slacks; b here need not lie in the kernel, and a
-    negative valuation raises PreconditionError.  b must be a tuple or list
-    of one int (not a bool) per facet; else InvalidInputError.
+    negative valuation raises PreconditionError.  vd must be one of
+    lattice.enumerate_vertices(P), and b a tuple or list of one int (not a
+    bool) per facet; else InvalidInputError.
     """
+    if vd not in lattice.enumerate_vertices(P):
+        raise InvalidInputError("vertex datum %r is not one of the polytope's" % (vd,))
     x0 = _require_point(x0, P.dim)
     require_count(order, 0, "series order")
     if (not isinstance(b, (tuple, list)) or len(b) != P.facet_count
@@ -674,53 +669,50 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
     """Randomized exact check of the corner decomposition up to q^order.
 
     Each trial substitutes a fresh deterministic random rational point and
-    compares both sides coefficient by coefficient.  With finite_form=True
-    (radially symmetric polytopes only) both sides are multiplied by
-    (q;q)_{offset sum} and additionally compared against the exact
-    symmetric-weight polynomial, whose coefficients are q-multinomials,
-    each walked only through q^order.
+    compares both sides coefficient by coefficient ("corner_sum").  With
+    finite_form=True (radially symmetric polytopes only) it then multiplies
+    the lattice-point side by (q;q)_{offset sum} and compares that once
+    against the exact symmetric-weight polynomial ("symmetric_polynomial"),
+    whose coefficients are q-multinomials, each walked only through q^order.
+    The corner sum is not compared again in that form: multiplying both
+    sides by a series with constant term 1 keeps the first power at which
+    they differ.
     """
     start = time.perf_counter()
     require_count(order, 0, "series order")
     require_count(trials, 1, "trial count")
-    if finite_form:
-        lattice.require_radially_symmetric(P)
-    # everything that does not depend on the evaluation point, once
+    require_count(seed, None, "seed")
+    # everything that does not depend on the evaluation point, once; the rs
+    # weights first, so a polytope without radial symmetry fails at once
+    rs = _point_groups(*_rs_weights(P, order)) if finite_form else None
     vertices, per_vertex, plan = _corners(P, order)
     used = {b for degs in per_vertex for b in degs}
     weights = _point_groups(*_g_weights(P, order))
-    rs = _point_groups(*_rs_weights(P, order)) if finite_form else None
     rng = random.Random(seed)
     points = []
     equal = True
     first_mismatch = None
-    m = P.offset_sum()
     for t in range(trials):
         x0, edge_vals = _sample_from_rng(P, rng, vertices)
         points.append([str(c) for c in x0])
         lhs = _scaled_points(weights, x0, order)
         rhs = _scaled_corners(plan, x0, edge_vals, order, P.facet_count - P.dim)
-        pairs = [("corner_sum", lhs, rhs)]
-        if finite_form:
-            # both sides times (q;q)_{offset sum}, on the ints
-            for acc, _, powers in (lhs, rhs):
-                pochhammer_mul_inplace(acc, powers, m)
-            pairs = [
-                ("corner_sum_finite", lhs, rhs),
-                ("symmetric_polynomial", lhs, _scaled_points(rs, x0, order)),
-            ]
-        for label, a_side, b_side in pairs:
-            j = _first_difference(a_side, b_side)
-            if j is not None and equal:
-                equal = False
-                first_mismatch = {
-                    "trial": t,
-                    "comparison": label,
-                    "power": j,
-                    "lhs": str(_coefficient(a_side, j)),
-                    "rhs": str(_coefficient(b_side, j)),
-                    "point": [str(c) for c in x0],
-                }
+        label, j = "corner_sum", _first_difference(lhs, rhs)
+        if j is None and finite_form:
+            # the lattice-point side times (q;q)_{offset sum}, on the ints
+            pochhammer_mul_inplace(lhs[0], lhs[2], P.offset_sum())
+            rhs = _scaled_points(rs, x0, order)
+            label, j = "symmetric_polynomial", _first_difference(lhs, rhs)
+        if j is not None and equal:
+            equal = False
+            first_mismatch = {
+                "trial": t,
+                "comparison": label,
+                "power": j,
+                "lhs": str(_coefficient(lhs, j)),
+                "rhs": str(_coefficient(rhs, j)),
+                "point": [str(c) for c in x0],
+            }
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
         polytope_hash=P.content_hash(),

@@ -155,7 +155,7 @@ def cmd_lhs(P, args):
 
 
 def cmd_measure(P, args):
-    Q = lattice.dilate(P, args.dilate) if args.dilate != 1 else P
+    Q = lattice.dilate(P, args.dilate)
     measure = measures.mu_measure(Q)
     n = Q.dim
     lines = [",".join(["u_%d" % (j + 1) for j in range(n)] + ["weight_num", "weight_den", "weight_float"])]
@@ -196,7 +196,7 @@ def cmd_heatmap(P, args):
     if P.dim != 2:
         raise PreconditionError("heatmap needs a 2-dimensional polytope")
     lattice.require_radially_symmetric(P)
-    Q = lattice.dilate(P, args.dilate) if args.dilate != 1 else P
+    Q = lattice.dilate(P, args.dilate)
     q_tokens = [tok for tok in args.q.split(",") if tok]
     if not q_tokens:
         raise InvalidInputError("--q needs at least one value")
@@ -265,8 +265,8 @@ def build_parser():
     p.add_argument(
         "--theorem1",
         action="store_true",
-        help="also multiply both sides into the finite form and cross-check the "
-        "symmetric-weight polynomial (needs normals summing to zero)",
+        help="after the corner sum, also compare the lattice-point side times "
+        "(q;q)_m with the symmetric-weight polynomial (needs normals summing to zero)",
     )
 
     command("rs", cmd_rs, "symmetric-weight polynomial as JSON")

@@ -598,9 +598,10 @@ def sorted_slacks(P):
 
 
 def dilate(P, k):
-    """k-fold dilation: same normals, offsets scaled by the positive integer k."""
-    if not _is_integer(k) or k < 1:
-        raise InvalidInputError("dilation factor must be a positive integer")
+    """k-fold dilation: same normals, offsets scaled by the positive integer
+    k; P itself at k = 1."""
+    if require_count(k, 1, "dilation factor") == 1:
+        return P
     return Polytope(P.dim, P.normals, tuple(k * a for a in P.offsets))
 
 

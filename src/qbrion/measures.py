@@ -243,11 +243,20 @@ class DiscreteMeasure:
         return "DiscreteMeasure(%d atoms)" % len(self.atoms)
 
 
+def _max_face(P):
+    """The vertices p of P with the largest <sigma, p>, sigma the normal sum:
+    those of its max face, where the slack sum <sigma, u> + offset sum is
+    largest."""
+    sigma = P.normal_sum()
+    points = lattice.vertex_points(lattice.require_nonempty(P))
+    values = [sum(map(operator.mul, sigma, p)) for p in points]
+    top = max(values)
+    return [p for p, x in zip(points, values) if x == top]
+
+
 def max_face_value(P):
     """Largest slack sum over the polytope; attained on a face."""
-    points = lattice.vertex_points(lattice.require_nonempty(P))
-    v_delta = P.normal_sum()
-    return max(sum(a * b for a, b in zip(p, v_delta)) for p in points) + P.offset_sum()
+    return sum(map(operator.mul, P.normal_sum(), _max_face(P)[0])) + P.offset_sum()
 
 
 def _face_rows(P):
@@ -524,7 +533,7 @@ def _face_law(P):
 
     The test is scale-free, so it runs once per polytope, on P: a dilation
     by k scales every slack of F's vertices by k.  F's vertices are those p
-    of P with the largest <sigma, p>, sigma the normal sum.  A facet is
+    of P with the largest <sigma, p> (_max_face).  A facet is
     moving if its slack differs between them, else constant on F.  Moving
     facets i != j join one class when t_i + t_j is constant on F's
     vertices, or when they are exchangeable: an integer d has <v_l, d> =
@@ -570,10 +579,7 @@ def _face_law(P):
     if not geo.solutions or not geo.smooth:
         return None
     n = P.dim
-    sigma = P.normal_sum()
-    points = lattice.vertex_points(P)
-    values = [sum(map(operator.mul, sigma, p)) for p in points]
-    face = [p for p, x in zip(points, values) if x == max(values)]
+    face = _max_face(P)
     diffs = [[x - y for x, y in zip(p, face[0])] for p in face[1:]]
     face_dim = len(lattice.bareiss_reduce(diffs, n)[1])
     cols = list(zip(*map(P.slacks, face)))  # each facet's slacks at F's vertices
@@ -874,7 +880,7 @@ def convergence_report(P, k_values):
     k_values must be an iterable of positive ints.
     """
     try:
-        k_values = [require_count(k, 1, "dilation k") for k in k_values]
+        k_values = [require_count(k, 1, "dilation factor") for k in k_values]
     except TypeError:
         raise InvalidInputError("k_values must be an iterable of positive integers") from None
     model = gaussian_model(P)

@@ -1,6 +1,7 @@
 """Corner-sum identity engine: weights, series, randomized verification."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -523,6 +524,15 @@ def test_verify_identity_rejects_bad_counts(hexagon, kwargs):
         brion.verify_identity(hexagon, **kwargs)
 
 
+@pytest.mark.parametrize("seed", [[1], "x", 1.5, True], ids=["list", "str", "float", "bool"])
+def test_seed_is_validated(hexagon, seed):
+    # random.Random would take a str or a float, and the report would echo it
+    with pytest.raises(InvalidInputError):
+        brion.verify_identity(hexagon, 2, seed=seed)
+    with pytest.raises(InvalidInputError):
+        brion.sample_generic_point(hexagon, seed)
+
+
 def test_verify_identity_enumerates_each_vertex_once(monkeypatch, hexagon):
     calls = []
     enumerate_corner_degrees = lattice.enumerate_corner_degrees
@@ -952,10 +962,12 @@ def test_shared_corner_sum_on_generated_smooth_polygons(fan, offsets, order, pic
     assert j == lattice.corner_degree_valuation(P, vertices[t], dropped)
 
 
-def test_mismatch_report_matches_reference(monkeypatch, hexagon):
+@pytest.mark.parametrize("finite_form", [False, True])
+def test_mismatch_report_matches_reference(monkeypatch, hexagon, finite_form):
     # drop one degree vector from one vertex's set: the identity breaks at
     # that vector's valuation, and the report's first mismatch is the one the
-    # reference path gives at the same point
+    # reference path gives at the same point; the finite form reports the
+    # same corner-sum mismatch, not one multiplied by (q;q)_m
     order = 10
     enumerate_corner_degrees = lattice.enumerate_corner_degrees
     vertices = lattice.enumerate_vertices(hexagon)
@@ -966,7 +978,7 @@ def test_mismatch_report_matches_reference(monkeypatch, hexagon):
         return [b for b in enumerate_corner_degrees(P, vd, k) if vd != target or b != dropped]
 
     monkeypatch.setattr(lattice, "enumerate_corner_degrees", dropping)
-    report = brion.verify_identity(hexagon, order=order, trials=2, seed=3)
+    report = brion.verify_identity(hexagon, order=order, trials=2, seed=3, finite_form=finite_form)
     assert not report.equal
     mismatch = report.first_mismatch
     x0 = tuple(Fraction(c) for c in report.points[0])
@@ -1047,3 +1059,11 @@ def test_degree_vector_is_validated(hexagon, b):
     assert vd.point == (0, 0)
     with pytest.raises(InvalidInputError):
         brion.vertex_term(hexagon, vd, b, (2, 3), 3)
+
+
+def test_vertex_term_rejects_a_vertex_datum_not_of_the_polytope(hexagon, square):
+    # another polytope's vertex, and one of the hexagon's moved outside it
+    vd = lattice.enumerate_vertices(hexagon)[0]
+    for other in (lattice.enumerate_vertices(square)[0], replace(vd, point=(5, 5))):
+        with pytest.raises(InvalidInputError):
+            brion.vertex_term(hexagon, other, (0,) * 6, (2, 3), 3)

@@ -705,6 +705,11 @@ def test_dilate_rejects_non_positive_or_non_integer_factors(hexagon, k):
         lattice.dilate(hexagon, k)
 
 
+def test_dilate_by_one_is_the_polytope_itself(polytopes):
+    for P in polytopes.values():
+        assert lattice.dilate(P, 1) is P
+
+
 def test_segment_point_counts():
     for m in (0, 1, 2, 5, 9):
         assert len(lattice.lattice_points(segment(m))) == m + 1

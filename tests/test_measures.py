@@ -1129,6 +1129,25 @@ def test_convergence_report_rejects_bad_k_values(hexagon, k_values):
         convergence_report(hexagon, k_values)
 
 
+@pytest.mark.parametrize(
+    "k, message",
+    [(0, "dilation factor must be >= 1, got 0"), (True, "dilation factor must be an integer, got True")],
+    ids=["0", "True"],
+)
+def test_dilation_factor_is_checked_with_one_message(hexagon, k, message):
+    calls = [
+        lambda: lattice.dilate(hexagon, k),
+        lambda: dilation_moments(hexagon, k),
+        lambda: convergence_report(hexagon, [k]),
+    ]
+    messages = set()
+    for call in calls:
+        with pytest.raises(InvalidInputError) as info:
+            call()
+        messages.add(str(info.value))
+    assert messages == {message}
+
+
 def test_convergence_report_takes_any_iterable_of_ints(hexagon):
     report = convergence_report(hexagon, (k for k in (2, 4)))
     assert [row["k"] for row in report["rows"]] == [2, 4]

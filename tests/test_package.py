@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 
@@ -26,6 +27,15 @@ def test_all_resolves_and_lists_every_import():
     for name in qbrion.__all__:
         assert getattr(qbrion, name) is not None, name
     assert sorted(qbrion.__all__) == sorted(imported_names())
+
+
+def test_readme_names_every_public_name():
+    # a public name cannot be added without a word in the README
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = fh.read()
+    missing = [name for name in qbrion.__all__ if not re.search(r"\b%s\b" % name, readme)]
+    assert missing == []
 
 
 def test_the_library_imports_without_numpy():
