@@ -82,13 +82,16 @@ class LaurentQPoly:
 
     Coefficients are QPolynomial (exact polynomial data) or TruncatedQSeries
     (order-limited data); a sum may mix the two.  Zero coefficients are
-    dropped.  Exponent vectors are integer tuples and may be negative.
+    dropped.  Exponent vectors are integer tuples of one length and may be
+    negative; vectors of two lengths raise InvalidInputError.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
         self.terms = {tuple(u): c for u, c in dict(terms).items() if not c.is_zero}
+        if len(set(map(len, self.terms))) > 1:
+            raise InvalidInputError("exponent vectors must all have one length")
 
     @classmethod
     def zero(cls):
@@ -123,22 +126,19 @@ class LaurentQPoly:
 
     def evaluate_series(self, x0, order):
         """Substitute the rational point x0; result is a truncated q-series.
-        Terms are grouped by their cut at q^order: a coefficient that fits in
-        it is its own key, a longer one is keyed by the cut alone."""
+        Terms are grouped by coefficient object, each object's list cut at
+        q^order once."""
         require_count(order, 0, "series order")
-        index, keys = {}, []  # each cut -> (its key, its coefficients)
+        table = {}  # id of each coefficient object -> its list, cut
         for c in self.terms.values():
-            if isinstance(c, TruncatedQSeries) and c.order < order:
-                raise PreconditionError("coefficient series order %d below requested order %d" % (c.order, order))
-            w = c.coeffs
-            if len(w) > order + 1:
-                c = w = w[: order + 1]
-            keys.append(index.setdefault(c, (len(index), w))[0])
+            if id(c) not in table:
+                if isinstance(c, TruncatedQSeries) and c.order < order:
+                    raise PreconditionError("coefficient series order %d below requested order %d" % (c.order, order))
+                table[id(c)] = c.coeffs[: order + 1]
         points = list(self.terms)
         if points:
             x0 = _require_point(x0, len(points[0]))
-        table = dict(index.values())
-        return _unscaled(*_scaled_points(_point_groups(points, keys, table), x0, order))
+        return _unscaled(*_scaled_points(_point_groups(points, map(id, self.terms.values()), table), x0, order))
 
     def __eq__(self, other):
         return isinstance(other, LaurentQPoly) and self.terms == other.terms
@@ -582,11 +582,12 @@ def rhs_series_at(P, x0, order):
 
 def _point_groups(points, keys, table):
     """What _scaled_points needs of (points, keys, table), as _weights
-    returns them, that does not depend on the evaluation point: (groups,
-    spans, origin).  groups holds one (table[key], exponents) pair per key,
-    with the shifted exponent u - L of each of its points, L_j = min(0,
-    min_u u_j); spans holds H_j - L_j per coordinate, H_j = max(0, max_u
-    u_j), so every shifted exponent lies in 0 .. span; origin is -L."""
+    returns them or evaluate_series builds them, that does not depend on
+    the evaluation point: (groups, spans, origin).  groups holds one
+    (table[key], exponents) pair per key, with the shifted exponent u - L
+    of each of its points, L_j = min(0, min_u u_j); spans holds H_j - L_j
+    per coordinate, H_j = max(0, max_u u_j), so every shifted exponent lies
+    in 0 .. span; origin is -L."""
     if not points:
         return [], [], ()
     low = [min(0, *c) for c in zip(*points)]
@@ -627,8 +628,7 @@ def _scaled_points(points, x0, order):
 def lhs_value_at(P, x0, order):
     """Weighted enumerator evaluated at the rational point x0."""
     x0 = _require_point(x0, P.dim)
-    require_count(order, 0, "series order")
-    return _unscaled(*_scaled_points(_point_groups(*_g_weights(P, order)), x0, order))
+    return lhs_series(P, order).evaluate_series(x0, order)
 
 
 @dataclass
@@ -682,8 +682,11 @@ def verify_identity(P, order=12, trials=3, seed=0, finite_form=False):
     require_count(order, 0, "series order")
     require_count(trials, 1, "trial count")
     require_count(seed, None, "seed")
-    # everything that does not depend on the evaluation point, once; the rs
-    # weights first, so a polytope without radial symmetry fails at once
+    # everything that does not depend on the evaluation point, once; the
+    # cached vertex scan first, so a polytope that is not smooth fails at
+    # once, then the rs weights, so one without radial symmetry fails before
+    # the corner degrees are enumerated
+    lattice.enumerate_vertices(P)
     rs = _point_groups(*_rs_weights(P, order)) if finite_form else None
     vertices, per_vertex, plan = _corners(P, order)
     used = {b for degs in per_vertex for b in degs}

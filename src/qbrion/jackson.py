@@ -122,8 +122,9 @@ class FirstOrthantDivisor:
     """A polytope whose first n facets are the coordinate half-spaces u_i >= 0.
 
     from_polytope permutes the facets so the standard basis normals with zero
-    offset come first and checks that P is nonempty and inside the first
-    orthant.  A derived divisor may be empty: its polynomial is then zero.
+    offset come first and checks that P is nonempty; those facets keep it
+    inside the first orthant.  A derived divisor may be empty: its
+    polynomial is then zero.
     """
 
     polytope: lattice.Polytope
@@ -155,9 +156,6 @@ class FirstOrthantDivisor:
                 tuple(P.normals[j] for j in perm),
                 tuple(P.offsets[j] for j in perm),
             )
-        for p, _, _ in lattice.basic_solutions(reordered):
-            if any(x < 0 for x in p):
-                raise PreconditionError("polytope leaves the first orthant at %r" % (list(p),))
         return cls(reordered)
 
 

@@ -259,35 +259,6 @@ def max_face_value(P):
     return sum(map(operator.mul, P.normal_sum(), _max_face(P)[0])) + P.offset_sum()
 
 
-def _face_rows(P):
-    """Yield (prefix, lo, hi, slacks at lo) for each row of the max face;
-    PreconditionError after the last row when no lattice point lies on it.
-
-    Read from lattice.rows_with_slacks: along a row the slack sum grows by
-    sigma = sum_i d_i per unit step, d_i the last entry of normal i.  With
-    sigma = 0 a row lies wholly on the face or off it; otherwise it meets the
-    face in at most the one point where the slack sum reaches the target.
-    """
-    target = max_face_value(P)
-    deltas = [v[-1] for v in P.normals]
-    sigma = sum(deltas)
-    empty = True
-    for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
-        gap = target - sum(slacks)
-        if sigma:
-            m, r = divmod(gap, sigma)
-            if r or not 0 <= m <= hi - lo:
-                continue
-            lo = hi = lo + m
-            slacks = tuple(s + m * d for s, d in zip(slacks, deltas))
-        elif gap:
-            continue
-        empty = False
-        yield prefix, lo, hi, slacks
-    if empty:
-        raise PreconditionError("no lattice points on the maximal face")
-
-
 def _carried(value, old, new):
     """value * F(new) / F(old), for F(t) = (sum t)! / prod_i t_i! the
     multinomial coefficient of a slack tuple t.
@@ -312,20 +283,37 @@ def _carried(value, old, new):
 
 
 def _weight_rows(P):
-    """Yield (prefix, lo, weights) for each row of the max face.
+    """Yield (prefix, lo, weights) for each row of the max face;
+    PreconditionError after the last row when no lattice point lies on it.
+
+    The rows are read from lattice.rows_with_slacks: along a row the slack
+    sum grows by sigma = sum_i d_i per unit step, d_i the last entry of
+    normal i.  With sigma = 0 a row lies wholly on the face or off it;
+    otherwise it meets the face in at most the one point where the slack
+    sum reaches the target.
 
     weights[m] is the multinomial coefficient target! / prod_i t_i! of the
     slacks t at prefix + (lo + m,).  Each row's first weight is carried from
     the last row's by _carried.  A unit step moves slack i from t_i to
     t_i + d_i, which multiplies the weight by prod_i t_i! / (t_i + d_i)!: the
     falling slacks over the rising ones, by math.perm only where |d_i| >= 2.
-    Only one row of weights is held at a time.  PreconditionError when no
-    lattice point lies on the face.
+    Only one row of weights is held at a time.
     """
+    target = max_face_value(P)
     deltas = [v[-1] for v in P.normals]
+    sigma = sum(deltas)
     moving = [(i, d) for i, d in enumerate(deltas) if d]
     first, last = 1, None
-    for prefix, lo, hi, slacks in _face_rows(P):
+    for prefix, lo, hi, slacks in lattice.rows_with_slacks(P):
+        gap = target - sum(slacks)
+        if sigma:
+            m, r = divmod(gap, sigma)
+            if r or not 0 <= m <= hi - lo:
+                continue
+            lo = hi = lo + m
+            slacks = tuple(s + m * d for s, d in zip(slacks, deltas))
+        elif gap:
+            continue
         first, last = _carried(first, last, slacks), slacks
         steps = hi - lo
         if not steps:
@@ -347,6 +335,8 @@ def _weight_rows(P):
             w = w * num // den
             weights.append(w)
         yield prefix, lo, weights
+    if last is None:
+        raise PreconditionError("no lattice points on the maximal face")
 
 
 def _face_weights(P):

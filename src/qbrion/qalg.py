@@ -172,12 +172,12 @@ class TruncatedQSeries:
     """Power series in q with int (not bool) or Fraction coefficients, kept
     as given and padded with int 0, trusted through q^order."""
 
-    __slots__ = ("order", "coeffs", "_hash")
+    __slots__ = ("order", "coeffs")
 
     def __init__(self, order, coeffs=()):
         require_count(order, 0, "series order")
         coeffs = _checked(coeffs, _EXACT_TYPES, "TruncatedQSeries coefficients must be int or Fraction")
-        self.order, self._hash = order, None
+        self.order = order
         self.coeffs = coeffs[: order + 1] + (0,) * (order + 1 - len(coeffs))
 
     @classmethod
@@ -280,10 +280,8 @@ class TruncatedQSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):  # cached: Fractions hash slowly, and shared weights are keys
-        if self._hash is None:
-            self._hash = hash((self.order, self.coeffs))
-        return self._hash
+    def __hash__(self):
+        return hash((self.order, self.coeffs))
 
     def __repr__(self):
         return "TruncatedQSeries(order=%d, %s)" % (self.order, list(self.coeffs))

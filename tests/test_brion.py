@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbrion import brion, fixtures, lattice
-from qbrion.errors import InvalidInputError, PoleError, PreconditionError
+from qbrion.errors import InvalidInputError, PoleError, PreconditionError, SmoothnessError
 from qbrion.qalg import QPolynomial, TruncatedQSeries, q_multinomial, q_pochhammer
 
 from conftest import (
@@ -315,20 +315,56 @@ def test_evaluate_series_rejects_coefficients_below_order():
         poly.evaluate_series((2,), 3)
 
 
-def test_evaluate_series_groups_terms_by_their_cut():
+def _spy_tables(monkeypatch):
+    """The tables evaluate_series hands to _point_groups, one per call."""
+    tables, point_groups = [], brion._point_groups
+
+    def spy(points, keys, table):
+        tables.append(table)
+        return point_groups(points, keys, table)
+
+    monkeypatch.setattr(brion, "_point_groups", spy)
+    return tables
+
+
+def test_evaluate_series_groups_terms_by_object(monkeypatch):
     # equal values in distinct objects, a coefficient that fits the cut and
-    # one that only agrees with it through q^order all sum as separate terms
+    # one that only agrees with it through q^order are separate groups, and
+    # every term sums as itself
     short, long = QPolynomial([1, 2]), QPolynomial([1, 2, 7])
     poly = brion.LaurentQPoly(
         {(0,): short, (1,): QPolynomial([1, 2]), (2,): long, (3,): QPolynomial([1, 2, 9]), (-1,): short}
     )
+    tables = _spy_tables(monkeypatch)
     x0 = (Fraction(1, 3),)
     for order in (0, 1, 2, 3):
         want = TruncatedQSeries(order)
         for (u,), c in poly.terms.items():
             want = want + c.to_series(order).scale(x0[0] ** u)
         assert poly.evaluate_series(x0, order) == want, order
+        objects = (short, poly.terms[(1,)], long, poly.terms[(3,)])
+        assert sorted(tables[-1].values()) == sorted(c.coeffs[: order + 1] for c in objects)
     assert hash(short) == hash(QPolynomial([1, 2]))
+
+
+def test_evaluate_series_takes_one_group_per_slack_multiset(monkeypatch, hexagon):
+    P = lattice.dilate(hexagon, 2)
+    rs = brion.rs_polynomial(P)
+    tables = _spy_tables(monkeypatch)
+    rs.evaluate_series(brion.sample_generic_point(P, seed=3), 5)
+    assert len(tables) == 1
+    assert len(tables[0]) == len(set(lattice.sorted_slacks(P)[1]))
+
+
+def test_laurent_poly_rejects_exponent_vectors_of_two_lengths():
+    one = QPolynomial([1])
+    with pytest.raises(InvalidInputError):
+        brion.LaurentQPoly({(1,): one, (1, 2): one})
+    with pytest.raises(InvalidInputError):
+        brion.LaurentQPoly({(1,): one}) + brion.LaurentQPoly({(1, 2): one})
+    # zero coefficients are dropped before the check, and zero has no length
+    assert brion.LaurentQPoly({(1,): one, (1, 2): QPolynomial.zero()}).support() == [(1,)]
+    assert (brion.LaurentQPoly.zero() + brion.LaurentQPoly({(1, 2): one})).support() == [(1, 2)]
 
 
 def test_g_weight_is_inverse_pochhammer_product():
@@ -424,6 +460,21 @@ def test_verify_identity_finite_form(polytopes, name):
 def test_finite_form_requires_radial_symmetry(trapezoid):
     with pytest.raises(PreconditionError):
         brion.verify_identity(trapezoid, order=8, trials=1, finite_form=True)
+
+
+def test_finite_form_rejects_a_non_smooth_polytope_before_the_point_walk(monkeypatch):
+    # the diamond |x| + |y| <= 3 is radially symmetric but not smooth
+    diamond = lattice.Polytope(2, ((1, 1), (-1, 1), (-1, -1), (1, -1)), (3, 3, 3, 3))
+    calls, walk = [], lattice.sorted_slacks
+
+    def counting_walk(P):
+        calls.append(P)
+        return walk(P)
+
+    monkeypatch.setattr(lattice, "sorted_slacks", counting_walk)
+    with pytest.raises(SmoothnessError):
+        brion.verify_identity(diamond, order=12, trials=1, finite_form=True)
+    assert calls == []
 
 
 def test_point_polytope_sums_to_one():

@@ -466,6 +466,11 @@ def test_int_series_keep_their_ints_and_match_fraction_series(xs, ys, m, n, k, v
         assert a * a.inverse() == TruncatedQSeries.one(m)
 
 
+def test_series_equal_by_value_hash_alike():
+    a, b = TruncatedQSeries(2, [1, 2]), TruncatedQSeries(2, [Fraction(1), 2, 0])
+    assert a == b and hash(a) == hash(b)
+
+
 def test_series_reject_bools_and_inexact_coefficients():
     assert TruncatedQSeries(2, [Fraction(1, 2), 3]).coeffs == (Fraction(1, 2), 3, 0)
     for bad in ([True, 2], [1, False], [1.0], [1, "1"], [None], [1j]):
